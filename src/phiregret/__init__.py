@@ -85,7 +85,6 @@ __all__ = [
     "StructureError",
     "SupportMix",
     "SwapLearner",
-    "TreeProblem",
     "best_reduced_strategy",
     "bm_next",
     "bm_observe",

@@ -5,7 +5,6 @@ self-play, profile auditing, the depth-hierarchy table, and the min-gate.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -13,8 +12,9 @@ import numpy as np
 
 from .efg import deviation_dag, dump_efg, efg_self_play, parse_efg, phi_equilibrium_gap
 from .errors import ParseError
+from .fixedpoint import CURVE_COLUMNS, curves_csv
 from .gadget import gadget_min_sum
-from .nfg import parse_nfg, run_ce, swap_gap
+from .nfg import ce_horizon, parse_nfg, run_ce, swap_gap
 from .profile import CorrelatedProfile
 from .separation import separation_table
 
@@ -40,8 +40,7 @@ def _run_nfg_ce(args):
     if args.polymatrix and not game.is_polymatrix:
         raise SystemExit("--polymatrix given but the file holds a dense game")
     # schedule curve checkpoints against the same horizon run_ce will use
-    A = game.max_actions
-    horizon = max(1, math.ceil(8.0 * A * math.log(max(A, 2)) / args.eps**2))
+    horizon = ce_horizon(game, args.eps)
     res = run_ce(
         game,
         args.eps,
@@ -82,11 +81,12 @@ def _run_efg(args):
         _write(args.out, res.profile.export_csv())
         print(f"profile -> {args.out}")
     if args.curves:
-        chunks = []
-        for i in (0, 1):
-            csv = res.run_for(i).curves_csv(extra_prefix=f"player={i + 1}")
-            chunks.append(csv if i == 0 else "\n".join(csv.splitlines()[1:]) + "\n")
-        _write(args.curves, "".join(chunks))
+        rows = [
+            (i + 1, r.round, r.phi_regret, r.external_regret, r.fp_error_bound)
+            for i in (0, 1)
+            for r in res.run_for(i).records
+        ]
+        _write(args.curves, curves_csv(rows, ("player",) + CURVE_COLUMNS))
         print(f"curves -> {args.curves}")
     return 0
 

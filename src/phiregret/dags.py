@@ -12,6 +12,13 @@ monomial (a set of base terminal indices). A reduced strategy q then realizes
 the deviation phi_q(x)[z] = sum over terminal states t with output z of
 q[t] * prod_{i in mono(t)} x[i], so evaluation, polynomial export and
 utility-weight computation are the same code for both families.
+
+Both builders hand the DAG the level each state sits at (summed component
+depth, or history depth), and the DAG compiles to the same ``tfsdp.Graph`` a
+tree does; ``interleave(problem, 0)`` compiles to the tree's own arrays. A
+policy is a per-edge share array over that graph (1 on observation edges, a
+distribution over each decision state's edges), and flows, best responses
+and pure-strategy counts are the graph passes of ``tfsdp``.
 """
 
 from __future__ import annotations
@@ -24,11 +31,16 @@ import numpy as np
 from .errors import CapacityError, StructureError
 from .polynomials import PolynomialDeviation
 from .tfsdp import (
+    CODE,
     DECISION,
     OBSERVATION,
     TERMINAL,
     DecisionProblem,
+    Graph,
     NodeRow,
+    back_up,
+    count_pure,
+    flow_down,
     hypercube_problem,
 )
 
@@ -68,10 +80,13 @@ class DecisionDAG:
     States are stored in topological order (root first). ``edges[s]`` lists
     child state indices and ``edge_moves[s]`` the per-edge advance labels.
     ``terminal_out``/``terminal_mono`` give each terminal state's output
-    coordinate and monomial over the base problem's terminals.
+    coordinate and monomial over the base problem's terminals. ``level``
+    gives each state's level for the compiled ``graph`` (by default its
+    index).
     """
 
-    def __init__(self, family, base, states, kind, edges, edge_moves, payload):
+    def __init__(self, family, base, states, kind, edges, edge_moves, payload,
+                 level=None):
         self.family = family
         self.base = base
         self.states = states
@@ -81,36 +96,22 @@ class DecisionDAG:
         self.n_states = len(states)
         self.root = 0
         self.topo = list(range(self.n_states))
-        self.terminal_states = np.array(
-            [i for i in range(self.n_states) if kind[i] == TERMINAL], dtype=int
+        self.graph = Graph(
+            kind, edges, range(self.n_states) if level is None else level
         )
+        self.terminal_states = self.graph.terminals
         self.n_terminal_states = len(self.terminal_states)
         self.terminal_slot = {int(s): i for i, s in enumerate(self.terminal_states)}
         self.terminal_out = np.array(
             [payload[int(s)][0] for s in self.terminal_states], dtype=int
         )
         self.terminal_mono = [payload[int(s)][1] for s in self.terminal_states]
-        self.decision_states = [
-            i for i in range(self.n_states) if kind[i] == DECISION
-        ]
-        for s in range(self.n_states):
-            for c in edges[s]:
-                if c <= s:
-                    raise StructureError("state order is not topological")
+        self.decision_states = np.flatnonzero(
+            self.graph.code == CODE[DECISION]
+        ).tolist()
 
     def count_pure_reduced(self):
-        totals = [0] * self.n_states
-        for s in range(self.n_states - 1, -1, -1):
-            if self.kind[s] == TERMINAL:
-                totals[s] = 1
-            elif self.kind[s] == DECISION:
-                totals[s] = sum(totals[c] for c in self.edges[s])
-            else:
-                prod = 1
-                for c in self.edges[s]:
-                    prod *= totals[c]
-                totals[s] = prod
-        return totals[self.root]
+        return count_pure(self.graph)
 
     def dump(self):
         lines = [f"dag {self.family} states={self.n_states}"]
@@ -137,7 +138,8 @@ def _sorted_dag(family, base, raw_states, raw_kind, raw_edges, raw_moves,
     edges = [tuple(rank[c] for c in raw_edges[i]) for i in order]
     moves = [tuple(raw_moves[i]) for i in order]
     payload = {rank[tmp]: pl for tmp, pl in payload_by_tmp.items()}
-    return DecisionDAG(family, base, states, kind, edges, moves, payload)
+    return DecisionDAG(family, base, states, kind, edges, moves, payload,
+                       [level[i] for i in order])
 
 
 def interleave(problem, k, cap=STATE_CAP):
@@ -154,10 +156,7 @@ def interleave(problem, k, cap=STATE_CAP):
         raise ValueError("k must be nonnegative")
     dual = dual_problem(problem)
     components = [problem] + [dual] * k
-    depth_in_tree = np.zeros(problem.n_nodes, dtype=int)
-    for node in range(problem.n_nodes):
-        if problem.parent[node] >= 0:
-            depth_in_tree[node] = depth_in_tree[problem.parent[node]] + 1
+    depth_in_tree = problem.graph.level.tolist()
 
     root = tuple([problem.root] * (k + 1))
     index = {root: 0}
@@ -186,19 +185,13 @@ def interleave(problem, k, cap=STATE_CAP):
         obs = [i for i, kd in enumerate(kinds) if kd == OBSERVATION]
         if obs:
             raw_kind[idx] = OBSERVATION
-            combos = [((),)]
-
-            def advance(combo_list, comp):
-                return [
-                    c + ((comp, child),)
-                    for c in combo_list
+            moves = [()]
+            for comp in obs:
+                moves = [
+                    move + ((comp, child),)
+                    for move in moves
                     for child in components[comp].children[state[comp]]
                 ]
-
-            combos = [()]
-            for comp in obs:
-                combos = advance(combos, comp)
-            moves = combos
         else:
             raw_kind[idx] = DECISION
             moves = [
@@ -225,7 +218,7 @@ def interleave(problem, k, cap=STATE_CAP):
         raw_edges[idx] = tuple(children)
         raw_moves[idx] = tuple(moves)
 
-    level = [int(sum(depth_in_tree[n] for n in st)) for st in raw_states]
+    level = [sum(depth_in_tree[n] for n in st) for st in raw_states]
     dag = _sorted_dag(
         "mediator", problem, raw_states, raw_kind, raw_edges, raw_moves, payload, level
     )
@@ -309,11 +302,11 @@ def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
     raw_edges[root] = tuple(branches)
     raw_moves[root] = tuple(("observe", j0) for j0 in range(n_bits))
 
-    # Depth in the history tree is already a valid topological level, but the
-    # recursion appends parents before children, so identity order works too.
-    dag = _sorted_dag(
+    # The recursion appends parents before children, so the states keep their
+    # creation order; the history depth is their level.
+    dag = DecisionDAG(
         "query-tree", base, raw_states, raw_kind, raw_edges, raw_moves, payload,
-        list(range(len(raw_states))),
+        level,
     )
     dag.k = k
     dag.n_bits = n_bits
@@ -327,94 +320,55 @@ class ReducedStrategy:
 
     dag: DecisionDAG
     state_mass: np.ndarray
-    edge_mass: list
+    edge_mass: np.ndarray
 
     def terminal_vector(self):
         return self.state_mass[self.dag.terminal_states].copy()
 
     def validate(self, tol=1e-9):
-        dag = self.dag
-        if abs(self.state_mass[dag.root] - 1.0) > tol:
-            raise StructureError(
-                f"root mass {self.state_mass[dag.root]:.12g} != 1"
-            )
-        incoming = np.zeros(dag.n_states)
-        incoming[dag.root] = self.state_mass[dag.root]
-        for s in range(dag.n_states):
-            mass = self.state_mass[s]
-            em = self.edge_mass[s]
-            if dag.kind[s] == DECISION:
-                if np.min(em, initial=0.0) < -tol:
-                    raise StructureError(f"negative edge mass at state {s}")
-                if em.size and abs(np.sum(em) - mass) > tol:
-                    raise StructureError(
-                        f"decision state {s}: edges carry {np.sum(em):.12g}, "
-                        f"state holds {mass:.12g}"
-                    )
-            elif dag.kind[s] == OBSERVATION:
-                for m in em:
-                    if abs(m - mass) > tol:
-                        raise StructureError(
-                            f"observation state {s}: edge carries {m:.12g}, "
-                            f"state holds {mass:.12g}"
-                        )
-            for c, m in zip(dag.edges[s], em):
-                incoming[c] += m
-        if np.max(np.abs(incoming - self.state_mass)) > tol:
-            bad = int(np.argmax(np.abs(incoming - self.state_mass)))
-            raise StructureError(
-                f"state {bad}: incoming {incoming[bad]:.12g} != "
-                f"stored {self.state_mass[bad]:.12g}"
-            )
+        g = self.dag.graph
+        mass, em = self.state_mass, self.edge_mass
+        dec = g.decision_edge
+        split = np.bincount(g.src[dec], em[dec], minlength=g.n)
+        incoming = np.bincount(g.dst, em, minlength=g.n)
+        incoming[0] = 1.0
+        faults = {
+            "negative edge mass": g.src[dec & (em < -tol)],
+            "decision edges do not carry the state's mass": np.flatnonzero(
+                (g.code == CODE[DECISION]) & (np.abs(split - mass) > tol)
+            ),
+            "an observation edge does not carry the state's mass":
+                g.src[~dec & (np.abs(em - mass[g.src]) > tol)],
+            "incoming mass differs from the stored mass (root: 1)":
+                np.flatnonzero(np.abs(incoming - mass) > tol),
+        }
+        for fault, states in faults.items():
+            if len(states):
+                s = int(states[0])
+                raise StructureError(f"state {s} holding {mass[s]:.12g}: {fault}")
         return self
 
 
 def forward_flow(dag, policy):
     """Push unit mass from the root through the DAG.
 
-    ``policy`` maps a decision state index to either an edge index or a
-    distribution over that state's edges. Observation states copy their mass
-    to every child; decision states split it.
+    ``policy`` is a per-edge share array: 1 on observation edges, and a
+    distribution over each decision state's edges.
     """
-    state_mass = np.zeros(dag.n_states)
-    state_mass[dag.root] = 1.0
-    edge_mass = []
-    for s in range(dag.n_states):
-        n_edges = len(dag.edges[s])
-        em = np.zeros(n_edges)
-        mass = state_mass[s]
-        if n_edges and mass != 0.0:
-            if dag.kind[s] == OBSERVATION:
-                em[:] = mass
-            else:
-                choice = policy(s)
-                if np.isscalar(choice):
-                    em[int(choice)] = mass
-                else:
-                    em[:] = mass * np.asarray(choice, dtype=float)
-        elif n_edges:
-            em[:] = 0.0
-        for c, m in zip(dag.edges[s], em):
-            state_mass[c] += m
-        edge_mass.append(em)
-    return ReducedStrategy(dag, state_mass, edge_mass)
+    return ReducedStrategy(dag, *flow_down(dag.graph, policy))
 
 
 def policy_from_choices(dag, choices, default=0):
-    """Policy callable from a {decision state: edge index} table."""
-
-    def policy(s):
-        return choices.get(s, default)
-
-    return policy
+    """Pure policy from a {decision state: edge index} table."""
+    g = dag.graph
+    share = np.where(g.decision_edge, 0.0, 1.0)
+    picks = [g.ptr[s] + choices.get(s, default) for s in dag.decision_states]
+    share[np.array(picks, dtype=np.intp)] = 1.0
+    return share
 
 
 def uniform_policy(dag):
-    def policy(s):
-        n = len(dag.edges[s])
-        return np.full(n, 1.0 / n)
-
-    return policy
+    return dag.graph.uniform_share
 
 
 def best_reduced_strategy(dag, weights):
@@ -425,24 +379,8 @@ def best_reduced_strategy(dag, weights):
     the lowest edge). Exact for any weights because the objective is linear
     over the flow polytope, whose vertices are the pure reduced strategies.
     """
-    weights = np.asarray(weights, dtype=float)
-    value = np.zeros(dag.n_states)
-    choice = {}
-    for s in range(dag.n_states - 1, -1, -1):
-        kd = dag.kind[s]
-        if kd == TERMINAL:
-            value[s] = weights[dag.terminal_slot[s]]
-        elif kd == OBSERVATION:
-            value[s] = sum(value[c] for c in dag.edges[s])
-        else:
-            best = 0
-            for e, c in enumerate(dag.edges[s]):
-                if value[c] > value[dag.edges[s][best]]:
-                    best = e
-            choice[s] = best
-            value[s] = value[dag.edges[s][best]]
-    strategy = forward_flow(dag, policy_from_choices(dag, choice))
-    return float(value[dag.root]), strategy
+    value, policy = back_up(dag.graph, np.asarray(weights, dtype=float), "max")
+    return float(value[dag.root]), forward_flow(dag, policy)
 
 
 def evaluate_deviation(dag, q, x):

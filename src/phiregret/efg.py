@@ -174,17 +174,15 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     """
     if len(devs) != 2:
         raise ValueError("two deviation configurations required")
+    cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)
     agents = []
     for i, dev in enumerate(devs):
         problem = game.problems[i]
         if isinstance(dev, str):
-            dag = deviation_dag(problem, dev)
-            cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)
-            agents.append(LearningAgent(problem, dag, cfg))
+            agents.append(LearningAgent(problem, deviation_dag(problem, dev), cfg))
         elif isinstance(dev, (np.ndarray, list)):
             agents.append(FixedAgent(problem, np.asarray(dev, dtype=float)))
         else:
-            cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)
             agents.append(LearningAgent(problem, dev, cfg))
     profile = CorrelatedProfile(2, dims=[p.n_terminals for p in game.problems]) if record_profile else None
     checkpoints = set(checkpoints)

@@ -20,7 +20,7 @@ import numpy as np
 from .dags import terminal_weights
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
-from .maps import BehavioralDescriptor, MixtureStrategy, caratheodory
+from .maps import MixtureStrategy, consistent_map
 
 STALL_TOL = 1e-12
 
@@ -33,19 +33,11 @@ class FixedPointConfig:
     delta: str = "beta"
     init: np.ndarray | None = None
     membership_tol: float = 1e-9
-    stall_tol: float = STALL_TOL
 
     @classmethod
     def from_eps(cls, eps, **kw):
         """Budget for a fixed-point error of eps (L = ceil(2/eps))."""
         return cls(L=max(1, math.ceil(2.0 / eps)), **kw)
-
-    def component(self, problem, x):
-        if self.delta == "beta":
-            return BehavioralDescriptor(problem, x)
-        if self.delta in ("cara", "caratheodory"):
-            return caratheodory(problem, x)
-        raise ValueError(f"unknown consistent map {self.delta!r}")
 
 
 @dataclass
@@ -81,7 +73,7 @@ def expected_fixed_point(problem, phi, cfg):
     iterates = [x]
     components = []
     for _ in range(cfg.L):
-        comp = cfg.component(problem, x)
+        comp = consistent_map(problem, x, cfg.delta)
         components.append(comp)
         nxt = image(comp)
         violation = problem.membership_violation(nxt, cfg.membership_tol)
@@ -90,7 +82,7 @@ def expected_fixed_point(problem, phi, cfg):
                 f"extended map left the polytope ({violation}); "
                 "the deviation is not valid on this problem"
             )
-        if np.max(np.abs(nxt - x)) <= cfg.stall_tol:
+        if np.max(np.abs(nxt - x)) <= STALL_TOL:
             pi = MixtureStrategy([(1.0, comp)], kind=cfg.delta)
             return FixedPointResult(iterates, pi, nxt - x, cfg.L, True)
         iterates.append(nxt)
@@ -108,6 +100,20 @@ class RoundRecord:
     phi_regret: float
     external_regret: float
     fp_error_bound: float
+
+
+CURVE_COLUMNS = ("round", "phi_regret", "external_regret", "fp_error_bound")
+
+
+def curves_csv(rows, columns=CURVE_COLUMNS):
+    """Regret curves as CSV text: the header, then one line per checkpoint
+    row, with floats written to round-trip."""
+    lines = [",".join(columns)]
+    lines += [
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -162,21 +168,6 @@ class PhiRegretRun:
         )
         self.records.append(rec)
         return rec
-
-    def curves_csv(self, extra_prefix=""):
-        header = "round,phi_regret,external_regret,fp_error_bound"
-        if extra_prefix:
-            header = extra_prefix.split("=")[0] + "," + header
-        lines = [header]
-        for r in self.records:
-            row = (
-                f"{r.round},{r.phi_regret:.17g},{r.external_regret:.17g},"
-                f"{r.fp_error_bound:.17g}"
-            )
-            if extra_prefix:
-                row = extra_prefix.split("=")[1] + "," + row
-            lines.append(row)
-        return "\n".join(lines) + "\n"
 
 
 class PhiRegretMinimizer:

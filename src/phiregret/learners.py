@@ -1,5 +1,9 @@
 """External-regret learners: regret-matching+ over decision DAGs and
 multiplicative weights over finite arms, plus exact regret measurement.
+
+The regret-matching+ learner keeps one regret per edge of the DAG's compiled
+graph (see ``tfsdp.Graph``); its policy is a per-edge share array, and each
+round is one top-down flow and one policy-weighted backup over that graph.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ import math
 import numpy as np
 
 from .dags import ReducedStrategy, best_reduced_strategy, forward_flow
-from .tfsdp import OBSERVATION, TERMINAL
+from .tfsdp import CODE, DECISION, back_up
 
 
 class CfrLearner:
@@ -26,39 +30,34 @@ class CfrLearner:
 
     def __init__(self, dag):
         self.dag = dag
-        self.regrets = {
-            s: np.zeros(len(dag.edges[s])) for s in dag.decision_states
-        }
+        self.regrets = np.zeros(dag.graph.n_edges)
 
-    def local_policy(self, s):
-        r = self.regrets[s]
-        total = r.sum()
-        if total <= 0.0:
-            return np.full(len(r), 1.0 / len(r))
-        return r / total
+    def policy(self):
+        """Per-edge shares: positive regrets normalized per decision state."""
+        g = self.dag.graph
+        share = g.uniform_share.copy()
+        for code, _, edges, _ in g.blocks:
+            if code == CODE[DECISION]:
+                r = self.regrets[edges]
+                total = r.sum(1)
+                positive = total > 0.0
+                share[edges[positive]] = r[positive] / total[positive, None]
+        return share
 
     def next_strategy(self):
-        return forward_flow(self.dag, self.local_policy)
+        return forward_flow(self.dag, self.policy())
 
     def observe(self, weights):
         weights = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(weights)):
             raise ValueError("terminal weights must be finite")
-        dag = self.dag
-        policies = {s: self.local_policy(s) for s in dag.decision_states}
-        reach = forward_flow(dag, lambda s: policies[s]).state_mass
-        value = np.zeros(dag.n_states)
-        for s in range(dag.n_states - 1, -1, -1):
-            kd = dag.kind[s]
-            if kd == TERMINAL:
-                value[s] = weights[dag.terminal_slot[s]]
-            elif kd == OBSERVATION:
-                value[s] = sum(value[c] for c in dag.edges[s])
-            else:
-                child_vals = np.array([value[c] for c in dag.edges[s]])
-                value[s] = float(policies[s] @ child_vals)
-                increments = reach[s] * (child_vals - value[s])
-                self.regrets[s] = np.maximum(0.0, self.regrets[s] + increments)
+        g = self.dag.graph
+        share = self.policy()
+        reach = forward_flow(self.dag, share).state_mass
+        value, _ = back_up(g, weights, share)
+        dec = g.decision_edge
+        gain = reach[g.src[dec]] * (value[g.dst[dec]] - value[g.src[dec]])
+        self.regrets[dec] = np.maximum(0.0, self.regrets[dec] + gain)
         return self
 
 

@@ -13,20 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError
-from .tfsdp import DECISION, OBSERVATION, TERMINAL
+from .tfsdp import DECISION, TERMINAL, flow_down, pure_share
 
 SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
 
 
-def monomial_expectation_beta(problem, x, terminal_set):
+def monomial_expectation_beta(problem, vals, terminal_set):
     """E[prod_{z in S} x'_z] when x' is drawn from the behavioral map at x.
 
-    Zero when two terminals in S need conflicting actions at a shared
-    decision point; otherwise the product of conditional flows over the
-    decision edges the set requires, skipping unreached decision points.
+    ``vals`` are the node values of x (``problem.node_values(x)``). Zero when
+    two terminals in S need conflicting actions at a shared decision point;
+    otherwise the product of conditional flows over the decision edges the
+    set requires, skipping unreached decision points.
     """
-    x = np.asarray(x, dtype=float)
     required = {}
     for z in terminal_set:
         for j, child in problem.decision_edges[int(z)]:
@@ -36,7 +36,6 @@ def monomial_expectation_beta(problem, x, terminal_set):
             required[j] = child
     if not required:
         return 1.0
-    vals = problem.node_values(x)
     prob = 1.0
     for j, child in required.items():
         if vals[j] > 0.0:
@@ -85,25 +84,21 @@ class SupportMix:
 class BehavioralDescriptor:
     """The behavioral map's distribution at a base point, kept implicit.
 
-    ``zero_policy`` fixes an action at decision points the base point never
-    reaches ('lowest' picks the first child). It only pins down a canonical
-    representative; pure strategies through such points carry probability
-    zero either way, so the distribution itself does not depend on it.
+    The base is read-only, so its node values are computed once here and
+    shared by every monomial expectation.
     """
 
-    def __init__(self, problem, base, zero_policy="lowest"):
-        if zero_policy != "lowest":
-            raise ValueError(f"unknown zero_policy {zero_policy!r}")
+    def __init__(self, problem, base):
         self.problem = problem
         self.base = np.array(base, dtype=float)
         self.base.flags.writeable = False
-        self.zero_policy = zero_policy
+        self.vals = problem.node_values(self.base)
 
     def mean(self):
         return self.base
 
     def monomial_expectation(self, terminal_set):
-        return monomial_expectation_beta(self.problem, self.base, terminal_set)
+        return monomial_expectation_beta(self.problem, self.vals, terminal_set)
 
     def expected_image(self, phi):
         return phi.expected_value(self.monomial_expectation)
@@ -169,26 +164,15 @@ def caratheodory(problem, x, tol=PEEL_TOL):
     """
     x = np.asarray(x, dtype=float)
     problem.require_membership(x, context="peeling decomposition")
+    g = problem.graph
     residual = x.copy()
     atoms = []
     remaining = 1.0
     while remaining > tol:
         vals = problem.node_values(residual)
-        support = []
-        stack = [problem.root]
-        while stack:
-            node = stack.pop()
-            kind = problem.kind[node]
-            if kind == TERMINAL:
-                support.append(int(problem.terminal_index[node]))
-            elif kind == OBSERVATION:
-                stack.extend(problem.children[node])
-            else:
-                best = max(problem.children[node], key=lambda c: (vals[c], -c))
-                stack.append(best)
-        t = min(residual[z] for z in support)
-        y = np.zeros(problem.n_terminals)
-        y[support] = 1.0
+        greedy = pure_share(g, vals[g.dst])
+        y = flow_down(g, greedy)[0][problem.terminals]
+        t = np.min(residual[y > 0.0])
         atoms.append((t, y))
         residual -= t * y
         remaining -= t
@@ -201,6 +185,16 @@ def caratheodory(problem, x, tol=PEEL_TOL):
     return SupportMix([(w / total, y) for w, y in atoms])
 
 
+def consistent_map(problem, x, delta="beta"):
+    """The named consistent map's mixture at x: "beta" for the behavioral
+    descriptor, "cara" (or "caratheodory") for the peeling decomposition."""
+    if delta == "beta":
+        return BehavioralDescriptor(problem, x)
+    if delta in ("cara", "caratheodory"):
+        return caratheodory(problem, x)
+    raise ValueError(f"unknown consistent map {delta!r}")
+
+
 def extended_map_eval(phi, problem, x, delta="beta", validate=False):
     """Expectation of phi over the chosen consistent map's mixture at x.
 
@@ -211,13 +205,7 @@ def extended_map_eval(phi, problem, x, delta="beta", validate=False):
     """
     if validate:
         phi.validate_on_polytope(problem)
-    if delta == "beta":
-        return phi.expected_value(
-            lambda s: monomial_expectation_beta(problem, x, s)
-        )
-    if delta in ("cara", "caratheodory"):
-        return caratheodory(problem, x).expected_image(phi)
-    raise ValueError(f"unknown consistent map {delta!r}")
+    return consistent_map(problem, x, delta).expected_image(phi)
 
 
 class MixtureStrategy:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
+from .fixedpoint import curves_csv
 from .learners import Mwu
 from .maps import SupportMix
 from .profile import CorrelatedProfile
@@ -270,12 +271,13 @@ class CeResult:
     curve_rows: list = field(default_factory=list)
 
     def curves_csv(self):
-        lines = ["round,phi_regret,external_regret,fp_error_bound"]
-        for row in self.curve_rows:
-            lines.append(
-                f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+        return curves_csv(self.curve_rows)
+
+
+def ce_horizon(game, eps, c=8.0):
+    """Rounds T = ceil(c * A ln A / eps^2), with A the largest action count."""
+    A = game.max_actions
+    return max(1, math.ceil(c * A * math.log(max(A, 2)) / eps**2))
 
 
 def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
@@ -291,9 +293,8 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    A = game.max_actions
     if horizon is None:
-        horizon = max(1, math.ceil(c * A * math.log(max(A, 2)) / eps**2))
+        horizon = ce_horizon(game, eps, c)
     if L is None:
         L = max(1, math.ceil(4.0 / eps))
     start = time.monotonic()

@@ -8,11 +8,19 @@ an observation point carries the point's own value, children of a decision
 point sum to it). Pure strategies are the 0/1 points of that polytope.
 
 Instances are immutable after construction; all derived arrays are built once.
+
+Trees and the deviation DAGs of ``dags`` compile to one ``Graph``: per-state
+kind codes, CSR edges, and the edges and states grouped by level. Every
+per-state pass is written once, on that form, as a few array operations per
+level: the top-down flow (``flow_down``), the bottom-up backup
+(``back_up``), the pure-strategy count (``count_pure``) and the tree node
+values (``tree_values``).
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +33,148 @@ DECISION = "D"
 OBSERVATION = "O"
 TERMINAL = "T"
 
+CODE = {TERMINAL: 0, DECISION: 1, OBSERVATION: 2}
+
 FLOW_TOL = 1e-9
 ENUM_CAP = 10**6
+
+
+class Graph:
+    """Compiled state graph shared by trees and decision DAGs.
+
+    ``code`` holds each state's kind code (see CODE); the root is state 0.
+    Edge e runs ``src[e] -> dst[e]``; edges are in CSR order, so state s owns
+    edges ``ptr[s]:ptr[s + 1]`` in child order. Every edge must climb at
+    least one ``level``, and the passes walk the graph level by level:
+
+    - ``levels`` lists, shallowest first, the edges leaving each level as
+      (edge ids, sources, targets) in CSR order. Walking them in order, a
+      state's in-edges are all done before the state is read.
+    - ``blocks`` lists, deepest level first, the non-terminal states of a
+      level sharing one kind code and one out-degree d, as (code, states,
+      edges, children): ``edges`` is the (len(states), d) matrix of their
+      edge ids and ``children`` that of the edges' targets. Walking them in
+      order, every child is done before its parent.
+    """
+
+    def __init__(self, kind, children, level):
+        n = len(kind)
+        self.n = n
+        self.code = np.fromiter(map(CODE.__getitem__, kind), dtype=np.int8, count=n)
+        self.level = np.asarray(level, dtype=np.intp)
+        deg = np.fromiter(map(len, children), dtype=np.intp, count=n)
+        self.ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(deg, out=self.ptr[1:])
+        self.n_edges = int(self.ptr[-1])
+        self.src = np.repeat(np.arange(n), deg)
+        self.dst = np.fromiter(
+            itertools.chain.from_iterable(children), dtype=np.intp, count=self.n_edges
+        )
+        edge_level = self.level[self.src]
+        if np.any(self.level[self.dst] <= edge_level):
+            raise StructureError("state order is not topological")
+        self.terminals = np.flatnonzero(self.code == CODE[TERMINAL])
+        self.decision_edge = self.code[self.src] == CODE[DECISION]
+        # Fraction of a state's mass each edge carries under uniform play.
+        self.uniform_share = np.where(self.decision_edge, 1.0 / deg[self.src], 1.0)
+        self.uniform_share.flags.writeable = False
+
+        order = np.argsort(edge_level, kind="stable")
+        cuts = np.flatnonzero(np.diff(edge_level[order])) + 1
+        self.levels = [(e, self.src[e], self.dst[e]) for e in np.split(order, cuts)]
+
+        inner = np.flatnonzero(deg)
+        inner = inner[np.lexsort((deg[inner], self.code[inner], -self.level[inner]))]
+        key = np.stack([self.level[inner], self.code[inner], deg[inner]])
+        cuts = np.flatnonzero(np.any(np.diff(key), axis=0)) + 1
+        self.blocks = []
+        for states in np.split(inner, cuts):
+            if states.size:
+                edges = self.ptr[states][:, None] + np.arange(deg[states[0]])
+                self.blocks.append(
+                    (int(self.code[states[0]]), states, edges, self.dst[edges])
+                )
+
+
+def _row_dots(w, v):
+    """Row-wise dot products w[i] @ v[i]. Each row is one vector dot product,
+    so it rounds exactly as a per-state ``np.dot`` does."""
+    return np.matmul(w[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def flow_down(graph, share):
+    """Push unit mass from the root; edge e carries share[e] of its source.
+
+    Observation edges carry share 1, each decision state's edges a
+    distribution. Returns (state mass, edge mass).
+    """
+    mass = np.zeros(graph.n)
+    mass[0] = 1.0
+    edge_mass = np.zeros(graph.n_edges)
+    for e, s, d in graph.levels:
+        em = mass[s] * share[e]
+        edge_mass[e] = em
+        np.add.at(mass, d, em)
+    return mass, edge_mass
+
+
+def back_up(graph, leaf, rule):
+    """Back values up from the terminals, which read ``leaf`` in index order.
+
+    Observation states sum their children. Decision states take the largest
+    child (rule "max"), the smallest ("min"), or weight the children by a
+    per-edge share array. Returns (state values, share), where for "max" and
+    "min" the share is the pure policy taking the first best edge.
+    """
+    value = np.zeros(graph.n)
+    value[graph.terminals] = leaf
+    pick = isinstance(rule, str)
+    share = graph.uniform_share if pick else rule
+    for code, states, edges, children in graph.blocks:
+        below = value[children]
+        if pick and code == CODE[DECISION]:
+            value[states] = below.max(1) if rule == "max" else below.min(1)
+        else:
+            value[states] = _row_dots(share[edges], below)
+    if pick:
+        share = pure_share(graph, value[graph.dst], maximize=rule == "max")
+    return value, share
+
+
+def pure_share(graph, edge_value, maximize=True):
+    """Pure policy taking each decision state's first edge of largest (or
+    smallest) ``edge_value``; observation edges carry share 1."""
+    share = np.where(graph.decision_edge, 0.0, 1.0)
+    for code, _, edges, _ in graph.blocks:
+        if code == CODE[DECISION]:
+            v = edge_value[edges]
+            best = v.argmax(1) if maximize else v.argmin(1)
+            share[edges[np.arange(len(edges)), best]] = 1.0
+    return share
+
+
+def count_pure(graph):
+    """Number of pure strategies: decision states add, observation states
+    multiply (exact integers)."""
+    count = np.ones(graph.n, dtype=object)
+    for code, states, _, children in graph.blocks:
+        below = count[children]
+        count[states] = below.sum(1) if code == CODE[DECISION] else below.prod(1)
+    return int(count[0])
+
+
+def tree_values(graph, leaf):
+    """Node values of a terminal vector: decision states sum their children,
+    observation states copy their first child."""
+    value = np.zeros(graph.n)
+    value[graph.terminals] = leaf
+    for code, states, _, children in graph.blocks:
+        below = value[children]
+        if code == CODE[DECISION]:
+            value[states] = _row_dots(np.ones_like(below), below)
+        else:
+            value[states] = below[:, 0]
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,11 +252,13 @@ class DecisionProblem:
 
         # BFS re-index.
         order = []
-        queue = collections.deque([root_id])
+        depth = []
+        queue = collections.deque([(root_id, 0)])
         while queue:
-            cur = queue.popleft()
+            cur, d = queue.popleft()
             order.append(cur)
-            queue.extend(children_ids[cur])
+            depth.append(d)
+            queue.extend((c, d + 1) for c in children_ids[cur])
         if len(order) != len(by_id):
             raise StructureError("disconnected nodes present")
 
@@ -123,17 +273,16 @@ class DecisionProblem:
         )
         self.edge_label = [by_id[i].label for i in order]
         self.children = [tuple(index[c] for c in children_ids[i]) for i in order]
+        self.graph = Graph(self.kind, self.children, depth)
 
-        terminals = [i for i in range(n) if self.kind[i] == TERMINAL]
-        self.terminals = np.array(terminals, dtype=int)
-        self.n_terminals = len(terminals)
+        self.terminals = self.graph.terminals
+        self.n_terminals = len(self.terminals)
         self.terminal_index = np.full(n, -1, dtype=int)
-        for dense, node in enumerate(terminals):
-            self.terminal_index[node] = dense
+        self.terminal_index[self.terminals] = np.arange(self.n_terminals)
 
         # Decision edges (decision node, chosen child) on the path to each terminal.
         paths = []
-        for node in terminals:
+        for node in self.terminals:
             edges = []
             cur = node
             while self.parent[cur] >= 0:
@@ -176,17 +325,7 @@ class DecisionProblem:
 
     def node_values(self, x):
         """Node values induced by a terminal vector (bottom-up)."""
-        x = np.asarray(x, dtype=float)
-        vals = np.empty(self.n_nodes)
-        for node in range(self.n_nodes - 1, -1, -1):
-            kind = self.kind[node]
-            if kind == TERMINAL:
-                vals[node] = x[self.terminal_index[node]]
-            elif kind == DECISION:
-                vals[node] = sum(vals[c] for c in self.children[node])
-            else:
-                vals[node] = vals[self.children[node][0]]
-        return vals
+        return tree_values(self.graph, np.asarray(x, dtype=float))
 
     def membership_violation(self, x, tol=FLOW_TOL):
         """None if x satisfies the flow equations, else a description."""
@@ -199,15 +338,15 @@ class DecisionProblem:
         vals = self.node_values(x)
         if abs(vals[self.root] - 1.0) > tol:
             return f"root value {vals[self.root]:.12g} != 1"
-        for node in range(self.n_nodes):
-            if self.kind[node] != OBSERVATION:
-                continue
-            for c in self.children[node]:
-                if abs(vals[c] - vals[node]) > tol:
-                    return (
-                        f"observation point {self.node_ids[node]!r}: child "
-                        f"{self.node_ids[c]!r} carries {vals[c]:.12g} != {vals[node]:.12g}"
-                    )
+        g = self.graph
+        bad = ~g.decision_edge & (np.abs(vals[g.dst] - vals[g.src]) > tol)
+        if bad.any():
+            e = int(np.argmax(bad))
+            node, c = g.src[e], g.dst[e]
+            return (
+                f"observation point {self.node_ids[node]!r}: child "
+                f"{self.node_ids[c]!r} carries {vals[c]:.12g} != {vals[node]:.12g}"
+            )
         return None
 
     def membership(self, x, tol=FLOW_TOL):
@@ -222,19 +361,7 @@ class DecisionProblem:
     # -- pure strategies ---------------------------------------------------
 
     def count_pure_strategies(self):
-        counts = [0] * self.n_nodes
-        for node in range(self.n_nodes - 1, -1, -1):
-            kind = self.kind[node]
-            if kind == TERMINAL:
-                counts[node] = 1
-            elif kind == DECISION:
-                counts[node] = sum(counts[c] for c in self.children[node])
-            else:
-                prod = 1
-                for c in self.children[node]:
-                    prod *= counts[c]
-                counts[node] = prod
-        return counts[self.root]
+        return count_pure(self.graph)
 
     def enumerate_pure_strategies(self, cap=ENUM_CAP):
         """All distinct tree-form pure strategies as a (P, N) 0/1 array."""
@@ -265,75 +392,24 @@ class DecisionProblem:
 
     def uniform_point(self):
         """Tree-form point of the uniform behavioral strategy."""
-        mass = np.zeros(self.n_nodes)
-        mass[self.root] = 1.0
-        out = np.zeros(self.n_terminals)
-        for node in range(self.n_nodes):
-            kind = self.kind[node]
-            if kind == TERMINAL:
-                out[self.terminal_index[node]] = mass[node]
-            elif kind == DECISION:
-                share = mass[node] / len(self.children[node])
-                for c in self.children[node]:
-                    mass[c] = share
-            else:
-                for c in self.children[node]:
-                    mass[c] = mass[node]
-        return out
+        return flow_down(self.graph, self.graph.uniform_share)[0][self.terminals]
 
     def random_point(self, rng):
         """Tree-form point from random Dirichlet behavioral splits."""
-        mass = np.zeros(self.n_nodes)
-        mass[self.root] = 1.0
-        out = np.zeros(self.n_terminals)
-        for node in range(self.n_nodes):
-            kind = self.kind[node]
-            if kind == TERMINAL:
-                out[self.terminal_index[node]] = mass[node]
-            elif kind == DECISION:
-                split = rng.dirichlet(np.ones(len(self.children[node])))
-                for c, w in zip(self.children[node], split):
-                    mass[c] = mass[node] * w
-            else:
-                for c in self.children[node]:
-                    mass[c] = mass[node]
-        return out
+        g = self.graph
+        share = np.ones(g.n_edges)
+        for node in np.flatnonzero(g.code == CODE[DECISION]):
+            lo, hi = g.ptr[node], g.ptr[node + 1]
+            share[lo:hi] = rng.dirichlet(np.ones(hi - lo))
+        return flow_down(g, share)[0][self.terminals]
 
     # -- responses and normalization ----------------------------------------
 
     def _pure_response(self, u, maximize):
-        u = np.asarray(u, dtype=float)
-        vals = np.empty(self.n_nodes)
-        pick = {}
-        for node in range(self.n_nodes - 1, -1, -1):
-            kind = self.kind[node]
-            if kind == TERMINAL:
-                vals[node] = u[self.terminal_index[node]]
-            elif kind == OBSERVATION:
-                vals[node] = sum(vals[c] for c in self.children[node])
-            else:
-                best = None
-                for c in self.children[node]:
-                    if best is None:
-                        best = c
-                    elif maximize and vals[c] > vals[best]:
-                        best = c
-                    elif not maximize and vals[c] < vals[best]:
-                        best = c
-                pick[node] = best
-                vals[node] = vals[best]
-        bits = np.zeros(self.n_terminals)
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            kind = self.kind[node]
-            if kind == TERMINAL:
-                bits[self.terminal_index[node]] = 1.0
-            elif kind == DECISION:
-                stack.append(pick[node])
-            else:
-                stack.extend(self.children[node])
-        return float(vals[self.root]), bits
+        value, share = back_up(
+            self.graph, np.asarray(u, dtype=float), "max" if maximize else "min"
+        )
+        return float(value[self.root]), flow_down(self.graph, share)[0][self.terminals]
 
     def best_pure_response(self, u):
         """(value, strategy) maximizing <u, x>; ties break to the lowest child."""

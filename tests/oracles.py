@@ -97,6 +97,46 @@ def monomial_expectation(problem, x, terminal_set):
     return total
 
 
+def uniform_point(problem):
+    """Tree-form point of uniform play: each terminal's mass is the product
+    of 1/(number of children) over its decision ancestors."""
+    x = np.zeros(problem.n_terminals)
+    for node in range(problem.n_nodes):
+        if problem.kind[node] != "T":
+            continue
+        mass = 1.0
+        cur = node
+        while problem.parent[cur] >= 0:
+            cur = problem.parent[cur]
+            if problem.kind[cur] == "D":
+                mass /= len(problem.children[cur])
+        x[problem.terminal_index[node]] = mass
+    return x
+
+
+def pure_response(problem, u, maximize=True):
+    """(value, strategy) of the best (or worst) pure strategy by recursion,
+    each decision point keeping its first child among equal values."""
+    u = np.asarray(u, dtype=float)
+
+    def rec(node):
+        kind = problem.kind[node]
+        if kind == "T":
+            vec = np.zeros(problem.n_terminals)
+            vec[problem.terminal_index[node]] = 1.0
+            return float(u[problem.terminal_index[node]]), vec
+        parts = [rec(c) for c in problem.children[node]]
+        if kind == "O":
+            return sum(v for v, _ in parts), sum(vec for _, vec in parts)
+        best = parts[0]
+        for part in parts[1:]:
+            if (part[0] > best[0]) if maximize else (part[0] < best[0]):
+                best = part
+        return best
+
+    return rec(problem.root)
+
+
 def best_response_value(problem, u):
     pure = enumerate_pure(problem)
     return float(np.max(pure @ np.asarray(u, dtype=float)))
@@ -204,3 +244,44 @@ def pure_reduced_vectors(dag, cap=200000):
         vec = dag_policy_flow(dag, choices)
         seen[vec.tobytes()] = vec
     return list(seen.values())
+
+
+def rm_plus_step(dag, regrets, weights):
+    """One round of regret-matching+ at every decision state, state by state.
+
+    regrets maps each decision state to its per-edge regret array. Returns
+    the terminal-state masses played this round and the updated regrets.
+    Reads only kind, edges and terminal_slot; states are in topological
+    index order.
+    """
+    n = len(dag.kind)
+    policy = {}
+    for s in range(n):
+        if dag.kind[s] == "D":
+            r = regrets[s]
+            total = sum(r)
+            policy[s] = [v / total for v in r] if total > 0 else [1.0 / len(r)] * len(r)
+    reach = [0.0] * n
+    reach[0] = 1.0
+    for s in range(n):
+        for e, c in enumerate(dag.edges[s]):
+            reach[c] += reach[s] * (policy[s][e] if dag.kind[s] == "D" else 1.0)
+    value = [0.0] * n
+    for s in reversed(range(n)):
+        if dag.kind[s] == "T":
+            value[s] = float(weights[dag.terminal_slot[s]])
+        elif dag.kind[s] == "O":
+            value[s] = sum(value[c] for c in dag.edges[s])
+        else:
+            value[s] = sum(p * value[c] for p, c in zip(policy[s], dag.edges[s]))
+    updated = {
+        s: np.array([
+            max(0.0, r + reach[s] * (value[c] - value[s]))
+            for r, c in zip(regrets[s], dag.edges[s])
+        ])
+        for s in policy
+    }
+    played = np.zeros(len(dag.terminal_slot))
+    for s, slot in dag.terminal_slot.items():
+        played[slot] = reach[s]
+    return played, updated

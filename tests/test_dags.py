@@ -18,6 +18,7 @@ from phiregret import (
     terminal_weights,
 )
 from phiregret.dags import (
+    ReducedStrategy,
     deviation_polynomial,
     dual_problem,
     eval_dt_deviation,
@@ -219,3 +220,49 @@ def test_non_topological_order_rejected(two_stage):
             edges=[(1,), (0,)], edge_moves=[(("x", 0),), (("x", 0),)],
             payload={1: (0, frozenset())},
         )
+
+
+def test_tree_and_interleave_zero_compile_alike(two_stage):
+    rng = np.random.default_rng(27)
+    for p in (two_stage, hypercube_problem(3), *(random_problem(rng) for _ in range(5))):
+        tree, dag = p.graph, interleave(p, 0).graph
+        for name in ("code", "level", "ptr", "src", "dst", "decision_edge", "uniform_share"):
+            assert np.array_equal(getattr(tree, name), getattr(dag, name)), name
+        for name in ("levels", "blocks"):
+            assert len(getattr(tree, name)) == len(getattr(dag, name))
+            for a, b in zip(getattr(tree, name), getattr(dag, name)):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_validate_rejects_broken_flows(two_stage):
+    dag = interleave(two_stage, 1)
+    good = forward_flow(dag, uniform_policy(dag)).validate()
+    g = dag.graph
+    into_terminal = np.isin(g.dst, dag.terminal_states) & (good.edge_mass > 0)
+
+    def broken(shifts):
+        # each shifted edge feeds a terminal state whose mass moves with it,
+        # so incoming mass stays consistent and only the per-state rules break
+        state_mass, edge_mass = good.state_mass.copy(), good.edge_mass.copy()
+        for e, delta in shifts:
+            edge_mass[e] += delta
+            state_mass[g.dst[e]] += delta
+        return ReducedStrategy(dag, state_mass, edge_mass)
+
+    obs = np.flatnonzero(into_terminal & ~g.decision_edge)[0]
+    s = next(s for s in dag.decision_states
+             if into_terminal[g.ptr[s]:g.ptr[s + 1]].all())
+    e1, e2 = g.ptr[s], g.ptr[s] + 1
+    move = good.edge_mass[e1] + 0.1
+    cases = [
+        ([(obs, 0.1)], "observation edge"),
+        ([(e1, 0.1)], "decision edges"),
+        ([(e1, -move), (e2, move)], "negative edge mass"),
+    ]
+    for shifts, fault in cases:
+        with pytest.raises(StructureError, match=fault):
+            broken(shifts).validate()
+    bad = ReducedStrategy(dag, good.state_mass.copy(), good.edge_mass)
+    bad.state_mass[dag.terminal_states[0]] += 0.1
+    with pytest.raises(StructureError, match="incoming"):
+        bad.validate()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from phiregret import CfrLearner, Mwu, interleave
+from phiregret import CfrLearner, Mwu, build_dt_problem, interleave
 from phiregret.learners import RegretMeter, measure_external_regret
 
 
@@ -122,3 +122,21 @@ def test_regret_meter_matches_direct_formula(two_stage):
     assert measure_external_regret(dag, weights, plays) == pytest.approx(
         meter.average_regret(), abs=1e-12
     )
+
+
+def test_cfr_matches_naive_rm_plus(two_stage):
+    rng = np.random.default_rng(25)
+    for dag in (interleave(two_stage, 1), interleave(two_stage, 2), build_dt_problem(2, 2)):
+        learner = CfrLearner(dag)
+        regrets = {
+            s: np.zeros(len(dag.edges[s])) for s in range(len(dag.kind)) if dag.kind[s] == "D"
+        }
+        for _ in range(5):
+            w = rng.uniform(-1, 1, size=dag.n_terminal_states)
+            played, regrets = oracles.rm_plus_step(dag, regrets, w)
+            q = learner.next_strategy().terminal_vector()
+            assert np.allclose(q, played, rtol=0.0, atol=1e-12)
+            learner.observe(w)
+        played, _ = oracles.rm_plus_step(dag, regrets, np.zeros(dag.n_terminal_states))
+        q = learner.next_strategy().terminal_vector()
+        assert np.allclose(q, played, rtol=0.0, atol=1e-12)

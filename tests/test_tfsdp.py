@@ -179,3 +179,32 @@ def test_random_problems_are_coherent():
 def test_l2_diameter_simplex():
     pts = np.eye(3)
     assert l2_diameter(pts) == pytest.approx(np.sqrt(2.0))
+
+
+def test_tree_passes_match_oracles_on_random_trees():
+    rng = np.random.default_rng(26)
+    for _ in range(15):
+        p = random_problem(rng)
+        assert p.count_pure_strategies() == len(oracles.enumerate_pure(p))
+        assert np.allclose(p.uniform_point(), oracles.uniform_point(p), rtol=0.0, atol=1e-15)
+        x = p.random_point(rng)
+        vals = p.node_values(x)
+        for node in range(p.n_nodes):
+            assert vals[node] == pytest.approx(oracles.node_value(p, x, node), abs=1e-12)
+        for z in range(p.n_terminals):
+            y = x.copy()
+            y[z] += 0.05
+            assert p.membership(y) == oracles.membership(p, y)
+        for _ in range(4):
+            # integer utilities make ties, which break to the first child
+            for u in (rng.normal(size=p.n_terminals), rng.integers(-1, 2, p.n_terminals)):
+                for respond, maximize in ((p.best_pure_response, True),
+                                          (p.worst_pure_response, False)):
+                    val, arg = respond(u)
+                    ref_val, ref_arg = oracles.pure_response(p, u, maximize)
+                    assert val == pytest.approx(ref_val, abs=1e-12)
+                    assert np.array_equal(arg, ref_arg)
+                assert p.best_pure_response(u)[0] == pytest.approx(
+                    oracles.best_response_value(p, u), abs=1e-12)
+                assert p.worst_pure_response(u)[0] == pytest.approx(
+                    oracles.worst_response_value(p, u), abs=1e-12)
