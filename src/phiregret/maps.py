@@ -46,21 +46,49 @@ def monomial_expectation_beta(problem, vals, terminal_set):
 
 
 class SupportMix:
-    """Finite mixture of pure strategies: list of (weight, 0/1 vector)."""
+    """Finite mixture of pure strategies, stored as arrays.
+
+    ``weights`` (n,) holds the atom probabilities and ``matrix`` (n, d) the
+    atoms' 0/1 vectors, one row per atom. A mean or a monomial expectation is
+    one gather and one reduction over the rows; the reductions run over the
+    atoms in row order, so they round exactly as a left-to-right sum of
+    weighted atoms would. ``SupportMix(atoms)`` takes (weight, vector)
+    pairs; ``from_arrays`` takes the two arrays as they are.
+    """
 
     def __init__(self, atoms):
-        self.atoms = [(float(w), np.asarray(y, dtype=float)) for w, y in atoms]
+        atoms = list(atoms)
+        self._set(
+            np.array([w for w, _ in atoms], dtype=float),
+            np.array([y for _, y in atoms], dtype=float),
+        )
+
+    @classmethod
+    def from_arrays(cls, weights, matrix):
+        mix = cls.__new__(cls)
+        mix._set(np.asarray(weights, dtype=float), np.asarray(matrix, dtype=float))
+        return mix
+
+    def _set(self, weights, matrix):
+        if weights.ndim != 1 or matrix.ndim != 2 or len(weights) != len(matrix):
+            raise ValueError(
+                f"need (n,) weights and (n, d) atoms, got {weights.shape} and {matrix.shape}"
+            )
+        self.weights = weights
+        self.matrix = matrix
         self._mean = None
 
     @property
+    def atoms(self):
+        return list(zip(self.weights.tolist(), self.matrix))
+
+    @property
     def n_atoms(self):
-        return len(self.atoms)
+        return len(self.weights)
 
     def mean(self):
         if self._mean is None:
-            total = np.zeros_like(self.atoms[0][1])
-            for w, y in self.atoms:
-                total += w * y
+            total = (self.weights[:, None] * self.matrix).cumsum(axis=0)[-1].copy()
             total.flags.writeable = False
             self._mean = total
         return self._mean
@@ -69,11 +97,12 @@ class SupportMix:
         idx = list(terminal_set)
         if not idx:
             return 1.0
-        return float(sum(w * np.prod(y[idx]) for w, y in self.atoms))
+        terms = self.weights * self.matrix[:, idx].prod(axis=1)
+        return float(terms.cumsum()[-1])
 
     def expected_image(self, phi):
         out = np.zeros(phi.n_outputs)
-        for w, y in self.atoms:
+        for w, y in zip(self.weights, self.matrix):
             out += w * phi.eval_point(y)
         return out
 
@@ -113,44 +142,48 @@ class BehavioralDescriptor:
 def beta_support(problem, x, cap=SUPPORT_CAP):
     """Explicit support of the behavioral map at x (desk scale only).
 
-    Walks the positive-flow part of the tree: decision points split atoms by
-    conditional flow, observation points take the product across branches.
-    Atoms are returned as (probability, terminal set) pairs turned into
-    vectors; pure strategies outside the positive region have probability
-    zero and are omitted.
+    Walks the positive-flow part of the tree, each subtree giving a block of
+    atom weights and 0/1 rows: decision points stack their children's blocks
+    scaled by conditional flow, observation points take the row-major outer
+    product of their children's blocks. Pure strategies outside the positive
+    region have probability zero and are omitted. A block over ``cap`` atoms
+    raises CapacityError before it is allocated.
     """
     x = np.asarray(x, dtype=float)
     vals = problem.node_values(x)
+    d = problem.n_terminals
+
+    def check(n_atoms):
+        if n_atoms > cap:
+            raise CapacityError(
+                f"behavioral support exceeds {cap} atoms; "
+                "use the implicit descriptor instead"
+            )
 
     def rec(node):
         kind = problem.kind[node]
         if kind == TERMINAL:
-            return [(1.0, (int(problem.terminal_index[node]),))]
+            row = np.zeros((1, d))
+            row[0, problem.terminal_index[node]] = 1.0
+            return np.ones(1), row
         if kind == DECISION:
-            out = []
+            weights, blocks = [], []
             for c in problem.children[node]:
-                if vals[c] <= 0.0:
-                    continue
-                share = vals[c] / vals[node]
-                out.extend((share * w, s) for w, s in rec(c))
-            return out
-        out = [(1.0, ())]
+                if vals[c] > 0.0:
+                    w, m = rec(c)
+                    weights.append(vals[c] / vals[node] * w)
+                    blocks.append(m)
+            check(sum(map(len, weights)))
+            return np.concatenate(weights), np.concatenate(blocks)
+        weights, matrix = np.ones(1), np.zeros((1, d))
         for c in problem.children[node]:
-            sub = rec(c)
-            if len(out) * len(sub) > cap:
-                raise CapacityError(
-                    f"behavioral support exceeds {cap} atoms; "
-                    "use the implicit descriptor instead"
-                )
-            out = [(w * w2, s + s2) for w, s in out for w2, s2 in sub]
-        return out
+            w, m = rec(c)
+            check(len(weights) * len(w))
+            weights = (weights[:, None] * w).ravel()
+            matrix = (matrix[:, None, :] + m).reshape(-1, d)
+        return weights, matrix
 
-    atoms = []
-    for w, support in rec(problem.root):
-        y = np.zeros(problem.n_terminals)
-        y[list(support)] = 1.0
-        atoms.append((w, y))
-    return SupportMix(atoms)
+    return SupportMix.from_arrays(*rec(problem.root))
 
 
 def caratheodory(problem, x, tol=PEEL_TOL):
@@ -212,7 +245,7 @@ class MixtureStrategy:
     """Weighted mixture of per-round mixtures over pure strategies.
 
     Components expose ``mean`` and ``monomial_expectation``; both the
-    implicit behavioral descriptor and the explicit atom list qualify.
+    implicit behavioral descriptor and the explicit SupportMix qualify.
     Monomial expectations are cached, since deviation evaluation asks for
     the same monomials across many terminals.
     """

@@ -25,6 +25,7 @@ from .profile import CorrelatedProfile
 
 PAYOFF_TOL = 1e-9
 DENSE_CAP = 10**6
+ROUND_BLOCK = 4096
 
 
 class NormalFormGame:
@@ -146,32 +147,34 @@ def expectation_oracle(game, dists):
 
     Returns one vector per player: entry a is u_i(a, pi_{-i}). Dense games
     contract the payoff tensor against the other players' distributions;
-    polymatrix games sum edge-matrix products.
+    polymatrix games sum edge-matrix products. The distributions may share
+    leading axes (rounds, say), which the outputs keep.
     """
     if len(dists) != game.n_players:
         raise ValueError(f"need {game.n_players} distributions, got {len(dists)}")
     dists = [np.asarray(d, dtype=float) for d in dists]
+    lead = dists[0].shape[:-1]
     for i, d in enumerate(dists):
-        if d.shape != (game.action_counts[i],):
+        if d.shape != lead + (game.action_counts[i],):
             raise ValueError(
                 f"player {i} distribution has shape {d.shape}, "
-                f"expected ({game.action_counts[i]},)"
+                f"expected {lead + (game.action_counts[i],)}"
             )
     out = []
     if game.is_polymatrix:
         for i in range(game.n_players):
-            u = np.zeros(game.action_counts[i])
+            u = np.zeros(lead + (game.action_counts[i],))
             for (a, b), (m_a, m_b) in game.edges.items():
                 if i == a:
-                    u += m_a @ dists[b]
+                    u += (m_a @ dists[b][..., None])[..., 0]
                 elif i == b:
-                    u += m_b @ dists[a]
+                    u += (m_b @ dists[a][..., None])[..., 0]
             out.append(u)
         return out
     letters = string.ascii_lowercase[: game.n_players]
     for i in range(game.n_players):
-        others = [letters[j] for j in range(game.n_players) if j != i]
-        spec = letters + "," + ",".join(others) + "->" + letters[i]
+        others = ["..." + letters[j] for j in range(game.n_players) if j != i]
+        spec = letters + "," + ",".join(others) + "->..." + letters[i]
         args = [dists[j] for j in range(game.n_players) if j != i]
         out.append(np.einsum(spec, game.tensors[i], *args))
     return out
@@ -235,20 +238,23 @@ def swap_gap(profile, game):
 
     For each player: sum over recommendations a of the best single reroute
     a -> a', i.e. sum_a max_a' E[1{rec=a} (u(a') - u(a))], computed from the
-    per-round product distributions. Returns an array of per-player gaps.
+    per-round product distributions. All rounds go through the oracle at
+    once; the reroute matrix sums the per-round outer products in round
+    order, ROUND_BLOCK rounds at a time. Returns an array of per-player gaps.
     """
     gaps = np.zeros(game.n_players)
     T = profile.rounds
     if T == 0:
         return gaps
     means = [profile.stacked_means(i) for i in range(game.n_players)]
-    reroute = [np.zeros((a, a)) for a in game.action_counts]
-    for t in range(T):
-        utils = expectation_oracle(game, [means[i][t] for i in range(game.n_players)])
-        for i in range(game.n_players):
-            reroute[i] += np.outer(means[i][t], utils[i])
-    for i in range(game.n_players):
-        r = reroute[i]
+    utils = expectation_oracle(game, means)
+    for i, a in enumerate(game.action_counts):
+        r = np.zeros((a, a))
+        for start in range(0, T, ROUND_BLOCK):
+            block = slice(start, start + ROUND_BLOCK)
+            outer = np.einsum("ta,tb->tab", means[i][block], utils[i][block])
+            outer[0] += r
+            r = np.cumsum(outer, axis=0)[-1]
         gaps[i] = float(np.sum(np.max(r, axis=1) - np.diag(r))) / T
     return gaps
 
@@ -322,8 +328,9 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
             err_sum[i] += float(np.sum(np.abs(shifted - pis[i])))
             bm_observe(learners[i], utils[i], pis[i])
         if record_profile:
+            played = [pi > 0 for pi in pis]
             profile.add_round([
-                SupportMix([(p, eyes[i][a]) for a, p in enumerate(pis[i]) if p > 0])
+                SupportMix.from_arrays(pis[i][played[i]], eyes[i][played[i]])
                 for i in range(game.n_players)
             ])
         if t in checkpoints or t == horizon:

@@ -4,16 +4,22 @@ product distributions, with bit-exact CSV round-tripping.
 A profile stores, for each round and player, a list of mixture components.
 The sampling semantics are: draw a round uniformly; then each player
 independently draws one of its components uniformly and an atom from it.
-Components are either explicit atom lists (SupportMix) or implicit
-behavioral descriptors; export rewrites descriptors as explicit atoms.
+Components are either explicit mixtures (SupportMix: a weight array and a
+matrix of 0/1 atom rows) or implicit behavioral descriptors; export expands
+descriptors into their explicit support and writes each component's atoms
+from its arrays, and import rebuilds each component's arrays from its rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ParseError
 from .maps import SupportMix
+
+HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 
 
 class CorrelatedProfile:
@@ -59,11 +65,11 @@ class CorrelatedProfile:
         return np.array([self.round_mean(t, player) for t in range(self.rounds)])
 
     @staticmethod
-    def _atoms(component):
+    def _support(component):
         if isinstance(component, SupportMix):
-            return component.atoms
+            return component
         if hasattr(component, "support"):
-            return component.support().atoms
+            return component.support()
         raise TypeError(
             f"component {type(component).__name__} has no atom expansion"
         )
@@ -72,25 +78,37 @@ class CorrelatedProfile:
         """One row per pure atom: t,player,ell,j,alpha,pure-strategy-bits.
 
         Indices are 1-based; alpha values carry 17 significant digits so the
-        import reproduces them bit for bit.
+        import reproduces them bit for bit. Each component's bit strings are
+        cut from one byte buffer of its atom matrix.
         """
-        lines = ["t,player,ell,j,alpha,pure-strategy-bits"]
+        lines = [HEADER]
         for t in range(self.rounds):
             for i in range(self.n_players):
                 for ell, comp in enumerate(self._components[t][i], start=1):
-                    for j, (alpha, y) in enumerate(self._atoms(comp), start=1):
-                        bits = "".join(str(int(round(b))) for b in y)
-                        lines.append(f"{t + 1},{i + 1},{ell},{j},{alpha:.17g},{bits}")
+                    mix = self._support(comp)
+                    d = mix.matrix.shape[1]
+                    bits = (np.rint(mix.matrix).astype(np.uint8) + 48).tobytes().decode()
+                    prefix = f"{t + 1},{i + 1},{ell},"
+                    for j, alpha in enumerate(mix.weights.tolist()):
+                        lines.append(
+                            f"{prefix}{j + 1},{alpha:.17g},{bits[j * d:(j + 1) * d]}"
+                        )
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text):
-        rows = {}
+        """Read what export_csv writes; raise ParseError on anything else.
+
+        Each row needs positive integer t, player, ell and j, a finite
+        nonnegative alpha and a nonempty string of 0s and 1s whose length is
+        the same for all of a player's rows; each component's alphas must sum
+        to 1 within 1e-9. A component's atom matrix is decoded from its
+        joined bit strings in one step.
+        """
+        rows = {}  # (t, player) -> {ell: (first line, alphas, bit strings)}
         dims = {}
-        n_players = 0
-        n_rounds = 0
         lines = [ln.strip() for ln in text.strip().splitlines()]
-        if not lines or lines[0] != "t,player,ell,j,alpha,pure-strategy-bits":
+        if not lines or lines[0] != HEADER:
             raise ParseError("missing profile header row")
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
@@ -99,23 +117,28 @@ class CorrelatedProfile:
             if len(parts) != 6:
                 raise ParseError(f"line {lineno}: expected 6 fields, got {len(parts)}")
             try:
-                t, player, ell = int(parts[0]), int(parts[1]), int(parts[2])
+                t, player, ell, j = map(int, parts[:4])
                 alpha = float(parts[4])
-                bits = np.array([float(b) for b in parts[5]])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-            if t < 1 or player < 1 or ell < 1:
+            bits = parts[5]
+            if min(t, player, ell, j) < 1:
                 raise ParseError(f"line {lineno}: indices are 1-based")
+            if not math.isfinite(alpha):
+                raise ParseError(f"line {lineno}: atom weight {alpha} is not finite")
             if alpha < 0:
                 raise ParseError(f"line {lineno}: negative atom weight {alpha}")
-            rows.setdefault((t - 1, player - 1), {}).setdefault(ell, []).append(
-                (alpha, bits)
-            )
-            dims.setdefault(player - 1, len(parts[5]))
-            if dims[player - 1] != len(parts[5]):
+            if not bits or bits.strip("01"):
+                raise ParseError(f"line {lineno}: pure-strategy bits {bits!r} are not 0s and 1s")
+            if dims.setdefault(player - 1, len(bits)) != len(bits):
                 raise ParseError(f"line {lineno}: inconsistent strategy length")
-            n_players = max(n_players, player)
-            n_rounds = max(n_rounds, t)
+            levels = rows.setdefault((t - 1, player - 1), {})
+            if ell not in levels:
+                levels[ell] = (lineno, [], [])
+            levels[ell][1].append(alpha)
+            levels[ell][2].append(bits)
+        n_rounds = max((t for t, _ in rows), default=-1) + 1
+        n_players = max((i for _, i in rows), default=-1) + 1
         profile = cls(n_players, dims=[dims.get(i) for i in range(n_players)])
         for t in range(n_rounds):
             per_player = []
@@ -123,12 +146,18 @@ class CorrelatedProfile:
                 levels = rows.get((t, i))
                 if not levels:
                     raise ParseError(f"round {t + 1}: no atoms for player {i + 1}")
-                comps = [
-                    SupportMix(levels[ell]) for ell in sorted(levels)
-                ]
-                per_player.append(comps)
+                per_player.append([_component(*levels[ell]) for ell in sorted(levels)])
             profile.add_round(per_player)
         return profile
 
     def __repr__(self):
         return f"CorrelatedProfile(players={self.n_players}, rounds={self.rounds})"
+
+
+def _component(lineno, alphas, bits):
+    """One imported mixture: its weights must sum to 1 within 1e-9."""
+    total = math.fsum(alphas)
+    if abs(total - 1.0) > 1e-9:
+        raise ParseError(f"line {lineno}: component weights sum to {total}, expected 1")
+    matrix = np.frombuffer("".join(bits).encode(), dtype=np.uint8).reshape(len(bits), -1)
+    return SupportMix.from_arrays(alphas, matrix - 48)

@@ -285,3 +285,70 @@ def rm_plus_step(dag, regrets, weights):
     for s, slot in dag.terminal_slot.items():
         played[slot] = reach[s]
     return played, updated
+
+
+def support_mean(atoms):
+    """Weighted sum of a mixture's (weight, vector) atoms, one atom at a
+    time, left to right."""
+    total = np.zeros(len(atoms[0][1]))
+    for w, y in atoms:
+        total = total + w * np.asarray(y, dtype=float)
+    return total
+
+
+def support_monomial(atoms, terminal_set):
+    """E[prod of y[z] for z in terminal_set] over a mixture's atoms, one atom
+    at a time, left to right."""
+    total = 0.0
+    for w, y in atoms:
+        mask = 1.0
+        for z in terminal_set:
+            mask *= y[z]
+        total += w * mask
+    return total
+
+
+def component_atoms(component):
+    """(weight, vector) atoms of a profile component: a behavioral
+    descriptor's by enumeration from the definition, an explicit mixture's
+    as listed."""
+    if hasattr(component, "base"):
+        return behavioral_support(component.problem, component.base)
+    return component.atoms
+
+
+def export_rows(profile):
+    """Profile CSV text written one atom at a time, one f-string per row."""
+    lines = ["t,player,ell,j,alpha,pure-strategy-bits"]
+    for t in range(profile.rounds):
+        for i in range(profile.n_players):
+            for ell, comp in enumerate(profile.components(t, i), start=1):
+                for j, (alpha, y) in enumerate(component_atoms(comp), start=1):
+                    bits = "".join(str(int(round(b))) for b in y)
+                    lines.append(f"{t + 1},{i + 1},{ell},{j},{float(alpha):.17g},{bits}")
+    return "\n".join(lines) + "\n"
+
+
+def swap_gap(profile, game, utility_oracle):
+    """Per-player swap gap of a profile, one round at a time.
+
+    Round means average the per-atom component means; utility_oracle(game,
+    dists) gives each player's per-action utilities against one round's
+    mean strategies, and each round adds outer(mean, utility) to the
+    player's reroute matrix.
+    """
+    reroute = [np.zeros((a, a)) for a in game.action_counts]
+    for t in range(profile.rounds):
+        means = []
+        for i in range(profile.n_players):
+            comps = profile.components(t, i)
+            total = support_mean(component_atoms(comps[0]))
+            for comp in comps[1:]:
+                total = total + support_mean(component_atoms(comp))
+            means.append(total / len(comps))
+        utils = utility_oracle(game, means)
+        for i in range(profile.n_players):
+            reroute[i] = reroute[i] + np.outer(means[i], utils[i])
+    return np.array([
+        float(np.sum(np.max(r, axis=1) - np.diag(r))) / profile.rounds for r in reroute
+    ])

@@ -129,3 +129,30 @@ def test_hypercube_round_trip_preserves_monomials():
             assert back.monomial_expectation(subset) == pytest.approx(
                 orig.monomial_expectation(subset), abs=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,1,1,1,1.0,12", "line 2: pure-strategy bits '12'"),
+        ("1,1,1,1,1.0,1x", "line 2: pure-strategy bits"),
+        ("1,1,1,1,1.0,", "line 2: pure-strategy bits ''"),
+        ("1,1,1,0,1.0,10", "line 2: indices are 1-based"),
+        ("1,1,1,x,1.0,10", "line 2: invalid literal"),
+        ("1,1,1,1.0,1.0,10", "line 2: invalid literal"),
+        ("1,1,1,1,nan,10", "line 2: atom weight nan is not finite"),
+        ("1,1,1,1,inf,10", "line 2: atom weight inf is not finite"),
+        ("1,1,1,1,0.25,10\n1,1,1,2,0.25,01", "line 2: component weights sum to 0.5"),
+        ("1,1,1,1,1.0,10\n1,1,2,1,0.5,01\n1,1,2,2,0.5000001,10",
+         r"line 3: component weights sum to 1\.00000"),
+    ],
+)
+def test_rows_export_never_writes_are_rejected(rows, message):
+    with pytest.raises(ParseError, match=message):
+        CorrelatedProfile.from_csv(HEADER + "\n" + rows + "\n")
+
+
+def test_weights_within_tolerance_of_one_are_accepted():
+    text = HEADER + "\n1,1,1,1,0.3,10\n1,1,1,2,0.7000000001,01\n"
+    profile = CorrelatedProfile.from_csv(text)
+    assert profile.components(0, 0)[0].weights.tolist() == [0.3, 0.7000000001]
