@@ -42,7 +42,7 @@ from .fixedpoint import (
 )
 from .gadget import gadget_iteration_cap, gadget_min_sum
 from .learners import CfrLearner, Mwu
-from .maps import BehavioralDescriptor, MixtureStrategy, SupportMix
+from .maps import BehavioralDescriptor, MixtureStrategy, MonomialTable, SupportMix
 from .nfg import (
     NormalFormGame,
     SwapLearner,
@@ -77,6 +77,7 @@ __all__ = [
     "InvalidDeviationError",
     "MembershipError",
     "MixtureStrategy",
+    "MonomialTable",
     "Mwu",
     "NormalFormGame",
     "ParseError",

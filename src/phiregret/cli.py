@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .efg import deviation_dag, dump_efg, efg_self_play, parse_efg, phi_equilibrium_gap
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .fixedpoint import CURVE_COLUMNS, curves_csv
 from .gadget import gadget_min_sum
 from .nfg import ce_horizon, parse_nfg, run_ce, swap_gap
@@ -180,7 +180,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (CapacityError, ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

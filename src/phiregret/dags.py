@@ -11,7 +11,9 @@ Every terminal state carries an output coordinate of the base problem plus a
 monomial (a set of base terminal indices). A reduced strategy q then realizes
 the deviation phi_q(x)[z] = sum over terminal states t with output z of
 q[t] * prod_{i in mono(t)} x[i], so evaluation, polynomial export and
-utility-weight computation are the same code for both families.
+utility-weight computation are the same code for both families. The
+distinct monomials are compiled once into a ``maps.MonomialTable``, so each
+of these is one batched table evaluation and one gather.
 
 Both builders hand the DAG the level each state sits at (summed component
 depth, or history depth), and the DAG compiles to the same ``tfsdp.Graph`` a
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, StructureError
+from .maps import MonomialTable
 from .polynomials import PolynomialDeviation
 from .tfsdp import (
     CODE,
@@ -80,7 +83,8 @@ class DecisionDAG:
     States are stored in topological order (root first). ``edges[s]`` lists
     child state indices and ``edge_moves[s]`` the per-edge advance labels.
     ``terminal_out``/``terminal_mono`` give each terminal state's output
-    coordinate and monomial over the base problem's terminals. ``level``
+    coordinate and monomial over the base problem's terminals, ``monomials``
+    the table of distinct monomials and ``mono_row`` each one's row. ``level``
     gives each state's level for the compiled ``graph`` (by default its
     index).
     """
@@ -106,6 +110,9 @@ class DecisionDAG:
             [payload[int(s)][0] for s in self.terminal_states], dtype=int
         )
         self.terminal_mono = [payload[int(s)][1] for s in self.terminal_states]
+        row = {m: i for i, m in enumerate(dict.fromkeys(self.terminal_mono))}
+        self.monomials = MonomialTable(list(row), base)
+        self.mono_row = np.array([row[m] for m in self.terminal_mono], dtype=np.intp)
         self.decision_states = np.flatnonzero(
             self.graph.code == CODE[DECISION]
         ).tolist()
@@ -389,17 +396,18 @@ def evaluate_deviation(dag, q, x):
     Output coordinate z collects q[t] * prod_{i in mono(t)} x[i] over the
     terminal states t writing to z.
     """
-    q = np.asarray(q, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(dag.base.n_terminals)
-    for slot in range(dag.n_terminal_states):
-        m = q[slot]
-        if m == 0.0:
-            continue
-        for i in dag.terminal_mono[slot]:
-            m *= x[i]
-        out[dag.terminal_out[slot]] += m
-    return out
+    return _collect(dag, q, dag.monomials.at(x))
+
+
+def deviation_image(dag, q, pi):
+    """E_pi[phi_q(x)] for the deviation realized by terminal masses q."""
+    return _collect(dag, q, pi.monomial_expectation(dag.monomials))
+
+
+def _collect(dag, q, mono_values):
+    """Sum q[t] * mono_values[row(t)] into each terminal state t's output."""
+    terms = np.asarray(q, dtype=float) * mono_values[dag.mono_row]
+    return np.bincount(dag.terminal_out, terms, minlength=dag.base.n_terminals)
 
 
 def eval_dt_deviation(dag, q, bits):
@@ -433,15 +441,7 @@ def terminal_weights(dag, u, pi):
     <u, E_pi[phi_q(x)]> for every reduced strategy q.
     """
     u = np.asarray(u, dtype=float)
-    w = np.empty(dag.n_terminal_states)
-    for slot in range(dag.n_terminal_states):
-        coeff = u[dag.terminal_out[slot]]
-        w[slot] = (
-            coeff * pi.monomial_expectation(dag.terminal_mono[slot])
-            if coeff != 0.0
-            else 0.0
-        )
-    return w
+    return u[dag.terminal_out] * pi.monomial_expectation(dag.monomials)[dag.mono_row]
 
 
 def follow_identity_policy(dag):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dags import terminal_weights
+from .dags import deviation_image, terminal_weights
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
 from .maps import MixtureStrategy, consistent_map
@@ -33,6 +33,10 @@ class FixedPointConfig:
     delta: str = "beta"
     init: np.ndarray | None = None
     membership_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.L < 1:
+            raise ValueError(f"the fixed point needs L >= 1 iterates, got {self.L}")
 
     @classmethod
     def from_eps(cls, eps, **kw):
@@ -187,51 +191,13 @@ class PhiRegretMinimizer:
         self.learner = learner or CfrLearner(dag)
         self.run = PhiRegretRun(dag)
         self._pending = None
-        # Group terminal states by monomial size once. Constant and linear
-        # monomials cover every k <= 1 deviation set and evaluate as plain
-        # array gathers (a consistent map preserves coordinate expectations,
-        # so a singleton monomial is just a mean-vector read).
-        const, lin, lin_idx, higher = [], [], [], []
-        for slot in range(dag.n_terminal_states):
-            mono = dag.terminal_mono[slot]
-            if len(mono) == 0:
-                const.append(slot)
-            elif len(mono) == 1:
-                lin.append(slot)
-                lin_idx.append(next(iter(mono)))
-            else:
-                higher.append(slot)
-        self._const = np.array(const, dtype=int)
-        self._lin = np.array(lin, dtype=int)
-        self._lin_idx = np.array(lin_idx, dtype=int)
-        self._higher = higher
-        self._out = np.asarray(dag.terminal_out, dtype=int)
-
-    def _phi_image(self, q_vector):
-        dag = self.dag
-        n_out = self.problem.n_terminals
-
-        def image(mixture):
-            out = np.zeros(n_out)
-            if self._const.size:
-                np.add.at(out, self._out[self._const], q_vector[self._const])
-            if self._lin.size:
-                reads = mixture.mean()[self._lin_idx]
-                np.add.at(out, self._out[self._lin], q_vector[self._lin] * reads)
-            for slot in self._higher:
-                m = q_vector[slot]
-                if m != 0.0:
-                    out[self._out[slot]] += m * mixture.monomial_expectation(
-                        dag.terminal_mono[slot]
-                    )
-            return out
-
-        return image
 
     def next_mixture(self):
         q = self.learner.next_strategy()
         qv = q.terminal_vector()
-        fp = expected_fixed_point(self.problem, self._phi_image(qv), self.cfg)
+        fp = expected_fixed_point(
+            self.problem, lambda pi: deviation_image(self.dag, qv, pi), self.cfg
+        )
         self._pending = (qv, fp)
         return q, fp
 
@@ -248,16 +214,12 @@ class PhiRegretMinimizer:
 
 
 def _as_mixture(proposed):
-    """Pull the playable mixture out of whatever next_mixture returned."""
-    if hasattr(proposed, "expected_image"):
-        return proposed
+    """The playable mixture of a next_mixture() return: PhiRegretMinimizer's
+    (deviation, FixedPointResult) pair, or a bare mixture."""
     if isinstance(proposed, tuple):
-        for item in proposed:
-            if hasattr(item, "pi"):
-                return item.pi
-            if hasattr(item, "expected_image"):
-                return item
-    raise TypeError(f"cannot interpret {type(proposed).__name__} as a mixture")
+        _, fp = proposed
+        return fp.pi
+    return proposed
 
 
 def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=10000):
@@ -269,9 +231,9 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
     which rewards moving along the displacement — a minimizer with vanishing
     regret against phi cannot keep the displacement large.
 
-    The minimizer must expose next_mixture() (returning a mixture, or a tuple
-    containing one as with PhiRegretMinimizer) and observe_utility(u) or
-    observe_direction(u). diameter defaults to the max pairwise distance
+    The minimizer must expose next_mixture() (returning a mixture, or the
+    (deviation, FixedPointResult) pair of PhiRegretMinimizer) and
+    observe_utility(u). diameter defaults to the max pairwise distance
     between the problem's pure strategies. Returns (mixture, rounds, error).
     """
     if diameter is None:
@@ -281,21 +243,17 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
         from .tfsdp import l2_diameter
 
         diameter = l2_diameter(problem.enumerate_pure_strategies())
-    observe = getattr(minimizer, "observe_direction", None)
-    if observe is None:
-        observe = minimizer.observe_utility
-    image = phi if callable(phi) else None
+    image = phi if callable(phi) else (lambda pi: pi.expected_image(phi))
     threshold = eps * diameter
     last_err = None
     for t in range(1, budget + 1):
         pi = _as_mixture(minimizer.next_mixture())
-        expected = image(pi) if image is not None else pi.expected_image(phi)
-        g = expected - pi.mean()
+        g = image(pi) - pi.mean()
         err = float(np.linalg.norm(g))
         last_err = err
         if err <= threshold:
             return pi, t, err
-        observe(g / err)
+        minimizer.observe_utility(g / err)
     raise RuntimeError(
         f"no {eps:.3g}-expected fixed point within {budget} rounds "
         f"(last error {last_err:.3g}); the minimizer's regret exceeds the target"

@@ -6,6 +6,9 @@ decision point according to the conditional flow, so monomial expectations
 factor into a short product and never require enumerating the support. The
 peeling map repeatedly subtracts the largest feasible multiple of a greedy
 pure strategy, producing at most one atom per terminal.
+
+Monomials are compiled once into a ``MonomialTable``; every mixture's
+``monomial_expectation`` evaluates a whole table in one call.
 """
 
 from __future__ import annotations
@@ -19,41 +22,82 @@ SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
 
 
-def monomial_expectation_beta(problem, vals, terminal_set):
-    """E[prod_{z in S} x'_z] when x' is drawn from the behavioral map at x.
+def _padded(rows):
+    """Rows of ints as one array, padded with -1 to the longest row."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
 
-    ``vals`` are the node values of x (``problem.node_values(x)``). Zero when
-    two terminals in S need conflicting actions at a shared decision point;
-    otherwise the product of conditional flows over the decision edges the
-    set requires, skipping unreached decision points.
+
+class MonomialTable:
+    """Distinct monomials over terminal coordinates, compiled once.
+
+    ``terms`` (U, K) holds each monomial's coordinates, padded with -1; a pad
+    reads as 1. With a problem, ``edges`` (U, E) holds the tree's decision
+    edges (graph edge ids) each monomial requires, padded the same way, and
+    ``conflict`` (U,) marks those requiring two edges out of one decision
+    point. ``monomial_expectation`` takes a table and returns U values.
     """
-    required = {}
-    for z in terminal_set:
-        for j, child in problem.decision_edges[int(z)]:
-            prev = required.get(j)
-            if prev is not None and prev != child:
-                return 0.0
-            required[j] = child
-    if not required:
-        return 1.0
-    prob = 1.0
-    for j, child in required.items():
-        if vals[j] > 0.0:
-            prob *= vals[child] / vals[j]
-            if prob == 0.0:
-                return 0.0
-    return prob
+
+    def __init__(self, monomials, problem=None):
+        monomials = [sorted(int(z) for z in m) for m in monomials]
+        self.n = len(monomials)
+        self.terms = _padded(monomials)
+        self.edges = self.conflict = None
+        if problem is not None:
+            g = problem.graph
+            into = np.empty(g.n, dtype=np.intp)
+            into[g.dst] = np.arange(g.n_edges)
+            need = [
+                sorted({int(into[c]) for z in m for _, c in problem.decision_edges[z]})
+                for m in monomials
+            ]
+            self.edges = _padded(need)
+            self.conflict = np.array(
+                [len(set(g.src[e].tolist())) < len(e) for e in need], dtype=bool
+            )
+
+    def at(self, points):
+        """Every monomial at each row of ``points`` (..., d): shape (..., U)."""
+        points = np.asarray(points, dtype=float)
+        out = np.ones(points.shape[:-1] + (self.n,))
+        for col in self.terms.T:
+            out *= np.where(col >= 0, points[..., col], 1.0)
+        return out
+
+
+def monomial_expectation_beta(problem, vals, table):
+    """E[prod_{z in S} x'_z] for every monomial S of ``table`` when x' is
+    drawn from the behavioral map at x.
+
+    ``vals`` are the node values of x (``problem.node_values(x)``) and the
+    table must be compiled against ``problem``. Each expectation is the
+    product of the conditional flows over the decision edges its monomial
+    requires, an unreached decision point counting 1; it is 0 on a conflict.
+    """
+    if table.edges is None:
+        raise ValueError("behavioral expectations need a table compiled with the problem")
+    g = problem.graph
+    flow = np.ones(g.n_edges + 1)
+    above = vals[g.src]
+    np.divide(vals[g.dst], above, out=flow[:-1], where=above > 0.0)
+    out = np.ones(table.n)
+    for col in table.edges.T:
+        out *= flow[col]
+    out[table.conflict] = 0.0
+    return out
 
 
 class SupportMix:
     """Finite mixture of pure strategies, stored as arrays.
 
     ``weights`` (n,) holds the atom probabilities and ``matrix`` (n, d) the
-    atoms' 0/1 vectors, one row per atom. A mean or a monomial expectation is
-    one gather and one reduction over the rows; the reductions run over the
-    atoms in row order, so they round exactly as a left-to-right sum of
-    weighted atoms would. ``SupportMix(atoms)`` takes (weight, vector)
-    pairs; ``from_arrays`` takes the two arrays as they are.
+    atoms' 0/1 vectors, one row per atom. A mean or a table of monomial
+    expectations is one gather and one reduction over the rows; the
+    reductions run over the atoms in row order, so they round exactly as a
+    left-to-right sum of weighted atoms would. ``SupportMix(atoms)`` takes
+    (weight, vector) pairs; ``from_arrays`` takes the two arrays as they are.
     """
 
     def __init__(self, atoms):
@@ -93,18 +137,13 @@ class SupportMix:
             self._mean = total
         return self._mean
 
-    def monomial_expectation(self, terminal_set):
-        idx = list(terminal_set)
-        if not idx:
-            return 1.0
-        terms = self.weights * self.matrix[:, idx].prod(axis=1)
-        return float(terms.cumsum()[-1])
+    def monomial_expectation(self, table):
+        terms = table.at(self.matrix)
+        terms *= self.weights[:, None]
+        return np.cumsum(terms, axis=0, out=terms)[-1].copy()
 
     def expected_image(self, phi):
-        out = np.zeros(phi.n_outputs)
-        for w, y in zip(self.weights, self.matrix):
-            out += w * phi.eval_point(y)
-        return out
+        return _expected_image(self, phi)
 
     def __repr__(self):
         return f"SupportMix(atoms={self.n_atoms})"
@@ -126,11 +165,11 @@ class BehavioralDescriptor:
     def mean(self):
         return self.base
 
-    def monomial_expectation(self, terminal_set):
-        return monomial_expectation_beta(self.problem, self.vals, terminal_set)
+    def monomial_expectation(self, table):
+        return monomial_expectation_beta(self.problem, self.vals, table)
 
     def expected_image(self, phi):
-        return phi.expected_value(self.monomial_expectation)
+        return _expected_image(self, phi, self.problem)
 
     def support(self, cap=SUPPORT_CAP):
         return beta_support(self.problem, self.base, cap)
@@ -231,23 +270,32 @@ def consistent_map(problem, x, delta="beta"):
 def extended_map_eval(phi, problem, x, delta="beta", validate=False):
     """Expectation of phi over the chosen consistent map's mixture at x.
 
-    The behavioral route expands phi monomial by monomial; the peeling route
-    evaluates phi on each atom. Either way the output is a convex mix of
-    phi's values on pure strategies, so it stays inside the polytope whenever
-    phi itself maps pure strategies into it.
+    Both routes replace each monomial of phi by its expectation, in closed
+    form for the behavioral map and over the atoms for the peeling map.
+    Either way the output is a convex mix of phi's values on pure strategies,
+    so it stays inside the polytope whenever phi itself maps pure strategies
+    into it.
     """
     if validate:
         phi.validate_on_polytope(problem)
     return consistent_map(problem, x, delta).expected_image(phi)
 
 
+def _expected_image(mixture, phi, problem=None):
+    """E[phi(x')] for x' drawn from the mixture: every monomial of phi in one
+    batched call, then phi with each monomial replaced by its expectation."""
+    monomials = list(phi.monomials())
+    values = mixture.monomial_expectation(MonomialTable(monomials, problem))
+    return phi.expected_value(dict(zip(monomials, values)).__getitem__)
+
+
 class MixtureStrategy:
     """Weighted mixture of per-round mixtures over pure strategies.
 
-    Components expose ``mean`` and ``monomial_expectation``; both the
-    implicit behavioral descriptor and the explicit SupportMix qualify.
-    Monomial expectations are cached, since deviation evaluation asks for
-    the same monomials across many terminals.
+    Components expose ``mean``, ``monomial_expectation`` and
+    ``expected_image``; both the implicit behavioral descriptor and the
+    explicit SupportMix qualify. Each is the components' weighted sum, added
+    in component order.
     """
 
     def __init__(self, components, kind="beta"):
@@ -256,31 +304,26 @@ class MixtureStrategy:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights sum to {total}, expected 1")
         self.components = [(float(w), c) for w, c in components]
-        self._cache: dict[frozenset, float] = {}
         self._mean = None
+
+    def _sum(self, read):
+        out = None
+        for w, comp in self.components:
+            m = w * read(comp)
+            out = m if out is None else out + m
+        return out
 
     def mean(self):
         if self._mean is None:
-            out = None
-            for w, comp in self.components:
-                m = w * comp.mean()
-                out = m if out is None else out + m
-            out.flags.writeable = False
-            self._mean = out
+            self._mean = self._sum(lambda comp: comp.mean())
+            self._mean.flags.writeable = False
         return self._mean
 
-    def monomial_expectation(self, terminal_set):
-        key = frozenset(terminal_set)
-        if not key:
-            return 1.0
-        if key not in self._cache:
-            self._cache[key] = float(
-                sum(w * comp.monomial_expectation(key) for w, comp in self.components)
-            )
-        return self._cache[key]
+    def monomial_expectation(self, table):
+        return self._sum(lambda comp: comp.monomial_expectation(table))
 
     def expected_image(self, phi):
-        return phi.expected_value(self.monomial_expectation)
+        return self._sum(lambda comp: comp.expected_image(phi))
 
     def __repr__(self):
         return f"MixtureStrategy({self.kind}, components={len(self.components)})"

@@ -242,6 +242,7 @@ def swap_gap(profile, game):
     once; the reroute matrix sums the per-round outer products in round
     order, ROUND_BLOCK rounds at a time. Returns an array of per-player gaps.
     """
+    profile.require_shape(game.action_counts)
     gaps = np.zeros(game.n_players)
     T = profile.rounds
     if T == 0:
@@ -282,6 +283,8 @@ class CeResult:
 
 def ce_horizon(game, eps, c=8.0):
     """Rounds T = ceil(c * A ln A / eps^2), with A the largest action count."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     A = game.max_actions
     return max(1, math.ceil(c * A * math.log(max(A, 2)) / eps**2))
 

@@ -67,17 +67,7 @@ class PolynomialDeviation:
         return {m for out in self.terms for _, m in out if m}
 
     def eval_point(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n_outputs)
-        for z, terms in enumerate(self.terms):
-            total = 0.0
-            for c, m in terms:
-                v = c
-                for i in m:
-                    v *= x[i]
-                total += v
-            out[z] = total
-        return out
+        return self.eval_batch(np.asarray(x, dtype=float)[None])[0]
 
     def eval_batch(self, points):
         points = np.asarray(points, dtype=float)
@@ -97,16 +87,10 @@ class PolynomialDeviation:
         E[prod_{i in m} x'_i] = mono_fn(m), by linearity of expectation.
         """
         out = np.zeros(self.n_outputs)
-        cache: dict[frozenset, float] = {}
         for z, terms in enumerate(self.terms):
             total = 0.0
             for c, m in terms:
-                if not m:
-                    total += c
-                    continue
-                if m not in cache:
-                    cache[m] = float(mono_fn(m))
-                total += c * cache[m]
+                total += c * float(mono_fn(m)) if m else c
             out[z] = total
         return out
 

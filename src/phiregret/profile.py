@@ -50,6 +50,19 @@ class CorrelatedProfile:
         self._components.append(row)
         self.rounds += 1
 
+    def require_shape(self, dims):
+        """Raise ValueError unless the profile has one player per entry of
+        ``dims`` and, where it records them, those strategy lengths."""
+        if self.n_players != len(dims):
+            raise ValueError(
+                f"the profile has {self.n_players} players, the game {len(dims)}"
+            )
+        if self.dims is not None and list(self.dims) != list(dims):
+            raise ValueError(
+                f"the profile's strategy lengths {list(self.dims)} do not match "
+                f"the game's {list(dims)}"
+            )
+
     def components(self, t, player):
         return self._components[t][player]
 

@@ -25,6 +25,7 @@ from phiregret import (
     BehavioralDescriptor,
     EFGame,
     FixedPointConfig,
+    MonomialTable,
     NormalFormGame,
     PhiRegretMinimizer,
     efg_self_play,
@@ -266,12 +267,16 @@ def test_criterion_06_behavioral_monomial_formula():
         atoms = oracles.behavioral_support(problem, x)
         weights = np.array([w for w, _ in atoms])
         ys = np.array([y for _, y in atoms])
-        for size in (1, 2, 3):
-            for subset in itertools.combinations(range(problem.n_terminals), size):
-                formula = desc.monomial_expectation(subset)
-                brute = float(weights @ ys[:, subset].prod(axis=1))
-                worst = max(worst, abs(formula - brute))
-                monomials += 1
+        subsets = [
+            subset
+            for size in (1, 2, 3)
+            for subset in itertools.combinations(range(problem.n_terminals), size)
+        ]
+        formulas = desc.monomial_expectation(MonomialTable(subsets, problem))
+        for formula, subset in zip(formulas, subsets, strict=True):
+            brute = float(weights @ ys[:, subset].prod(axis=1))
+            worst = max(worst, abs(formula - brute))
+            monomials += 1
     ok = worst <= 1e-12
     report(
         6,

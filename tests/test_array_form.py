@@ -10,6 +10,7 @@ import oracles
 from phiregret import (
     BehavioralDescriptor,
     CorrelatedProfile,
+    MonomialTable,
     NormalFormGame,
     SupportMix,
     expectation_oracle,
@@ -35,8 +36,10 @@ def assert_matches_per_atom_sums(mix, rng):
     atoms = mix.atoms
     assert mix.n_atoms == len(atoms)
     assert np.array_equal(mix.mean(), oracles.support_mean(atoms))
-    for subset in subsets(mix.matrix.shape[1], rng):
-        assert mix.monomial_expectation(subset) == oracles.support_monomial(atoms, subset)
+    sets = subsets(mix.matrix.shape[1], rng)
+    values = mix.monomial_expectation(MonomialTable(sets))
+    for value, subset in zip(values, sets, strict=True):
+        assert value == oracles.support_monomial(atoms, subset)
 
 
 def test_one_atom_support():

@@ -1,9 +1,19 @@
 """End-to-end runs of the command-line entry points."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from phiregret import EFGame, dump_efg, dump_nfg, hypercube_problem, matching_pennies
+from phiregret import (
+    EFGame,
+    NormalFormGame,
+    dump_efg,
+    dump_nfg,
+    efg,
+    hypercube_problem,
+    matching_pennies,
+)
 from phiregret.cli import main
 
 from conftest import TWO_STAGE_TEXT
@@ -156,3 +166,53 @@ def test_efg_file_from_tree_text(tmp_path, capsys):
                "--rounds", "10", "--fixed-point-iters", "10"])
     assert rc == 0
     assert "player 2: phi-regret=" in capsys.readouterr().out
+
+
+def _game_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_audit_of_a_profile_for_a_smaller_tree_exits_2(tmp_path, efg_file, capsys):
+    out = tmp_path / "profile.csv"
+    main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "5",
+          "--fixed-point-iters", "5", "--out", str(out)])
+    # player 2 still fits, so only player 1's strategy length is wrong
+    u = np.array([[0.5, -0.25], [-0.5, 0.5], [0.3, 0.0], [0.0, 0.1]]) / 2
+    game = EFGame.zero_sum(hypercube_problem(2, "a"), hypercube_problem(1, "b"), u)
+    wide = _game_file(tmp_path, "wide.efg", dump_efg(game))
+    capsys.readouterr()
+    assert main(["audit", "--profile", str(out), "--game", wide, "--dev", "med:1"]) == 2
+    assert "error: the profile's strategy lengths [2, 2]" in capsys.readouterr().err
+
+
+def test_audit_of_a_profile_with_fewer_players_exits_2(tmp_path, pennies_file, capsys):
+    out = tmp_path / "profile.csv"
+    main(["nfg-ce", "--game", pennies_file, "--eps", "0.4", "--out", str(out)])
+    game = NormalFormGame.dense([np.zeros((2, 2, 2))] * 3)
+    three = _game_file(tmp_path, "three.nfg", dump_nfg(game))
+    capsys.readouterr()
+    assert main(["audit", "--profile", str(out), "--game", three]) == 2
+    assert "error: the profile has 2 players, the game 3" in capsys.readouterr().err
+
+
+def test_nonpositive_eps_exits_2(pennies_file, capsys):
+    assert main(["nfg-ce", "--game", pennies_file, "--eps", "0"]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
+
+
+def test_zero_fixed_point_iters_exits_2(efg_file, capsys):
+    rc = main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "3",
+               "--fixed-point-iters", "0"])
+    assert rc == 2
+    assert "L >= 1" in capsys.readouterr().err
+
+
+def test_capacity_error_exits_2(efg_file, capsys, monkeypatch):
+    # the real cap takes 200k states to reach; a small one trips the same check
+    small_cap = functools.partial(efg.deviation_dag, cap=50)
+    monkeypatch.setattr(efg, "deviation_dag", small_cap)
+    rc = main(["efg-run", "--game", efg_file, "--dev", "dt:16", "--rounds", "3"])
+    assert rc == 2
+    assert "error: query tree exceeds 50 states" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import oracles
 from conftest import counterexample_deviation
 from phiregret import (
     FixedPointConfig,
+    MonomialTable,
     PhiRegretMinimizer,
     PolynomialDeviation,
     expected_fixed_point,
@@ -119,7 +120,9 @@ def test_extractor_reaches_an_expected_fixed_point(two_stage):
     phi = counterexample_deviation()
     pi, rounds, err = extract_expected_fixed_point(minimizer, phi, eps=0.05)
     assert rounds >= 1
-    direct = phi.expected_value(pi.monomial_expectation) - pi.mean()
+    monos = list(phi.monomials())
+    values = pi.monomial_expectation(MonomialTable(monos, two_stage))
+    direct = phi.expected_value(dict(zip(monos, values)).__getitem__) - pi.mean()
     assert np.linalg.norm(direct) == pytest.approx(err, abs=1e-12)
     diameter = oracles.enumerate_pure(two_stage)
     dmax = max(
@@ -145,3 +148,9 @@ def test_extractor_budget_exhaustion(two_stage):
     away = PolynomialDeviation.constant(5, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(RuntimeError, match="fixed point"):
         extract_expected_fixed_point(Stubborn(), away, eps=0.01, budget=5)
+
+
+@pytest.mark.parametrize("L", [0, -3])
+def test_config_needs_at_least_one_iterate(L):
+    with pytest.raises(ValueError, match="L >= 1"):
+        FixedPointConfig(L=L)

@@ -5,16 +5,24 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import counterexample_deviation
-from phiregret import BehavioralDescriptor, MixtureStrategy, SupportMix, parse_problem
+from phiregret import (
+    BehavioralDescriptor,
+    MixtureStrategy,
+    MonomialTable,
+    SupportMix,
+    parse_problem,
+)
 from phiregret.maps import caratheodory, extended_map_eval
 
 
 def test_support_mix_mean_and_expectations():
     mix = SupportMix([(0.25, [1, 0, 0]), (0.75, [0, 1, 1])])
     assert np.allclose(mix.mean(), [0.25, 0.75, 0.75])
-    assert mix.monomial_expectation(frozenset()) == 1.0
-    assert mix.monomial_expectation(frozenset([1, 2])) == pytest.approx(0.75)
-    assert mix.monomial_expectation(frozenset([0, 1])) == pytest.approx(0.0)
+    table = MonomialTable([frozenset(), frozenset([1, 2]), frozenset([0, 1])])
+    empty, both, none = mix.monomial_expectation(table)
+    assert empty == 1.0
+    assert both == pytest.approx(0.75)
+    assert none == pytest.approx(0.0)
 
 
 def test_support_mix_mean_is_frozen():
@@ -52,9 +60,11 @@ def test_behavioral_monomial_expectation_vs_oracle(two_stage):
     rng = np.random.default_rng(8)
     x = two_stage.random_point(rng)
     desc = BehavioralDescriptor(two_stage, x)
-    for mono in [frozenset(), frozenset([0]), frozenset([1, 3]),
-                 frozenset([1, 4]), frozenset([0, 1]), frozenset([1, 2, 3])]:
-        assert desc.monomial_expectation(mono) == pytest.approx(
+    monos = [frozenset(), frozenset([0]), frozenset([1, 3]),
+             frozenset([1, 4]), frozenset([0, 1]), frozenset([1, 2, 3])]
+    values = desc.monomial_expectation(MonomialTable(monos, two_stage))
+    for value, mono in zip(values, monos, strict=True):
+        assert value == pytest.approx(
             oracles.monomial_expectation(two_stage, x, mono), abs=1e-12
         )
 
@@ -106,7 +116,7 @@ def test_mixture_strategy_aggregates():
     b = SupportMix([(0.5, [1, 0]), (0.5, [0, 1])])
     pi = MixtureStrategy([(0.5, a), (0.5, b)], kind="test")
     assert np.allclose(pi.mean(), [0.75, 0.25])
-    assert pi.monomial_expectation(frozenset([0])) == pytest.approx(0.75)
+    assert pi.monomial_expectation(MonomialTable([frozenset([0])]))[0] == pytest.approx(0.75)
     f = counterexample_deviation()
     mix = SupportMix([(1.0, [1, 0, 0, 0, 0]), (0.0, [0, 1, 0, 1, 0])])
     single = MixtureStrategy([(1.0, mix)], kind="test")

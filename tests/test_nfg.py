@@ -17,7 +17,7 @@ from phiregret import (
     swap_gap,
 )
 from phiregret.errors import ParseError
-from phiregret.nfg import bm_displacement
+from phiregret.nfg import bm_displacement, ce_horizon
 
 
 def random_dense_game(rng, counts):
@@ -225,3 +225,18 @@ def test_nfg_parse_errors():
         parse_nfg("nfg 2 2 2\nedge 1 0\n0 0\n0 0\n0 0\n0 0\n")
     with pytest.raises(ParseError, match="matrix rows"):
         parse_nfg("nfg 2 2 2\nedge 0 1\n0 0\n")
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_horizon_needs_positive_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        ce_horizon(matching_pennies(), eps)
+
+
+def test_swap_gap_checks_the_profile_against_the_game():
+    game = random_dense_game(np.random.default_rng(3), [2, 3])
+    profile = run_ce(game, 0.5, audit=False).profile
+    with pytest.raises(ValueError, match="players"):
+        swap_gap(profile, random_dense_game(np.random.default_rng(4), [2, 3, 2]))
+    with pytest.raises(ValueError, match="strategy lengths"):
+        swap_gap(profile, random_dense_game(np.random.default_rng(4), [3, 2]))

@@ -6,6 +6,7 @@ import pytest
 from phiregret import (
     BehavioralDescriptor,
     CorrelatedProfile,
+    MonomialTable,
     ParseError,
     SupportMix,
     hypercube_problem,
@@ -125,10 +126,11 @@ def test_hypercube_round_trip_preserves_monomials():
     for t in range(4):
         orig = profile.components(t, 0)[0]
         back = again.components(t, 0)[0]
-        for subset in [(0,), (1, 2), (0, 3), (0, 1, 2, 3)]:
-            assert back.monomial_expectation(subset) == pytest.approx(
-                orig.monomial_expectation(subset), abs=1e-12
-            )
+        table = MonomialTable([(0,), (1, 2), (0, 3), (0, 1, 2, 3)], problem)
+        for got, want in zip(
+            back.monomial_expectation(table), orig.monomial_expectation(table), strict=True
+        ):
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize(
