@@ -111,7 +111,7 @@ class DecisionDAG:
         )
         self.terminal_mono = [payload[int(s)][1] for s in self.terminal_states]
         row = {m: i for i, m in enumerate(dict.fromkeys(self.terminal_mono))}
-        self.monomials = MonomialTable(list(row), base)
+        self.monomials = MonomialTable(list(row))
         self.mono_row = np.array([row[m] for m in self.terminal_mono], dtype=np.intp)
         self.decision_states = np.flatnonzero(
             self.graph.code == CODE[DECISION]

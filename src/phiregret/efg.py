@@ -223,9 +223,9 @@ def phi_equilibrium_gap(profile, game, player, dag):
     learning run tracks, so auditing a self-play profile with the same
     deviation set reproduces the measured regret.
     """
-    profile.require_shape([p.n_terminals for p in game.problems])
     if profile.rounds == 0:
         return 0.0
+    profile.require_shape([p.n_terminals for p in game.problems])
     total_w = np.zeros(dag.n_terminal_states)
     baseline = 0.0
     for t in range(profile.rounds):

@@ -34,29 +34,13 @@ class MonomialTable:
     """Distinct monomials over terminal coordinates, compiled once.
 
     ``terms`` (U, K) holds each monomial's coordinates, padded with -1; a pad
-    reads as 1. With a problem, ``edges`` (U, E) holds the tree's decision
-    edges (graph edge ids) each monomial requires, padded the same way, and
-    ``conflict`` (U,) marks those requiring two edges out of one decision
-    point. ``monomial_expectation`` takes a table and returns U values.
+    reads as 1. ``monomial_expectation`` takes a table and returns U values.
     """
 
-    def __init__(self, monomials, problem=None):
-        monomials = [sorted(int(z) for z in m) for m in monomials]
-        self.n = len(monomials)
-        self.terms = _padded(monomials)
-        self.edges = self.conflict = None
-        if problem is not None:
-            g = problem.graph
-            into = np.empty(g.n, dtype=np.intp)
-            into[g.dst] = np.arange(g.n_edges)
-            need = [
-                sorted({int(into[c]) for z in m for _, c in problem.decision_edges[z]})
-                for m in monomials
-            ]
-            self.edges = _padded(need)
-            self.conflict = np.array(
-                [len(set(g.src[e].tolist())) < len(e) for e in need], dtype=bool
-            )
+    def __init__(self, monomials):
+        self.terms = _padded([sorted(int(z) for z in m) for m in monomials])
+        self.n = len(self.terms)
+        self._paths = None
 
     def at(self, points):
         """Every monomial at each row of ``points`` (..., d): shape (..., U)."""
@@ -66,26 +50,45 @@ class MonomialTable:
             out *= np.where(col >= 0, points[..., col], 1.0)
         return out
 
+    def decision_paths(self, problem):
+        """``(edges, conflict)`` against the problem's tree: ``edges`` (U, E)
+        holds the decision edges (graph edge ids) each monomial requires,
+        padded with -1, and ``conflict`` (U,) marks those requiring two edges
+        out of one decision point. Compiled on the first call and kept."""
+        if self._paths is None or self._paths[0] is not problem:
+            g = problem.graph
+            into = np.empty(g.n, dtype=np.intp)
+            into[g.dst] = np.arange(g.n_edges)
+            need = [
+                sorted({int(into[c]) for z in row[row >= 0]
+                        for _, c in problem.decision_edges[z]})
+                for row in self.terms
+            ]
+            conflict = np.array(
+                [len(set(g.src[e].tolist())) < len(e) for e in need], dtype=bool
+            )
+            self._paths = (problem, _padded(need), conflict)
+        return self._paths[1:]
+
 
 def monomial_expectation_beta(problem, vals, table):
     """E[prod_{z in S} x'_z] for every monomial S of ``table`` when x' is
     drawn from the behavioral map at x.
 
-    ``vals`` are the node values of x (``problem.node_values(x)``) and the
-    table must be compiled against ``problem``. Each expectation is the
-    product of the conditional flows over the decision edges its monomial
-    requires, an unreached decision point counting 1; it is 0 on a conflict.
+    ``vals`` are the node values of x (``problem.node_values(x)``). Each
+    expectation is the product of the conditional flows over the decision
+    edges its monomial requires, an unreached decision point counting 1; it
+    is 0 on a conflict.
     """
-    if table.edges is None:
-        raise ValueError("behavioral expectations need a table compiled with the problem")
+    edges, conflict = table.decision_paths(problem)
     g = problem.graph
     flow = np.ones(g.n_edges + 1)
     above = vals[g.src]
     np.divide(vals[g.dst], above, out=flow[:-1], where=above > 0.0)
     out = np.ones(table.n)
-    for col in table.edges.T:
+    for col in edges.T:
         out *= flow[col]
-    out[table.conflict] = 0.0
+    out[conflict] = 0.0
     return out
 
 
@@ -169,7 +172,7 @@ class BehavioralDescriptor:
         return monomial_expectation_beta(self.problem, self.vals, table)
 
     def expected_image(self, phi):
-        return _expected_image(self, phi, self.problem)
+        return _expected_image(self, phi)
 
     def support(self, cap=SUPPORT_CAP):
         return beta_support(self.problem, self.base, cap)
@@ -281,21 +284,23 @@ def extended_map_eval(phi, problem, x, delta="beta", validate=False):
     return consistent_map(problem, x, delta).expected_image(phi)
 
 
-def _expected_image(mixture, phi, problem=None):
+def _expected_image(mixture, phi):
     """E[phi(x')] for x' drawn from the mixture: every monomial of phi in one
-    batched call, then phi with each monomial replaced by its expectation."""
+    table, evaluated in one call, then phi with each monomial replaced by its
+    expectation."""
     monomials = list(phi.monomials())
-    values = mixture.monomial_expectation(MonomialTable(monomials, problem))
+    values = mixture.monomial_expectation(MonomialTable(monomials))
     return phi.expected_value(dict(zip(monomials, values)).__getitem__)
 
 
 class MixtureStrategy:
     """Weighted mixture of per-round mixtures over pure strategies.
 
-    Components expose ``mean``, ``monomial_expectation`` and
-    ``expected_image``; both the implicit behavioral descriptor and the
-    explicit SupportMix qualify. Each is the components' weighted sum, added
-    in component order.
+    Components expose ``mean`` and ``monomial_expectation``; both the
+    implicit behavioral descriptor and the explicit SupportMix qualify. Each
+    is the components' weighted sum, added in component order, and
+    ``expected_image`` evaluates one table of phi's monomials on every
+    component.
     """
 
     def __init__(self, components, kind="beta"):
@@ -323,7 +328,7 @@ class MixtureStrategy:
         return self._sum(lambda comp: comp.monomial_expectation(table))
 
     def expected_image(self, phi):
-        return self._sum(lambda comp: comp.expected_image(phi))
+        return _expected_image(self, phi)
 
     def __repr__(self):
         return f"MixtureStrategy({self.kind}, components={len(self.components)})"

@@ -242,11 +242,11 @@ def swap_gap(profile, game):
     once; the reroute matrix sums the per-round outer products in round
     order, ROUND_BLOCK rounds at a time. Returns an array of per-player gaps.
     """
-    profile.require_shape(game.action_counts)
     gaps = np.zeros(game.n_players)
     T = profile.rounds
     if T == 0:
         return gaps
+    profile.require_shape(game.action_counts)
     means = [profile.stacked_means(i) for i in range(game.n_players)]
     utils = expectation_oracle(game, means)
     for i, a in enumerate(game.action_counts):

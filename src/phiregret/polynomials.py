@@ -67,7 +67,17 @@ class PolynomialDeviation:
         return {m for out in self.terms for _, m in out if m}
 
     def eval_point(self, x):
-        return self.eval_batch(np.asarray(x, dtype=float)[None])[0]
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(self.n_outputs)
+        for z, terms in enumerate(self.terms):
+            total = 0.0
+            for c, m in terms:
+                v = c
+                for i in m:
+                    v *= x[i]
+                total += v
+            out[z] = total
+        return out
 
     def eval_batch(self, points):
         points = np.asarray(points, dtype=float)

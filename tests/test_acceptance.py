@@ -272,7 +272,7 @@ def test_criterion_06_behavioral_monomial_formula():
             for size in (1, 2, 3)
             for subset in itertools.combinations(range(problem.n_terminals), size)
         ]
-        formulas = desc.monomial_expectation(MonomialTable(subsets, problem))
+        formulas = desc.monomial_expectation(MonomialTable(subsets))
         for formula, subset in zip(formulas, subsets, strict=True):
             brute = float(weights @ ys[:, subset].prod(axis=1))
             worst = max(worst, abs(formula - brute))

@@ -197,6 +197,23 @@ def test_audit_of_a_profile_with_fewer_players_exits_2(tmp_path, pennies_file, c
     assert "error: the profile has 2 players, the game 3" in capsys.readouterr().err
 
 
+def test_audit_of_a_zero_round_profile_reports_zero_gaps(tmp_path, efg_file,
+                                                        pennies_file, capsys):
+    # a header-only profile reads back with no players; there is nothing to check
+    out = tmp_path / "profile.csv"
+    assert main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "0",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--profile", str(out), "--game", efg_file, "--dev", "med:1"]) == 0
+    assert main(["audit", "--profile", str(out), "--game", pennies_file]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "player 1: med:1 gap 0.000000000",
+        "player 2: med:1 gap 0.000000000",
+        "player 1: swap gap 0.000000000",
+        "player 2: swap gap 0.000000000",
+    ]
+
+
 def test_nonpositive_eps_exits_2(pennies_file, capsys):
     assert main(["nfg-ce", "--game", pennies_file, "--eps", "0"]) == 2
     assert "eps must be positive" in capsys.readouterr().err

@@ -121,7 +121,7 @@ def test_extractor_reaches_an_expected_fixed_point(two_stage):
     pi, rounds, err = extract_expected_fixed_point(minimizer, phi, eps=0.05)
     assert rounds >= 1
     monos = list(phi.monomials())
-    values = pi.monomial_expectation(MonomialTable(monos, two_stage))
+    values = pi.monomial_expectation(MonomialTable(monos))
     direct = phi.expected_value(dict(zip(monos, values)).__getitem__) - pi.mean()
     assert np.linalg.norm(direct) == pytest.approx(err, abs=1e-12)
     diameter = oracles.enumerate_pure(two_stage)

@@ -62,7 +62,7 @@ def test_behavioral_monomial_expectation_vs_oracle(two_stage):
     desc = BehavioralDescriptor(two_stage, x)
     monos = [frozenset(), frozenset([0]), frozenset([1, 3]),
              frozenset([1, 4]), frozenset([0, 1]), frozenset([1, 2, 3])]
-    values = desc.monomial_expectation(MonomialTable(monos, two_stage))
+    values = desc.monomial_expectation(MonomialTable(monos))
     for value, mono in zip(values, monos, strict=True):
         assert value == pytest.approx(
             oracles.monomial_expectation(two_stage, x, mono), abs=1e-12

@@ -19,7 +19,7 @@ from phiregret import (
     terminal_weights,
 )
 from phiregret.dags import deviation_image, evaluate_deviation, forward_flow
-from phiregret.maps import beta_support, caratheodory, monomial_expectation_beta
+from phiregret.maps import beta_support, caratheodory
 
 TOL = 1e-12
 
@@ -80,15 +80,18 @@ def test_table_holds_each_distinct_monomial_once(name):
 def test_conflicts_are_the_monomials_no_pure_strategy_covers(name):
     dag = DAGS[name]()
     pure = oracles.enumerate_pure(dag.base)
-    for row, mono in zip(dag.monomials.terms, dag.monomials.conflict):
+    _, conflict = dag.monomials.decision_paths(dag.base)
+    for row, mono in zip(dag.monomials.terms, conflict):
         terms = row[row >= 0]
         covered = any(np.all(y[terms] == 1.0) for y in pure)
         assert bool(mono) == (not covered)
 
 
 def test_dt_with_repeated_queries_has_conflicting_monomials():
-    assert build_dt_problem(2, 2).monomials.conflict.any()
-    assert not build_dt_problem(2, 2, distinct=True).monomials.conflict.any()
+    for distinct in (False, True):
+        dag = build_dt_problem(2, 2, distinct=distinct)
+        _, conflict = dag.monomials.decision_paths(dag.base)
+        assert conflict.any() != distinct
 
 
 @pytest.mark.parametrize("name", DAGS)
@@ -141,15 +144,19 @@ def test_fixed_point_displacement_is_the_oracle_image(name):
 def test_tables_without_monomials_or_without_terms():
     problem = parse_problem(TWO_STAGE_TEXT)
     desc = BehavioralDescriptor(problem, problem.uniform_point())
-    assert desc.monomial_expectation(MonomialTable([], problem)).shape == (0,)
-    constant = MonomialTable([()], problem)
+    assert desc.monomial_expectation(MonomialTable([])).shape == (0,)
+    constant = MonomialTable([()])
     assert constant.terms.shape == (1, 0)
     assert desc.monomial_expectation(constant).tolist() == [1.0]
     assert desc.support().monomial_expectation(constant).tolist() == [1.0]
 
 
-def test_behavioral_evaluation_needs_the_problem():
-    problem = parse_problem(TWO_STAGE_TEXT)
-    vals = problem.node_values(problem.uniform_point())
-    with pytest.raises(ValueError, match="compiled with the problem"):
-        monomial_expectation_beta(problem, vals, MonomialTable([(0,)]))
+def test_one_table_serves_two_problems():
+    """A table's decision paths follow the problem it is evaluated against."""
+    table = MonomialTable([(0,), (0, 1), (1, 3)])
+    rng = np.random.default_rng(90)
+    for problem in (parse_problem(TWO_STAGE_TEXT), hypercube_problem(2), parse_problem(TWO_STAGE_TEXT)):
+        x = problem.random_point(rng)
+        got = BehavioralDescriptor(problem, x).monomial_expectation(table)
+        for value, mono in zip(got, [(0,), (0, 1), (1, 3)], strict=True):
+            assert value == pytest.approx(oracles.monomial_expectation(problem, x, mono), abs=TOL)

@@ -126,7 +126,7 @@ def test_hypercube_round_trip_preserves_monomials():
     for t in range(4):
         orig = profile.components(t, 0)[0]
         back = again.components(t, 0)[0]
-        table = MonomialTable([(0,), (1, 2), (0, 3), (0, 1, 2, 3)], problem)
+        table = MonomialTable([(0,), (1, 2), (0, 3), (0, 1, 2, 3)])
         for got, want in zip(
             back.monomial_expectation(table), orig.monomial_expectation(table), strict=True
         ):
