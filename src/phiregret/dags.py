@@ -15,9 +15,9 @@ utility-weight computation are the same code for both families. The
 distinct monomials are compiled once into a ``maps.MonomialTable``, so each
 of these is one batched table evaluation and one gather.
 
-Both builders hand the DAG the level each state sits at (summed component
-depth, or history depth), and the DAG compiles to the same ``tfsdp.Graph`` a
-tree does; ``interleave(problem, 0)`` compiles to the tree's own arrays. A
+Both builders hand the DAG a ``tfsdp.Graph`` built from arrays, as a tree's
+is, leveled by summed component depth or history depth;
+``interleave(problem, 0)`` compiles to the tree's own arrays. A
 policy is a per-edge share array over that graph (1 on observation edges, a
 distribution over each decision state's edges), and flows, best responses
 and pure-strategy counts are the graph passes of ``tfsdp``.
@@ -25,13 +25,13 @@ and pure-strategy counts are the graph passes of ``tfsdp``.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, StructureError
-from .maps import MonomialTable
+from .maps import MonomialTable, padded
 from .polynomials import PolynomialDeviation
 from .tfsdp import (
     CODE,
@@ -44,10 +44,16 @@ from .tfsdp import (
     back_up,
     count_pure,
     flow_down,
+    graph_arrays,
     hypercube_problem,
 )
 
 STATE_CAP = 200_000
+
+KIND = {code: kind for kind, code in CODE.items()}
+# The dual tree's kind code of each tree kind code: decision and observation swap.
+DUAL_CODE = np.arange(len(CODE), dtype=np.int8)
+DUAL_CODE[[CODE[DECISION], CODE[OBSERVATION]]] = CODE[OBSERVATION], CODE[DECISION]
 
 
 def dual_problem(problem):
@@ -80,54 +86,63 @@ def dual_problem(problem):
 class DecisionDAG:
     """Acyclic decision/observation/terminal state graph with shared states.
 
-    States are stored in topological order (root first). ``edges[s]`` lists
-    child state indices and ``edge_moves[s]`` the per-edge advance labels.
-    ``terminal_out``/``terminal_mono`` give each terminal state's output
-    coordinate and monomial over the base problem's terminals, ``monomials``
-    the table of distinct monomials and ``mono_row`` each one's row. ``level``
-    gives each state's level for the compiled ``graph`` (by default its
-    index).
+    Play reads the compiled ``graph`` (states in topological order, root 0),
+    each terminal state's output coordinate ``terminal_out``, the table of
+    distinct terminal monomials ``monomials`` and each terminal state's row
+    ``mono_row``. The builder passes the monomials as rows padded with -1
+    (see ``MonomialTable.distinct``) and a ``describe()`` returning the state
+    descriptions and per-edge advance labels. The list views ``states``,
+    ``edge_moves``, ``kind``, ``edges``, ``terminal_mono``, ``terminal_slot``,
+    ``topo`` and ``decision_states`` are built when first read.
     """
 
-    def __init__(self, family, base, states, kind, edges, edge_moves, payload,
-                 level=None):
+    def __init__(self, family, base, graph, terminal_out, terms, describe):
         self.family = family
         self.base = base
-        self.states = states
-        self.kind = kind
-        self.edges = edges
-        self.edge_moves = edge_moves
-        self.n_states = len(states)
+        self.graph = graph
+        self.n_states = graph.n
         self.root = 0
-        self.topo = list(range(self.n_states))
-        self.graph = Graph(
-            kind, edges, range(self.n_states) if level is None else level
-        )
-        self.terminal_states = self.graph.terminals
-        self.n_terminal_states = len(self.terminal_states)
-        self.terminal_slot = {int(s): i for i, s in enumerate(self.terminal_states)}
-        self.terminal_out = np.array(
-            [payload[int(s)][0] for s in self.terminal_states], dtype=int
-        )
-        self.terminal_mono = [payload[int(s)][1] for s in self.terminal_states]
-        row = {m: i for i, m in enumerate(dict.fromkeys(self.terminal_mono))}
-        self.monomials = MonomialTable(list(row))
-        self.mono_row = np.array([row[m] for m in self.terminal_mono], dtype=np.intp)
-        self.decision_states = np.flatnonzero(
-            self.graph.code == CODE[DECISION]
-        ).tolist()
+        self.terminal_states = graph.terminals
+        self.n_terminal_states = len(graph.terminals)
+        self.terminal_out = np.asarray(terminal_out, dtype=int)
+        self.monomials, self.mono_row = MonomialTable.distinct(terms)
+        self._describe = describe
+
+    @cached_property
+    def _views(self):
+        return self._describe()
+
+    states = property(lambda self: self._views[0])
+    edge_moves = property(lambda self: self._views[1])
+
+    @cached_property
+    def kind(self):
+        return [KIND[c] for c in self.graph.code.tolist()]
+
+    @cached_property
+    def edges(self):
+        ptr, dst = self.graph.ptr.tolist(), self.graph.dst.tolist()
+        return [tuple(dst[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def terminal_mono(self):
+        rows = self.monomials.terms[self.mono_row]
+        return [frozenset(row[row >= 0].tolist()) for row in rows]
+
+    @cached_property
+    def terminal_slot(self):
+        return {s: i for i, s in enumerate(self.terminal_states.tolist())}
+
+    @cached_property
+    def topo(self):
+        return list(range(self.n_states))
+
+    @cached_property
+    def decision_states(self):
+        return np.flatnonzero(self.graph.code == CODE[DECISION]).tolist()
 
     def count_pure_reduced(self):
         return count_pure(self.graph)
-
-    def dump(self):
-        lines = [f"dag {self.family} states={self.n_states}"]
-        for s in range(self.n_states):
-            edge_txt = " ".join(
-                f"{c}:{move}" for c, move in zip(self.edges[s], self.edge_moves[s])
-            )
-            lines.append(f"{s} {self.kind[s]} {self.states[s]} {edge_txt}".rstrip())
-        return "\n".join(lines)
 
     def __repr__(self):
         return (
@@ -136,17 +151,11 @@ class DecisionDAG:
         )
 
 
-def _sorted_dag(family, base, raw_states, raw_kind, raw_edges, raw_moves,
-                payload_by_tmp, level):
-    order = sorted(range(len(raw_states)), key=lambda i: (level[i], i))
-    rank = {tmp: pos for pos, tmp in enumerate(order)}
-    states = [raw_states[i] for i in order]
-    kind = [raw_kind[i] for i in order]
-    edges = [tuple(rank[c] for c in raw_edges[i]) for i in order]
-    moves = [tuple(raw_moves[i]) for i in order]
-    payload = {rank[tmp]: pl for tmp, pl in payload_by_tmp.items()}
-    return DecisionDAG(family, base, states, kind, edges, moves, payload,
-                       [level[i] for i in order])
+def _spread(count):
+    """Item i repeated count[i] times: (item of each repeat, its position
+    0..count[i]-1)."""
+    item = np.repeat(np.arange(len(count)), count)
+    return item, np.arange(len(item)) - (np.cumsum(count) - count)[item]
 
 
 def interleave(problem, k, cap=STATE_CAP):
@@ -158,80 +167,96 @@ def interleave(problem, k, cap=STATE_CAP):
     one child combination per edge (several can be at observation points only
     in the root state); otherwise the player picks a single component at a
     decision point and one of its children.
+
+    Built one BFS layer at a time on int64 keys sum_c node_c * n^c over the
+    components: the base tree, then k duals (the same n nodes, decision and
+    observation codes swapped). A layer expands decision states in (state,
+    component, child) order and observation states as the product over
+    their observing components, first component most significant, then
+    keeps the first occurrence of each unseen key: the per-state BFS
+    discovery order. The states are then sorted stably by summed component
+    depth. A layer taking the DAG past ``cap`` states raises CapacityError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    dual = dual_problem(problem)
-    components = [problem] + [dual] * k
-    depth_in_tree = problem.graph.level.tolist()
+    g = problem.graph
+    n = g.n
+    if n ** (k + 1) > np.iinfo(np.int64).max:
+        raise CapacityError(f"{k} mediators over {n} nodes overflow the state key")
+    radix = n ** np.arange(k + 1, dtype=np.int64)
+    codes = np.vstack([g.code] + [DUAL_CODE[g.code]] * k)
+    components = np.arange(k + 1)
+    out_deg = np.diff(g.ptr)
 
-    root = tuple([problem.root] * (k + 1))
-    index = {root: 0}
-    raw_states = [root]
-    raw_kind = []
-    raw_edges = []
-    raw_moves = []
-    payload = {}
-    queue = collections.deque([0])
-    while queue:
-        idx = queue.popleft()
-        state = raw_states[idx]
-        kinds = [components[i].kind[state[i]] for i in range(k + 1)]
-        while len(raw_kind) <= idx:
-            raw_kind.append(None)
-            raw_edges.append(())
-            raw_moves.append(())
-        if all(kd == TERMINAL for kd in kinds):
-            raw_kind[idx] = TERMINAL
-            out = int(problem.terminal_index[state[0]])
-            mono = frozenset(
-                int(problem.terminal_index[state[i]]) for i in range(1, k + 1)
-            )
-            payload[idx] = (out, mono)
-            continue
-        obs = [i for i, kd in enumerate(kinds) if kd == OBSERVATION]
-        if obs:
-            raw_kind[idx] = OBSERVATION
-            moves = [()]
-            for comp in obs:
-                moves = [
-                    move + ((comp, child),)
-                    for move in moves
-                    for child in components[comp].children[state[comp]]
-                ]
-        else:
-            raw_kind[idx] = DECISION
-            moves = [
-                ((comp, child),)
-                for comp, kd in enumerate(kinds)
-                if kd == DECISION
-                for child in components[comp].children[state[comp]]
-            ]
-        children = []
-        for move in moves:
-            nxt = list(state)
-            for comp, child in move:
-                nxt[comp] = child
-            nxt = tuple(nxt)
-            if nxt not in index:
-                if len(raw_states) >= cap:
-                    raise CapacityError(
-                        f"interleaving exceeds {cap} states; reduce k or the problem"
-                    )
-                index[nxt] = len(raw_states)
-                raw_states.append(nxt)
-                queue.append(index[nxt])
-            children.append(index[nxt])
-        raw_edges[idx] = tuple(children)
-        raw_moves[idx] = tuple(moves)
+    known = np.zeros(1, dtype=np.int64)  # every key met so far, sorted
+    frontier = known
+    layers = []
+    while len(frontier):
+        digits = frontier[:, None] // radix % n
+        kinds = codes[components, digits]
+        observe = np.any(kinds == CODE[OBSERVATION], axis=1)
+        decide = (kinds == CODE[DECISION]) & ~observe[:, None]
+        code = np.select([observe, decide.any(1)],
+                         [CODE[OBSERVATION], CODE[DECISION]], CODE[TERMINAL])
 
-    level = [sum(depth_in_tree[n] for n in st) for st in raw_states]
-    dag = _sorted_dag(
-        "mediator", problem, raw_states, raw_kind, raw_edges, raw_moves, payload, level
+        rows, comps = np.nonzero(decide)
+        node = digits[rows, comps]
+        item, j = _spread(out_deg[node])
+        rows, comps, node = rows[item], comps[item], node[item]
+        dec_keys = frontier[rows] + (g.dst[g.ptr[node] + j] - node) * radix[comps]
+
+        obs_rows = np.flatnonzero(observe)
+        obs_keys = frontier[obs_rows]
+        for c in range(k + 1):
+            node = digits[obs_rows, c]
+            moves = kinds[obs_rows, c] == CODE[OBSERVATION]
+            if not moves.any():
+                continue
+            item, j = _spread(np.where(moves, out_deg[node], 1))
+            obs_rows, obs_keys, node, moves = (
+                a[item] for a in (obs_rows, obs_keys, node, moves))
+            obs_keys[moves] += (
+                g.dst[g.ptr[node[moves]] + j[moves]] - node[moves]
+            ) * radix[c]
+
+        parent = np.concatenate([rows, obs_rows])
+        keys = np.concatenate([dec_keys, obs_keys])[np.argsort(parent, kind="stable")]
+        seen = known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] == keys
+        fresh, first = np.unique(keys[~seen], return_index=True)
+        if len(known) + len(fresh) > cap:
+            raise CapacityError(f"interleaving exceeds {cap} states; reduce k or the problem")
+        known = np.insert(known, np.searchsorted(known, fresh), fresh)
+        deg = np.bincount(parent, minlength=len(frontier))
+        layers.append((frontier, digits, code, deg, keys))
+        frontier = fresh[np.argsort(first)]
+
+    found, digits, code, deg, keys = (np.concatenate(part) for part in zip(*layers))
+    level = g.level[digits].sum(1)
+    order = np.argsort(level, kind="stable")
+    rank = np.argsort(order)
+    dst = rank[np.argsort(found)[np.searchsorted(known, keys)]]
+    edges = np.argsort(np.repeat(rank, deg), kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(deg[order])])
+    graph = Graph(code[order], ptr, dst[edges], level[order])
+    digits = digits[order]
+    ends = problem.terminal_index[digits[graph.terminals]]
+    dag = DecisionDAG(
+        "mediator", problem, graph, ends[:, 0], ends[:, 1:],
+        lambda: _describe_product(graph, digits),
     )
     dag.k = k
-    dag.components = components
     return dag
+
+
+def _describe_product(graph, digits):
+    """Product states as node tuples, and each edge's move: the (component,
+    node) pairs that advance, in component order."""
+    states = list(map(tuple, digits.tolist()))
+    moves = [[] for _ in states]
+    for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
+        pairs = enumerate(zip(states[d], states[s]))
+        moves[s].append(tuple((c, node) for c, (node, was) in pairs if node != was))
+    return states, list(map(tuple, moves))
 
 
 def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
@@ -251,7 +276,8 @@ def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
     raw_kind = []
     raw_edges = []
     raw_moves = []
-    payload = {}
+    outs = []
+    monos = []
     level = []
 
     def add_state(state, kind, lvl):
@@ -292,12 +318,9 @@ def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
         idx = add_state((j0, replies, "act"), DECISION, lvl)
         kids = []
         for a0 in (0, 1):
-            t = add_state((j0, replies, ("end", a0)), TERMINAL, lvl + 1)
-            payload[t] = (
-                2 * j0 + a0,
-                frozenset(2 * j + a for j, a in replies),
-            )
-            kids.append(t)
+            kids.append(add_state((j0, replies, ("end", a0)), TERMINAL, lvl + 1))
+            outs.append(2 * j0 + a0)
+            monos.append([2 * j + a for j, a in replies])
         raw_edges[idx] = tuple(kids)
         raw_moves[idx] = (("act", 0), ("act", 1))
         return idx
@@ -310,10 +333,11 @@ def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
     raw_moves[root] = tuple(("observe", j0) for j0 in range(n_bits))
 
     # The recursion appends parents before children, so the states keep their
-    # creation order; the history depth is their level.
+    # creation order (terminals included); the history depth is their level.
+    graph = Graph(*graph_arrays(raw_kind, raw_edges), level)
     dag = DecisionDAG(
-        "query-tree", base, raw_states, raw_kind, raw_edges, raw_moves, payload,
-        level,
+        "query-tree", base, graph, outs, padded(monos),
+        lambda: (raw_states, raw_moves),
     )
     dag.k = k
     dag.n_bits = n_bits
@@ -455,38 +479,21 @@ def follow_identity_policy(dag):
     """
     if dag.family != "mediator" or dag.k != 1:
         raise ValueError("the follow policy needs a one-mediator DAG")
-    problem = dag.base
-
-    def is_strictly_below(node, anc):
-        cur = problem.parent[node]
-        while cur >= 0:
-            if cur == anc:
-                return True
-            cur = problem.parent[cur]
-        return False
-
-    choices = {}
-    for s in dag.decision_states:
-        base_node, med_node = dag.states[s]
-        moves = dag.edge_moves[s]
-        picked = None
-        if problem.kind[med_node] == OBSERVATION and is_strictly_below(
-            base_node, med_node
-        ):
-            for e, move in enumerate(moves):
-                (comp, child), = move
-                if comp == 1 and (
-                    child == base_node or is_strictly_below(base_node, child)
-                ):
-                    picked = e
-                    break
-        elif problem.kind[base_node] == DECISION and med_node in problem.children[
-            base_node
-        ]:
-            for e, move in enumerate(moves):
-                (comp, child), = move
-                if comp == 0 and child == med_node:
-                    picked = e
-                    break
-        choices[s] = picked if picked is not None else 0
-    return policy_from_choices(dag, choices)
+    problem, g = dag.base, dag.graph
+    # under[u, v]: node u is v or lies below it in the base tree
+    under = np.eye(problem.n_nodes, dtype=bool)
+    for node in range(1, problem.n_nodes):
+        under[node] |= under[problem.parent[node]]
+    base, med = np.array(dag.states).T
+    b, m, b_next, m_next = base[g.src], med[g.src], base[g.dst], med[g.dst]
+    code = problem.graph.code
+    chase = (code[m] == CODE[OBSERVATION]) & under[b, m] & (b != m)
+    hit = np.where(
+        chase, (m_next != m) & under[b, m_next],
+        (code[b] == CODE[DECISION]) & (problem.parent[m] == b) & (b_next == m),
+    )
+    first = np.full(g.n, g.n_edges)
+    np.minimum.at(first, g.src[hit], np.flatnonzero(hit))
+    share = np.where(g.decision_edge, 0.0, 1.0)
+    share[np.where(first < g.n_edges, first, g.ptr[:-1])[dag.decision_states]] = 1.0
+    return share

@@ -73,14 +73,18 @@ def expected_fixed_point(problem, phi, cfg):
     image = phi if callable(phi) else (lambda comp: comp.expected_image(phi))
     x = cfg.init if cfg.init is not None else problem.uniform_point()
     x = np.asarray(x, dtype=float)
-    problem.require_membership(x, cfg.membership_tol, context="fixed-point init")
+    vals = _node_values(problem, x)
+    problem.require_membership(
+        x, cfg.membership_tol, context="fixed-point init", vals=vals
+    )
     iterates = [x]
     components = []
     for _ in range(cfg.L):
-        comp = consistent_map(problem, x, cfg.delta)
+        comp = consistent_map(problem, x, cfg.delta, vals)
         components.append(comp)
         nxt = image(comp)
-        violation = problem.membership_violation(nxt, cfg.membership_tol)
+        vals = _node_values(problem, nxt)
+        violation = problem.membership_violation(nxt, cfg.membership_tol, vals)
         if violation is not None:
             raise InvalidDeviationError(
                 f"extended map left the polytope ({violation}); "
@@ -96,6 +100,12 @@ def expected_fixed_point(problem, phi, cfg):
     )
     error = (iterates[-1] - iterates[0]) / cfg.L
     return FixedPointResult(iterates[:-1], pi, error, cfg.L, False)
+
+
+def _node_values(problem, x):
+    """x's node values, shared by the membership check and the consistent
+    map; None for a point of the wrong length, which the check reports."""
+    return problem.node_values(x) if np.shape(x) == (problem.n_terminals,) else None
 
 
 @dataclass

@@ -22,7 +22,7 @@ SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
 
 
-def _padded(rows):
+def padded(rows):
     """Rows of ints as one array, padded with -1 to the longest row."""
     out = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
     for i, row in enumerate(rows):
@@ -38,8 +38,30 @@ class MonomialTable:
     """
 
     def __init__(self, monomials):
-        self.terms = _padded([sorted(int(z) for z in m) for m in monomials])
-        self.n = len(self.terms)
+        self._set(padded([sorted(int(z) for z in m) for m in monomials]))
+
+    @classmethod
+    def distinct(cls, rows):
+        """The distinct monomials among ``rows`` (R, K), one monomial per row
+        padded with -1 (in any order, a repeated coordinate read once), as a
+        table in order of first occurrence, and each row's index into it."""
+        rows, top = np.asarray(rows, dtype=np.intp), np.iinfo(np.intp).max
+        terms = np.sort(np.where(rows < 0, top, rows), axis=1)
+        terms[:, 1:][terms[:, 1:] == terms[:, :-1]] = top
+        terms.sort(axis=1)
+        terms = terms[:, : (terms < top).sum(1).max(initial=0)]
+        terms[terms == top] = -1
+        terms, first, inverse = np.unique(
+            terms, axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        table = cls.__new__(cls)
+        table._set(terms[order])
+        return table, np.argsort(order)[inverse.reshape(-1)]
+
+    def _set(self, terms):
+        self.terms = terms
+        self.n = len(terms)
         self._paths = None
 
     def at(self, points):
@@ -67,7 +89,7 @@ class MonomialTable:
             conflict = np.array(
                 [len(set(g.src[e].tolist())) < len(e) for e in need], dtype=bool
             )
-            self._paths = (problem, _padded(need), conflict)
+            self._paths = (problem, padded(need), conflict)
         return self._paths[1:]
 
 
@@ -155,15 +177,15 @@ class SupportMix:
 class BehavioralDescriptor:
     """The behavioral map's distribution at a base point, kept implicit.
 
-    The base is read-only, so its node values are computed once here and
-    shared by every monomial expectation.
+    The base is read-only, so its node values are computed once (or taken
+    from the caller as ``vals``) and shared by every monomial expectation.
     """
 
-    def __init__(self, problem, base):
+    def __init__(self, problem, base, vals=None):
         self.problem = problem
         self.base = np.array(base, dtype=float)
         self.base.flags.writeable = False
-        self.vals = problem.node_values(self.base)
+        self.vals = problem.node_values(self.base) if vals is None else vals
 
     def mean(self):
         return self.base
@@ -228,7 +250,7 @@ def beta_support(problem, x, cap=SUPPORT_CAP):
     return SupportMix.from_arrays(*rec(problem.root))
 
 
-def caratheodory(problem, x, tol=PEEL_TOL):
+def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
     """Small-support mixture with mean x: at most one atom per terminal.
 
     Each round follows the child with the most remaining flow at every
@@ -238,7 +260,7 @@ def caratheodory(problem, x, tol=PEEL_TOL):
     terminal's residual.
     """
     x = np.asarray(x, dtype=float)
-    problem.require_membership(x, context="peeling decomposition")
+    problem.require_membership(x, context="peeling decomposition", vals=vals)
     g = problem.graph
     residual = x.copy()
     atoms = []
@@ -260,13 +282,14 @@ def caratheodory(problem, x, tol=PEEL_TOL):
     return SupportMix([(w / total, y) for w, y in atoms])
 
 
-def consistent_map(problem, x, delta="beta"):
+def consistent_map(problem, x, delta="beta", vals=None):
     """The named consistent map's mixture at x: "beta" for the behavioral
-    descriptor, "cara" (or "caratheodory") for the peeling decomposition."""
+    descriptor, "cara" (or "caratheodory") for the peeling decomposition.
+    ``vals`` are x's node values when the caller already has them."""
     if delta == "beta":
-        return BehavioralDescriptor(problem, x)
+        return BehavioralDescriptor(problem, x, vals)
     if delta in ("cara", "caratheodory"):
-        return caratheodory(problem, x)
+        return caratheodory(problem, x, vals=vals)
     raise ValueError(f"unknown consistent map {delta!r}")
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import CapacityError, MembershipError, ParseError, StructureError
 
@@ -42,10 +41,11 @@ ENUM_CAP = 10**6
 class Graph:
     """Compiled state graph shared by trees and decision DAGs.
 
-    ``code`` holds each state's kind code (see CODE); the root is state 0.
-    Edge e runs ``src[e] -> dst[e]``; edges are in CSR order, so state s owns
-    edges ``ptr[s]:ptr[s + 1]`` in child order. Every edge must climb at
-    least one ``level``, and the passes walk the graph level by level:
+    Its one input is arrays (``graph_arrays`` converts per-state lists):
+    kind codes ``code`` (see CODE), CSR offsets ``ptr`` (state s owns edges
+    ``ptr[s]:ptr[s + 1]`` in child order), edge targets ``dst`` and ``level``.
+    The root is state 0 and edge e runs ``src[e] -> dst[e]``. Every edge must
+    climb at least one level, and the passes walk the graph level by level:
 
     - ``levels`` lists, shallowest first, the edges leaving each level as
       (edge ids, sources, targets) in CSR order. Walking them in order, a
@@ -57,19 +57,15 @@ class Graph:
       order, every child is done before its parent.
     """
 
-    def __init__(self, kind, children, level):
-        n = len(kind)
-        self.n = n
-        self.code = np.fromiter(map(CODE.__getitem__, kind), dtype=np.int8, count=n)
+    def __init__(self, code, ptr, dst, level):
+        self.code = np.asarray(code, dtype=np.int8)
+        self.n = n = len(self.code)
+        self.ptr = np.asarray(ptr, dtype=np.intp)
+        self.dst = np.asarray(dst, dtype=np.intp)
         self.level = np.asarray(level, dtype=np.intp)
-        deg = np.fromiter(map(len, children), dtype=np.intp, count=n)
-        self.ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(deg, out=self.ptr[1:])
         self.n_edges = int(self.ptr[-1])
+        deg = np.diff(self.ptr)
         self.src = np.repeat(np.arange(n), deg)
-        self.dst = np.fromiter(
-            itertools.chain.from_iterable(children), dtype=np.intp, count=self.n_edges
-        )
         edge_level = self.level[self.src]
         if np.any(self.level[self.dst] <= edge_level):
             raise StructureError("state order is not topological")
@@ -94,6 +90,14 @@ class Graph:
                 self.blocks.append(
                     (int(self.code[states[0]]), states, edges, self.dst[edges])
                 )
+
+
+def graph_arrays(kind, children):
+    """The ``Graph`` arrays (code, ptr, dst) of per-state kind strings and
+    child lists."""
+    code = np.fromiter(map(CODE.__getitem__, kind), dtype=np.int8, count=len(kind))
+    ptr = np.concatenate([[0], np.cumsum(list(map(len, children)))])
+    return code, ptr, np.fromiter(itertools.chain.from_iterable(children), dtype=np.intp)
 
 
 def _row_dots(w, v):
@@ -273,7 +277,7 @@ class DecisionProblem:
         )
         self.edge_label = [by_id[i].label for i in order]
         self.children = [tuple(index[c] for c in children_ids[i]) for i in order]
-        self.graph = Graph(self.kind, self.children, depth)
+        self.graph = Graph(*graph_arrays(self.kind, self.children), depth)
 
         self.terminals = self.graph.terminals
         self.n_terminals = len(self.terminals)
@@ -327,15 +331,17 @@ class DecisionProblem:
         """Node values induced by a terminal vector (bottom-up)."""
         return tree_values(self.graph, np.asarray(x, dtype=float))
 
-    def membership_violation(self, x, tol=FLOW_TOL):
-        """None if x satisfies the flow equations, else a description."""
+    def membership_violation(self, x, tol=FLOW_TOL, vals=None):
+        """None if x satisfies the flow equations, else a description
+        (``vals``: x's node values, when the caller has them)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_terminals,):
             return f"wrong length {x.shape} (expected {self.n_terminals})"
         if np.min(x) < -tol:
             z = int(np.argmin(x))
             return f"negative value {x[z]:.3g} at terminal {self.node_ids[self.terminals[z]]!r}"
-        vals = self.node_values(x)
+        if vals is None:
+            vals = self.node_values(x)
         if abs(vals[self.root] - 1.0) > tol:
             return f"root value {vals[self.root]:.12g} != 1"
         g = self.graph
@@ -352,8 +358,8 @@ class DecisionProblem:
     def membership(self, x, tol=FLOW_TOL):
         return self.membership_violation(x, tol) is None
 
-    def require_membership(self, x, tol=FLOW_TOL, context=""):
-        violation = self.membership_violation(x, tol)
+    def require_membership(self, x, tol=FLOW_TOL, context="", vals=None):
+        violation = self.membership_violation(x, tol, vals)
         if violation is not None:
             prefix = f"{context}: " if context else ""
             raise MembershipError(prefix + violation)
@@ -403,7 +409,7 @@ class DecisionProblem:
             share[lo:hi] = rng.dirichlet(np.ones(hi - lo))
         return flow_down(g, share)[0][self.terminals]
 
-    # -- responses and normalization ----------------------------------------
+    # -- responses -----------------------------------------------------------
 
     def _pure_response(self, u, maximize):
         value, share = back_up(
@@ -417,20 +423,6 @@ class DecisionProblem:
 
     def worst_pure_response(self, u):
         return self._pure_response(u, maximize=False)
-
-    def normalize_utility(self, u):
-        """Scale u so every pure strategy's payoff lands in [-1, 1].
-
-        Returns (scaled utility, scale M). M is the larger magnitude of the
-        best and worst pure-strategy values; M == 0 leaves u unchanged.
-        """
-        u = np.asarray(u, dtype=float)
-        hi, _ = self.best_pure_response(u)
-        lo, _ = self.worst_pure_response(u)
-        scale = max(abs(hi), abs(lo))
-        if scale == 0.0:
-            return u.copy(), 0.0
-        return u / scale, float(scale)
 
     # -- restructuring -------------------------------------------------------
 
@@ -589,39 +581,6 @@ def bits_to_point(pairs, bits):
         out[hi] = b
         out[lo] = 1.0 - b
     return out
-
-
-def point_to_bits(pairs, x):
-    return np.array([x[hi] for _, hi in pairs])
-
-
-def induced_norm(problem, v, pure=None):
-    """Norm of v in the dual pairing against the strategy polytope.
-
-    Solves max <u, v> over utilities u with |<u, x>| <= 1 for every pure
-    strategy x (desk scale: the pure strategies are enumerated). Raises if v
-    lies outside the span of the pure strategies, where the program is
-    unbounded.
-    """
-    v = np.asarray(v, dtype=float)
-    if pure is None:
-        pure = problem.enumerate_pure_strategies()
-    a_ub = np.vstack([pure, -pure])
-    res = scipy.optimize.linprog(
-        c=-v,
-        A_ub=a_ub,
-        b_ub=np.ones(a_ub.shape[0]),
-        bounds=[(None, None)] * len(v),
-        method="highs",
-    )
-    if res.status == 3:
-        raise ValueError(
-            "norm is unbounded: the vector has a component outside the span "
-            "of the pure strategies"
-        )
-    if not res.success:
-        raise RuntimeError(f"norm LP failed: {res.message}")
-    return float(-res.fun)
 
 
 def l2_diameter(points):

@@ -8,10 +8,17 @@ they stay independent of the library's algorithmic code paths.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import types
 
 import numpy as np
 import scipy.optimize
+
+from phiregret.dags import dual_problem
+from phiregret.errors import CapacityError
+from phiregret.maps import MonomialTable
+from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL
 
 
 def enumerate_pure(problem):
@@ -352,3 +359,104 @@ def swap_gap(profile, game, utility_oracle):
     return np.array([
         float(np.sum(np.max(r, axis=1) - np.diag(r))) / profile.rounds for r in reroute
     ])
+
+
+def interleave_bfs(problem, k, cap=200_000):
+    """Reference interleaving: the per-state BFS over component tuples that
+    ``dags.interleave`` replaced, kept verbatim, then the stable level sort
+    of its sorted-list rebuild. Returns the DAG's lists and its compiled
+    arrays as a ``SimpleNamespace``."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    dual = dual_problem(problem)
+    components = [problem] + [dual] * k
+    depth_in_tree = problem.graph.level.tolist()
+
+    root = tuple([problem.root] * (k + 1))
+    index = {root: 0}
+    raw_states = [root]
+    raw_kind = []
+    raw_edges = []
+    raw_moves = []
+    payload = {}
+    queue = collections.deque([0])
+    while queue:
+        idx = queue.popleft()
+        state = raw_states[idx]
+        kinds = [components[i].kind[state[i]] for i in range(k + 1)]
+        while len(raw_kind) <= idx:
+            raw_kind.append(None)
+            raw_edges.append(())
+            raw_moves.append(())
+        if all(kd == TERMINAL for kd in kinds):
+            raw_kind[idx] = TERMINAL
+            out = int(problem.terminal_index[state[0]])
+            mono = frozenset(
+                int(problem.terminal_index[state[i]]) for i in range(1, k + 1)
+            )
+            payload[idx] = (out, mono)
+            continue
+        obs = [i for i, kd in enumerate(kinds) if kd == OBSERVATION]
+        if obs:
+            raw_kind[idx] = OBSERVATION
+            moves = [()]
+            for comp in obs:
+                moves = [
+                    move + ((comp, child),)
+                    for move in moves
+                    for child in components[comp].children[state[comp]]
+                ]
+        else:
+            raw_kind[idx] = DECISION
+            moves = [
+                ((comp, child),)
+                for comp, kd in enumerate(kinds)
+                if kd == DECISION
+                for child in components[comp].children[state[comp]]
+            ]
+        children = []
+        for move in moves:
+            nxt = list(state)
+            for comp, child in move:
+                nxt[comp] = child
+            nxt = tuple(nxt)
+            if nxt not in index:
+                if len(raw_states) >= cap:
+                    raise CapacityError(
+                        f"interleaving exceeds {cap} states; reduce k or the problem"
+                    )
+                index[nxt] = len(raw_states)
+                raw_states.append(nxt)
+                queue.append(index[nxt])
+            children.append(index[nxt])
+        raw_edges[idx] = tuple(children)
+        raw_moves[idx] = tuple(moves)
+
+    level = [sum(depth_in_tree[n] for n in st) for st in raw_states]
+    order = sorted(range(len(raw_states)), key=lambda i: (level[i], i))
+    rank = {tmp: pos for pos, tmp in enumerate(order)}
+    states = [raw_states[i] for i in order]
+    kind = [raw_kind[i] for i in order]
+    edges = [tuple(rank[c] for c in raw_edges[i]) for i in order]
+    moves = [tuple(raw_moves[i]) for i in order]
+    payload = {rank[tmp]: pl for tmp, pl in payload.items()}
+
+    terminals = [s for s in range(len(states)) if kind[s] == TERMINAL]
+    terminal_mono = [payload[s][1] for s in terminals]
+    row = {m: i for i, m in enumerate(dict.fromkeys(terminal_mono))}
+    degree = [len(e) for e in edges]
+    return types.SimpleNamespace(
+        states=states,
+        kind=kind,
+        edges=edges,
+        edge_moves=moves,
+        level=np.array([level[i] for i in order]),
+        code=np.array([CODE[kd] for kd in kind]),
+        ptr=np.concatenate([[0], np.cumsum(degree)]).astype(int),
+        src=np.repeat(np.arange(len(states)), degree),
+        dst=np.array([c for e in edges for c in e], dtype=int),
+        terminal_out=np.array([payload[s][0] for s in terminals]),
+        terminal_mono=terminal_mono,
+        terms=MonomialTable(list(row)).terms,
+        mono_row=np.array([row[m] for m in terminal_mono]),
+    )

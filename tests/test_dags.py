@@ -29,7 +29,7 @@ from phiregret.dags import (
 )
 from phiregret.errors import CapacityError, StructureError
 from phiregret.maps import SupportMix
-from phiregret.tfsdp import bits_to_point, hypercube_structure
+from phiregret.tfsdp import Graph, bits_to_point, graph_arrays, hypercube_structure
 
 def test_dual_swaps_kinds(two_stage):
     dual = dual_problem(two_stage)
@@ -216,9 +216,9 @@ def test_non_topological_order_rejected(two_stage):
     with pytest.raises(StructureError, match="topological"):
         DecisionDAG(
             "broken", two_stage,
-            states=["a", "b"], kind=["D", "T"],
-            edges=[(1,), (0,)], edge_moves=[(("x", 0),), (("x", 0),)],
-            payload={1: (0, frozenset())},
+            Graph(*graph_arrays(["D", "T"], [(1,), (0,)]), level=[0, 1]),
+            terminal_out=[0], terms=[[]],
+            describe=lambda: (["a", "b"], [(("x", 0),), (("x", 0),)]),
         )
 
 
