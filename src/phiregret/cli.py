@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .efg import deviation_dag, dump_efg, efg_self_play, parse_efg, phi_equilibrium_gap
+from .efg import deviation_dag, efg_self_play, parse_efg, phi_equilibrium_gap
 from .errors import CapacityError, ParseError
 from .fixedpoint import CURVE_COLUMNS, curves_csv
 from .gadget import gadget_min_sum

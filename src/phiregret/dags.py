@@ -38,11 +38,8 @@ from .tfsdp import (
     DECISION,
     OBSERVATION,
     TERMINAL,
-    DecisionProblem,
     Graph,
-    NodeRow,
     back_up,
-    count_pure,
     flow_down,
     graph_arrays,
     hypercube_problem,
@@ -54,33 +51,6 @@ KIND = {code: kind for kind, code in CODE.items()}
 # The dual tree's kind code of each tree kind code: decision and observation swap.
 DUAL_CODE = np.arange(len(CODE), dtype=np.int8)
 DUAL_CODE[[CODE[DECISION], CODE[OBSERVATION]]] = CODE[OBSERVATION], CODE[DECISION]
-
-
-def dual_problem(problem):
-    """The same tree with decision and observation points swapped.
-
-    Node ids, order and terminals are preserved, so the dual's strategy
-    vectors pair coordinate-for-coordinate with the original's and applying
-    the construction twice restores the original node-for-node. Observation
-    points with a single branch become single-action decision points, which
-    the constructor allows here.
-    """
-    swap = {DECISION: OBSERVATION, OBSERVATION: DECISION, TERMINAL: TERMINAL}
-    rows = [
-        NodeRow(
-            problem.node_ids[i],
-            swap[problem.kind[i]],
-            None if problem.parent[i] < 0 else problem.node_ids[problem.parent[i]],
-            problem.edge_label[i],
-        )
-        for i in range(problem.n_nodes)
-    ]
-    name = (
-        problem.name[:-5]
-        if problem.name.endswith("~dual")
-        else problem.name + "~dual"
-    )
-    return DecisionProblem(rows, name=name, min_decision_branching=1)
 
 
 class DecisionDAG:
@@ -140,9 +110,6 @@ class DecisionDAG:
     @cached_property
     def decision_states(self):
         return np.flatnonzero(self.graph.code == CODE[DECISION]).tolist()
-
-    def count_pure_reduced(self):
-        return count_pure(self.graph)
 
     def __repr__(self):
         return (
@@ -396,10 +363,6 @@ def policy_from_choices(dag, choices, default=0):
     picks = [g.ptr[s] + choices.get(s, default) for s in dag.decision_states]
     share[np.array(picks, dtype=np.intp)] = 1.0
     return share
-
-
-def uniform_policy(dag):
-    return dag.graph.uniform_share
 
 
 def best_reduced_strategy(dag, weights):

@@ -19,8 +19,8 @@ from .dags import STATE_CAP, best_reduced_strategy, build_dt_problem, interleave
 from .errors import ParseError
 from .fixedpoint import FixedPointConfig, PhiRegretMinimizer
 from .maps import BehavioralDescriptor, MixtureStrategy
-from .profile import CorrelatedProfile
-from .tfsdp import DecisionProblem, hypercube_structure, parse_problem
+from .profile import CorrelatedProfile, uniform_mean
+from .tfsdp import hypercube_structure, parse_problem
 
 PAYOFF_TOL = 1e-9
 
@@ -133,7 +133,6 @@ class LearningAgent:
             raise ValueError("deviation DAG does not match the player's problem")
         self.problem = problem
         self.minimizer = PhiRegretMinimizer(dag, cfg)
-        self._pi = None
 
     @property
     def run(self):
@@ -141,7 +140,6 @@ class LearningAgent:
 
     def next_components(self):
         _, fp = self.minimizer.next_mixture()
-        self._pi = fp.pi
         return [c for _, c in fp.pi.components]
 
     def observe_utility(self, u):
@@ -190,12 +188,7 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     start = time.monotonic()
     for t in range(1, rounds + 1):
         comps = [agent.next_components() for agent in agents]
-        means = []
-        for comp_list in comps:
-            m = comp_list[0].mean().copy()
-            for c in comp_list[1:]:
-                m += c.mean()
-            means.append(m / len(comp_list))
+        means = [uniform_mean(comp_list) for comp_list in comps]
         for i, agent in enumerate(agents):
             agent.observe_utility(game.utility_vector(i, means[1 - i]))
         if record_profile:

@@ -8,16 +8,18 @@ the uniform mixture pi of the delta(x_l): the deviation displacement
 E_pi[phi(x) - x] telescopes to (phi^delta(x_L) - x_1)/L, whose induced norm
 is at most 2/L. Feeding the induced linear utilities to an external-regret
 learner over the deviation DAG then drives the full deviation regret down.
+``PhiRegretRun`` measures both regrets of such a run exactly, from one
+hindsight best response per checkpoint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dags import deviation_image, terminal_weights
+from .dags import best_reduced_strategy, deviation_image, terminal_weights
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
 from .maps import MixtureStrategy, consistent_map
@@ -32,7 +34,6 @@ class FixedPointConfig:
     L: int = 50
     delta: str = "beta"
     init: np.ndarray | None = None
-    membership_tol: float = 1e-9
 
     def __post_init__(self):
         if self.L < 1:
@@ -74,9 +75,7 @@ def expected_fixed_point(problem, phi, cfg):
     x = cfg.init if cfg.init is not None else problem.uniform_point()
     x = np.asarray(x, dtype=float)
     vals = _node_values(problem, x)
-    problem.require_membership(
-        x, cfg.membership_tol, context="fixed-point init", vals=vals
-    )
+    problem.require_membership(x, context="fixed-point init", vals=vals)
     iterates = [x]
     components = []
     for _ in range(cfg.L):
@@ -84,7 +83,7 @@ def expected_fixed_point(problem, phi, cfg):
         components.append(comp)
         nxt = image(comp)
         vals = _node_values(problem, nxt)
-        violation = problem.membership_violation(nxt, cfg.membership_tol, vals)
+        violation = problem.membership_violation(nxt, vals=vals)
         if violation is not None:
             raise InvalidDeviationError(
                 f"extended map left the polytope ({violation}); "
@@ -130,56 +129,45 @@ def curves_csv(rows, columns=CURVE_COLUMNS):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class PhiRegretRun:
+class PhiRegretRun(RegretMeter):
     """Aggregates a learning run for exact regret measurement.
 
-    Tracks the summed terminal-state weights (for the hindsight best
-    deviation), the realized deviation values <W_t, q_t>, and the baseline
-    utilities <u_t, mean of pi_t>.
+    On top of the meter's summed terminal-state weights (for the hindsight
+    best deviation) and realized deviation values <W_t, q_t>, tracks the
+    baseline utilities <u_t, mean of pi_t> and the fixed-point bounds. One
+    hindsight solve gives both regrets, so a checkpoint solves once.
     """
 
-    dag: object
-    meter: RegretMeter = None
-    baseline: float = 0.0
-    fp_slack_sum: float = 0.0
-    records: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.meter is None:
-            self.meter = RegretMeter(self.dag)
-
-    @property
-    def rounds(self):
-        return self.meter.rounds
+    def __init__(self, dag):
+        super().__init__(dag)
+        self.baseline = 0.0
+        self.fp_slack_sum = 0.0
+        self.records = []
 
     def record(self, weights, q_vector, base_value, fp_bound):
-        self.meter.record(weights, q_vector)
+        super().record(weights, q_vector)
         self.baseline += float(base_value)
         self.fp_slack_sum += float(fp_bound)
 
-    def phi_regret(self):
-        """Time-averaged regret against the best deviation in the DAG's set."""
+    def _regrets(self):
+        """Time-averaged (Phi-regret against the best deviation in the DAG's
+        set, external regret of the played deviations), from one solve."""
         if self.rounds == 0:
-            return 0.0
-        from .dags import best_reduced_strategy
+            return 0.0, 0.0
+        best, _ = best_reduced_strategy(self.dag, self.weight_sum)
+        return (best - self.baseline) / self.rounds, (best - self.realized) / self.rounds
 
-        best, _ = best_reduced_strategy(self.dag, self.meter.weight_sum)
-        return (best - self.baseline) / self.rounds
+    def phi_regret(self):
+        return self._regrets()[0]
 
     def external_regret(self):
-        return self.meter.average_regret()
+        return self._regrets()[1]
 
     def fp_error_bound(self):
         return self.fp_slack_sum / self.rounds if self.rounds else 0.0
 
     def checkpoint(self):
-        rec = RoundRecord(
-            self.rounds,
-            self.phi_regret(),
-            self.external_regret(),
-            self.fp_error_bound(),
-        )
+        rec = RoundRecord(self.rounds, *self._regrets(), self.fp_error_bound())
         self.records.append(rec)
         return rec
 

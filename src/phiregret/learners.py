@@ -2,8 +2,9 @@
 multiplicative weights over finite arms, plus exact regret measurement.
 
 The regret-matching+ learner keeps one regret per edge of the DAG's compiled
-graph (see ``tfsdp.Graph``); its policy is a per-edge share array, and each
-round is one top-down flow and one policy-weighted backup over that graph.
+graph (see ``tfsdp.Graph``); its policy is a per-edge share array. Each
+round it builds that policy and its top-down flow once, plays the flow, and
+backs up the round's values under the same policy.
 """
 
 from __future__ import annotations
@@ -12,18 +13,22 @@ import math
 
 import numpy as np
 
-from .dags import ReducedStrategy, best_reduced_strategy, forward_flow
+from .dags import best_reduced_strategy, forward_flow
 from .tfsdp import CODE, DECISION, back_up
 
 
 class CfrLearner:
     """Regret-matching+ at every decision state of a decision DAG.
 
-    ``next_strategy`` pushes unit mass through the DAG, splitting at each
-    decision state by the local positive-regret distribution (uniform when
-    all regrets are zero). ``observe`` takes the utility over terminal
-    states, backs up state values under the current local policies, and adds
-    the reach-weighted per-edge advantages to the clipped regret tallies.
+    The learner holds its current policy ``share`` (at each decision state
+    the local positive-regret distribution, uniform when all regrets are
+    zero) and the flow ``strategy`` it pushes through the DAG, built once
+    per round: in ``__init__`` and at the end of ``observe``.
+    ``next_strategy`` returns the held strategy; the share and the masses
+    are read-only.
+    ``observe`` takes the utility over terminal states, backs up state
+    values under the held policy, and adds the per-edge advantages,
+    weighted by the held strategy's reach, to the clipped regret tallies.
     Mass arriving over several in-edges is summed before splitting; reach is
     tracked per state, not per history.
     """
@@ -31,6 +36,7 @@ class CfrLearner:
     def __init__(self, dag):
         self.dag = dag
         self.regrets = np.zeros(dag.graph.n_edges)
+        self._refresh()
 
     def policy(self):
         """Per-edge shares: positive regrets normalized per decision state."""
@@ -44,20 +50,26 @@ class CfrLearner:
                 share[edges[positive]] = r[positive] / total[positive, None]
         return share
 
+    def _refresh(self):
+        self.share = self.policy()
+        self.strategy = forward_flow(self.dag, self.share)
+        for held in (self.share, self.strategy.state_mass, self.strategy.edge_mass):
+            held.flags.writeable = False
+
     def next_strategy(self):
-        return forward_flow(self.dag, self.policy())
+        return self.strategy
 
     def observe(self, weights):
         weights = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(weights)):
             raise ValueError("terminal weights must be finite")
         g = self.dag.graph
-        share = self.policy()
-        reach = forward_flow(self.dag, share).state_mass
-        value, _ = back_up(g, weights, share)
+        reach = self.strategy.state_mass
+        value, _ = back_up(g, weights, self.share)
         dec = g.decision_edge
         gain = reach[g.src[dec]] * (value[g.dst[dec]] - value[g.src[dec]])
         self.regrets[dec] = np.maximum(0.0, self.regrets[dec] + gain)
+        self._refresh()
         return self
 
 
@@ -128,19 +140,3 @@ class RegretMeter:
             return 0.0
         best, _ = best_reduced_strategy(self.dag, self.weight_sum)
         return (best - self.realized) / self.rounds
-
-
-def measure_external_regret(dag, weight_history, play_history):
-    """Exact time-averaged external regret of a played sequence.
-
-    weight_history[t] is the terminal-state utility of round t and
-    play_history[t] the terminal-state masses actually played.
-    """
-    if len(weight_history) != len(play_history):
-        raise ValueError("histories differ in length")
-    meter = RegretMeter(dag)
-    for w, q in zip(weight_history, play_history):
-        if isinstance(q, ReducedStrategy):
-            q = q.terminal_vector()
-        meter.record(w, q)
-    return meter.average_regret()

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
-from .tfsdp import DECISION, TERMINAL, flow_down, pure_share
+from .tfsdp import flow_down, pure_share
 
 SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
@@ -93,6 +92,15 @@ class MonomialTable:
         return self._paths[1:]
 
 
+def _conditional_flow(graph, vals):
+    """Each edge's share vals[dst] / vals[src] of its source's node value (1
+    below a state of value 0), then a trailing 1 for a -1 pad to read."""
+    flow = np.ones(graph.n_edges + 1)
+    above = vals[graph.src]
+    np.divide(vals[graph.dst], above, out=flow[:-1], where=above > 0.0)
+    return flow
+
+
 def monomial_expectation_beta(problem, vals, table):
     """E[prod_{z in S} x'_z] for every monomial S of ``table`` when x' is
     drawn from the behavioral map at x.
@@ -103,10 +111,7 @@ def monomial_expectation_beta(problem, vals, table):
     is 0 on a conflict.
     """
     edges, conflict = table.decision_paths(problem)
-    g = problem.graph
-    flow = np.ones(g.n_edges + 1)
-    above = vals[g.src]
-    np.divide(vals[g.dst], above, out=flow[:-1], where=above > 0.0)
+    flow = _conditional_flow(problem.graph, vals)
     out = np.ones(table.n)
     for col in edges.T:
         out *= flow[col]
@@ -170,6 +175,10 @@ class SupportMix:
     def expected_image(self, phi):
         return _expected_image(self, phi)
 
+    def support(self):
+        """The explicit mixture itself (see ``BehavioralDescriptor.support``)."""
+        return self
+
     def __repr__(self):
         return f"SupportMix(atoms={self.n_atoms})"
 
@@ -204,50 +213,15 @@ class BehavioralDescriptor:
 
 
 def beta_support(problem, x, cap=SUPPORT_CAP):
-    """Explicit support of the behavioral map at x (desk scale only).
-
-    Walks the positive-flow part of the tree, each subtree giving a block of
-    atom weights and 0/1 rows: decision points stack their children's blocks
-    scaled by conditional flow, observation points take the row-major outer
-    product of their children's blocks. Pure strategies outside the positive
-    region have probability zero and are omitted. A block over ``cap`` atoms
-    raises CapacityError before it is allocated.
+    """Explicit support of the behavioral map at x (desk scale only): the
+    pure strategies that x's conditional flows reach, from
+    ``DecisionProblem.pure_support``. Pure strategies outside the positive
+    region have probability zero and are omitted; a block over ``cap``
+    atoms raises CapacityError before it is allocated.
     """
-    x = np.asarray(x, dtype=float)
-    vals = problem.node_values(x)
-    d = problem.n_terminals
-
-    def check(n_atoms):
-        if n_atoms > cap:
-            raise CapacityError(
-                f"behavioral support exceeds {cap} atoms; "
-                "use the implicit descriptor instead"
-            )
-
-    def rec(node):
-        kind = problem.kind[node]
-        if kind == TERMINAL:
-            row = np.zeros((1, d))
-            row[0, problem.terminal_index[node]] = 1.0
-            return np.ones(1), row
-        if kind == DECISION:
-            weights, blocks = [], []
-            for c in problem.children[node]:
-                if vals[c] > 0.0:
-                    w, m = rec(c)
-                    weights.append(vals[c] / vals[node] * w)
-                    blocks.append(m)
-            check(sum(map(len, weights)))
-            return np.concatenate(weights), np.concatenate(blocks)
-        weights, matrix = np.ones(1), np.zeros((1, d))
-        for c in problem.children[node]:
-            w, m = rec(c)
-            check(len(weights) * len(w))
-            weights = (weights[:, None] * w).ravel()
-            matrix = (matrix[:, None, :] + m).reshape(-1, d)
-        return weights, matrix
-
-    return SupportMix.from_arrays(*rec(problem.root))
+    vals = problem.node_values(np.asarray(x, dtype=float))
+    share = _conditional_flow(problem.graph, vals)[:-1]
+    return SupportMix.from_arrays(*problem.pure_support(share, cap))
 
 
 def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
@@ -284,16 +258,16 @@ def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
 
 def consistent_map(problem, x, delta="beta", vals=None):
     """The named consistent map's mixture at x: "beta" for the behavioral
-    descriptor, "cara" (or "caratheodory") for the peeling decomposition.
+    descriptor, "cara" for the peeling decomposition.
     ``vals`` are x's node values when the caller already has them."""
     if delta == "beta":
         return BehavioralDescriptor(problem, x, vals)
-    if delta in ("cara", "caratheodory"):
+    if delta == "cara":
         return caratheodory(problem, x, vals=vals)
     raise ValueError(f"unknown consistent map {delta!r}")
 
 
-def extended_map_eval(phi, problem, x, delta="beta", validate=False):
+def extended_map_eval(phi, problem, x, delta="beta"):
     """Expectation of phi over the chosen consistent map's mixture at x.
 
     Both routes replace each monomial of phi by its expectation, in closed
@@ -302,8 +276,6 @@ def extended_map_eval(phi, problem, x, delta="beta", validate=False):
     so it stays inside the polytope whenever phi itself maps pure strategies
     into it.
     """
-    if validate:
-        phi.validate_on_polytope(problem)
     return consistent_map(problem, x, delta).expected_image(phi)
 
 

@@ -198,8 +198,9 @@ class SwapLearner:
         return f"SwapLearner(n_actions={self.n_actions})"
 
 
-def bm_next(learner, L, x1=None, q=None):
-    """Average of L power iterates of Q^T: the play distribution pi.
+def bm_next(learner, L, q=None):
+    """Average of L power iterates of Q^T from the uniform point x1: the play
+    distribution pi.
 
     pi = (1/L) sum_{l<L} M^l x1 with M = Q^T has ||M pi - pi||_1 <= 2/L by
     telescoping. [[M, 0], [I, I]]^n = [[M^n, 0], [sum_{l<n} M^l, I]], so pi
@@ -214,18 +215,12 @@ def bm_next(learner, L, x1=None, q=None):
     block[:n, :n] = (learner.q_matrix() if q is None else q).T
     block[n:, :n] = block[n:, n:] = np.eye(n)
     v = np.zeros(2 * n)
-    v[:n] = 1.0 / n if x1 is None else x1
+    v[:n] = 1.0 / n
     for bit in reversed(bin(L)[2:]):
         if bit == "1":
             v = block @ v
         block = block @ block
     return v[n:] / L
-
-
-def bm_displacement(learner, pi):
-    """Exact Q^T pi - pi for the learner's current Q."""
-    q = learner.q_matrix()
-    return q.T @ pi - pi
 
 
 def bm_observe(learner, u, pi):
@@ -256,7 +251,7 @@ def swap_gap(profile, game):
             outer = np.einsum("ta,tb->tab", means[i][block], utils[i][block])
             outer[0] += r
             r = np.cumsum(outer, axis=0)[-1]
-        gaps[i] = float(np.sum(np.max(r, axis=1) - np.diag(r))) / T
+        gaps[i] = swap_regret_from_moments(r, T)
     return gaps
 
 
@@ -290,15 +285,13 @@ def ce_horizon(game, eps, c=8.0):
 
 
 def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
-           checkpoints=(), audit=True, anytime=False):
+           checkpoints=(), audit=True):
     """All-players swap-regret self-play to an eps-correlated equilibrium.
 
     Horizon T = ceil(c * A ln A / eps^2) with A the largest action count,
     and L = ceil(4 / eps) power iterates per round, unless overridden. The
     returned profile is the uniform mixture over rounds of the product play
     distributions; when audit is set its exact swap gap is computed.
-    anytime switches the inner learners to horizon-free step sizes, for
-    measuring how the regret curve decays without tuning to a round count.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -307,10 +300,7 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     if L is None:
         L = max(1, math.ceil(4.0 / eps))
     start = time.monotonic()
-    learners = [
-        SwapLearner(a, horizon=None if anytime else horizon)
-        for a in game.action_counts
-    ]
+    learners = [SwapLearner(a, horizon=horizon) for a in game.action_counts]
     moments = [np.zeros((a, a)) for a in game.action_counts]
     rerouted = np.zeros(game.n_players)  # sum_t u_t . (Q_t^T pi_t)
     realized = np.zeros(game.n_players)  # sum_t u_t . pi_t

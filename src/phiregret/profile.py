@@ -32,7 +32,7 @@ class CorrelatedProfile:
     def add_round(self, per_player_components):
         """Append one round: a per-player list of mixture components.
 
-        A component must expose mean() (and support()/atoms for export).
+        A component must expose mean() (and support() for export).
         A bare component is treated as a one-component mixture.
         """
         if len(per_player_components) != self.n_players:
@@ -67,25 +67,11 @@ class CorrelatedProfile:
         return self._components[t][player]
 
     def round_mean(self, t, player):
-        comps = self._components[t][player]
-        total = comps[0].mean().copy()
-        for c in comps[1:]:
-            total += c.mean()
-        return total / len(comps)
+        return uniform_mean(self._components[t][player])
 
     def stacked_means(self, player):
         """T x dim matrix of the player's per-round mean strategies."""
         return np.array([self.round_mean(t, player) for t in range(self.rounds)])
-
-    @staticmethod
-    def _support(component):
-        if isinstance(component, SupportMix):
-            return component
-        if hasattr(component, "support"):
-            return component.support()
-        raise TypeError(
-            f"component {type(component).__name__} has no atom expansion"
-        )
 
     def export_csv(self):
         """One row per pure atom: t,player,ell,j,alpha,pure-strategy-bits.
@@ -98,7 +84,7 @@ class CorrelatedProfile:
         for t in range(self.rounds):
             for i in range(self.n_players):
                 for ell, comp in enumerate(self._components[t][i], start=1):
-                    mix = self._support(comp)
+                    mix = comp.support()
                     d = mix.matrix.shape[1]
                     bits = (np.rint(mix.matrix).astype(np.uint8) + 48).tobytes().decode()
                     prefix = f"{t + 1},{i + 1},{ell},"
@@ -165,6 +151,14 @@ class CorrelatedProfile:
 
     def __repr__(self):
         return f"CorrelatedProfile(players={self.n_players}, rounds={self.rounds})"
+
+
+def uniform_mean(components):
+    """The uniform average of the components' means, added in order."""
+    total = components[0].mean().copy()
+    for c in components[1:]:
+        total += c.mean()
+    return total / len(components)
 
 
 def _component(lineno, alphas, bits):

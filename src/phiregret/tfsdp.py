@@ -370,31 +370,61 @@ class DecisionProblem:
         return count_pure(self.graph)
 
     def enumerate_pure_strategies(self, cap=ENUM_CAP):
-        """All distinct tree-form pure strategies as a (P, N) 0/1 array."""
+        """All distinct tree-form pure strategies as a (P, N) 0/1 array, in
+        ``pure_support`` order."""
         total = self.count_pure_strategies()
         if total > cap:
             raise CapacityError(
                 f"{total} pure strategies exceeds the cap of {cap}; "
                 "raise the cap only for desk-scale work"
             )
+        return self.pure_support(self.graph.uniform_share, cap)[1]
 
-        def rec(node):
-            kind = self.kind[node]
+    def pure_support(self, share, cap):
+        """The pure strategies that randomizing by a per-edge share array
+        reaches: (weights (P,), 0/1 matrix (P, N)).
+
+        Walks down from the root, each subtree giving a block of weights and
+        rows: decision points stack the blocks of their children over edges
+        of positive share, scaled by that share; observation points take the
+        row-major product of their children's blocks, first child most
+        significant. A block over ``cap`` rows raises CapacityError before it
+        is allocated.
+        """
+        ptr, share = self.graph.ptr.tolist(), share.tolist()
+        one, rows = np.ones(1), np.eye(self.n_terminals)
+
+        def check(n_atoms):
+            if n_atoms > cap:
+                raise CapacityError(
+                    f"behavioral support exceeds {cap} atoms; "
+                    "use the implicit descriptor instead"
+                )
+
+        def walk(s):
+            kind = self.kind[s]
             if kind == TERMINAL:
-                return [(int(self.terminal_index[node]),)]
-            parts = [rec(c) for c in self.children[node]]
+                z = self.terminal_index[s]
+                return one, rows[z : z + 1]
             if kind == DECISION:
-                return [p for part in parts for p in part]
-            out = parts[0]
-            for part in parts[1:]:
-                out = [a + b for a in out for b in part]
-            return out
+                weights, blocks = [], []
+                for e, c in zip(range(ptr[s], ptr[s + 1]), self.children[s]):
+                    if share[e] > 0.0:
+                        w, m = walk(c)
+                        weights.append(share[e] * w)
+                        blocks.append(m)
+                check(sum(map(len, weights)))
+                return np.concatenate(weights), np.concatenate(blocks)
+            first, *rest = self.children[s]
+            weights, matrix = walk(first)
+            for c in rest:
+                w, m = walk(c)
+                check(len(weights) * len(w))
+                weights = (weights[:, None] * w).ravel()
+                matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
+            return weights, matrix
 
-        combos = rec(self.root)
-        pure = np.zeros((len(combos), self.n_terminals))
-        for i, combo in enumerate(combos):
-            pure[i, list(combo)] = 1.0
-        return pure
+        return walk(0)
 
     def uniform_point(self):
         """Tree-form point of the uniform behavioral strategy."""

@@ -15,10 +15,9 @@ import types
 import numpy as np
 import scipy.optimize
 
-from phiregret.dags import dual_problem
 from phiregret.errors import CapacityError
 from phiregret.maps import MonomialTable
-from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL
+from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL, DecisionProblem, NodeRow
 
 
 def enumerate_pure(problem):
@@ -42,6 +41,31 @@ def enumerate_pure(problem):
         return out
 
     return np.array(rec(problem.root))
+
+
+def enumerate_pure_tuples(problem):
+    """The library's former enumeration, kept verbatim: a recursion over
+    terminal-index tuples (decision points concatenate their children's
+    lists, observation points take the left-to-right product), then a fill
+    loop. Pins the row order of ``enumerate_pure_strategies``."""
+
+    def rec(node):
+        kind = problem.kind[node]
+        if kind == TERMINAL:
+            return [(int(problem.terminal_index[node]),)]
+        parts = [rec(c) for c in problem.children[node]]
+        if kind == DECISION:
+            return [p for part in parts for p in part]
+        out = parts[0]
+        for part in parts[1:]:
+            out = [a + b for a in out for b in part]
+        return out
+
+    combos = rec(problem.root)
+    pure = np.zeros((len(combos), problem.n_terminals))
+    for i, combo in enumerate(combos):
+        pure[i, list(combo)] = 1.0
+    return pure
 
 
 def node_value(problem, x, node):
@@ -359,6 +383,33 @@ def swap_gap(profile, game, utility_oracle):
     return np.array([
         float(np.sum(np.max(r, axis=1) - np.diag(r))) / profile.rounds for r in reroute
     ])
+
+
+def dual_problem(problem):
+    """The same tree with decision and observation points swapped.
+
+    Node ids, order and terminals are preserved, so the dual's strategy
+    vectors pair coordinate-for-coordinate with the original's and applying
+    the construction twice restores the original node-for-node. Observation
+    points with a single branch become single-action decision points, which
+    the constructor allows here.
+    """
+    swap = {DECISION: OBSERVATION, OBSERVATION: DECISION, TERMINAL: TERMINAL}
+    rows = [
+        NodeRow(
+            problem.node_ids[i],
+            swap[problem.kind[i]],
+            None if problem.parent[i] < 0 else problem.node_ids[problem.parent[i]],
+            problem.edge_label[i],
+        )
+        for i in range(problem.n_nodes)
+    ]
+    name = (
+        problem.name[:-5]
+        if problem.name.endswith("~dual")
+        else problem.name + "~dual"
+    )
+    return DecisionProblem(rows, name=name, min_decision_branching=1)
 
 
 def interleave_bfs(problem, k, cap=200_000):

@@ -288,19 +288,17 @@ def test_criterion_06_behavioral_monomial_formula():
 
 def test_criterion_07_mediator_machinery():
     """Dual pairing, follow-the-mediator, the two-mediator table, decay."""
-    from phiregret.dags import dual_problem
-
     rng = np.random.default_rng(7)
     two_stage = two_stage_problem()
     problems = [two_stage] + [hypercube_problem(n) for n in (1, 2, 3)]
     while len(problems) < 7:
         p = random_problem(rng)
-        if p.count_pure_strategies() <= 256 and dual_problem(p).count_pure_strategies() <= 256:
+        if p.count_pure_strategies() <= 256 and oracles.dual_problem(p).count_pure_strategies() <= 256:
             problems.append(p)
     pairs = 0
     for p in problems:
         xs = p.enumerate_pure_strategies()
-        ys = dual_problem(p).enumerate_pure_strategies()
+        ys = oracles.dual_problem(p).enumerate_pure_strategies()
         pairings = np.asarray(xs) @ np.asarray(ys).T
         assert np.array_equal(pairings, np.ones_like(pairings)), p.name
         pairs += pairings.size

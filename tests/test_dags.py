@@ -20,36 +20,34 @@ from phiregret import (
 from phiregret.dags import (
     ReducedStrategy,
     deviation_polynomial,
-    dual_problem,
     eval_dt_deviation,
     evaluate_deviation,
     follow_identity_policy,
     policy_from_choices,
-    uniform_policy,
 )
 from phiregret.errors import CapacityError, StructureError
 from phiregret.maps import SupportMix
-from phiregret.tfsdp import Graph, bits_to_point, graph_arrays, hypercube_structure
+from phiregret.tfsdp import Graph, bits_to_point, count_pure, graph_arrays, hypercube_structure
 
 def test_dual_swaps_kinds(two_stage):
-    dual = dual_problem(two_stage)
+    dual = oracles.dual_problem(two_stage)
     assert dual.kind[0] == "O"
     assert dual.kind[2] == "D"
     assert dual.n_terminals == two_stage.n_terminals
-    back = dual_problem(dual)
+    back = oracles.dual_problem(dual)
     assert back.dump().splitlines()[1:] == two_stage.dump().splitlines()[1:]
 
 
 def test_duality_pairing(two_stage):
     xs = two_stage.enumerate_pure_strategies()
-    ys = dual_problem(two_stage).enumerate_pure_strategies()
+    ys = oracles.dual_problem(two_stage).enumerate_pure_strategies()
     pairings = xs @ ys.T
     assert np.array_equal(pairings, np.ones_like(pairings))
 
 
 def test_interleave_zero_mediators_is_the_base_tree(two_stage):
     dag = interleave(two_stage, 0)
-    assert dag.count_pure_reduced() == 5
+    assert count_pure(dag.graph) == 5
     assert all(len(m) == 0 for m in dag.terminal_mono)
     # reduced strategies are exactly the constant deviations = pure strategies
     vecs = oracles.pure_reduced_vectors(dag)
@@ -122,7 +120,7 @@ def test_best_reduced_strategy_dominates_random_policies(two_stage):
 
 def test_forward_flow_validates(two_stage):
     dag = interleave(two_stage, 1)
-    forward_flow(dag, uniform_policy(dag)).validate()
+    forward_flow(dag, dag.graph.uniform_share).validate()
     rng = np.random.default_rng(14)
     for _ in range(5):
         choices = {s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states}
@@ -236,7 +234,7 @@ def test_tree_and_interleave_zero_compile_alike(two_stage):
 
 def test_validate_rejects_broken_flows(two_stage):
     dag = interleave(two_stage, 1)
-    good = forward_flow(dag, uniform_policy(dag)).validate()
+    good = forward_flow(dag, dag.graph.uniform_share).validate()
     g = dag.graph
     into_terminal = np.isin(g.dst, dag.terminal_states) & (good.edge_mass > 0)
 

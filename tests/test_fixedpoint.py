@@ -14,7 +14,9 @@ from phiregret import (
     parse_problem,
     random_low_degree_deviation,
 )
+from phiregret import fixedpoint
 from phiregret.errors import InvalidDeviationError
+from phiregret.learners import RegretMeter
 
 
 def simplex3():
@@ -154,3 +156,40 @@ def test_extractor_budget_exhaustion(two_stage):
 def test_config_needs_at_least_one_iterate(L):
     with pytest.raises(ValueError, match="L >= 1"):
         FixedPointConfig(L=L)
+
+
+def test_checkpoint_solves_the_hindsight_problem_once(hypercube2, monkeypatch):
+    dag = interleave(hypercube2, 1)
+    minimizer = PhiRegretMinimizer(dag, FixedPointConfig(L=10))
+    run = minimizer.run
+    meter = RegretMeter(dag)
+    solves = []
+    solve = fixedpoint.best_reduced_strategy
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fixedpoint, "best_reduced_strategy", counted)
+    rng = np.random.default_rng(27)
+    total_w, baseline = np.zeros(dag.n_terminal_states), 0.0
+    for t in range(1, 31):
+        q, fp = minimizer.next_mixture()
+        u = rng.uniform(-1, 1, size=hypercube2.n_terminals)
+        w = minimizer.observe_utility(u)
+        meter.record(w, q.terminal_vector())
+        total_w += w
+        baseline += float(u @ fp.pi.mean())
+        if t % 10:
+            continue
+        before = len(solves)
+        rec = run.checkpoint()
+        assert len(solves) == before + 1
+        assert rec.round == t
+        assert rec.phi_regret == run.phi_regret()
+        assert rec.external_regret == run.external_regret()
+        assert rec.fp_error_bound == run.fp_error_bound()
+        assert rec.external_regret == meter.average_regret()
+        best = oracles.best_pure_reduced_value(dag, total_w)
+        assert rec.phi_regret == pytest.approx((best - baseline) / t, abs=1e-9)
+    assert [r.round for r in run.records] == [10, 20, 30]

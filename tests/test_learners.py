@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from phiregret import CfrLearner, Mwu, build_dt_problem, interleave
-from phiregret.learners import RegretMeter, measure_external_regret
+from phiregret.learners import RegretMeter
 
 
 def test_mwu_starts_uniform_and_stays_uniform_on_ties():
@@ -119,9 +119,6 @@ def test_regret_meter_matches_direct_formula(two_stage):
     best = oracles.best_pure_reduced_value(dag, total)
     realized = sum(float(w @ q) for w, q in zip(weights, plays))
     assert meter.average_regret() == pytest.approx((best - realized) / 30, abs=1e-9)
-    assert measure_external_regret(dag, weights, plays) == pytest.approx(
-        meter.average_regret(), abs=1e-12
-    )
 
 
 def test_cfr_matches_naive_rm_plus(two_stage):
@@ -140,3 +137,25 @@ def test_cfr_matches_naive_rm_plus(two_stage):
         played, _ = oracles.rm_plus_step(dag, regrets, np.zeros(dag.n_terminal_states))
         q = learner.next_strategy().terminal_vector()
         assert np.allclose(q, played, rtol=0.0, atol=1e-12)
+
+
+def test_cfr_holds_one_strategy_per_round(two_stage):
+    """The strategy built at the end of each observe is the next round's
+    regret-matching+ play, and a caller cannot write into it."""
+    rng = np.random.default_rng(26)
+    for dag in (interleave(two_stage, 2), build_dt_problem(2, 2)):
+        learner = CfrLearner(dag)
+        regrets = {
+            s: np.zeros(len(dag.edges[s])) for s in range(len(dag.kind)) if dag.kind[s] == "D"
+        }
+        for _ in range(50):
+            w = rng.uniform(-1, 1, size=dag.n_terminal_states)
+            played, regrets = oracles.rm_plus_step(dag, regrets, w)
+            strategy = learner.next_strategy()
+            assert learner.next_strategy() is strategy
+            assert np.allclose(strategy.terminal_vector(), played, rtol=0.0, atol=1e-12)
+            learner.observe(w)
+        strategy = learner.next_strategy()
+        for held in (strategy.state_mass, strategy.edge_mass, learner.share):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.5

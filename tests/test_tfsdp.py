@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_problem
 from phiregret import DecisionProblem, hypercube_problem, parse_problem
-from phiregret.errors import MembershipError, ParseError, StructureError
+from phiregret.errors import CapacityError, MembershipError, ParseError, StructureError
 from phiregret.tfsdp import bits_to_point, hypercube_structure, l2_diameter
 
 
@@ -208,3 +210,27 @@ def test_tree_passes_match_oracles_on_random_trees():
                     oracles.best_response_value(p, u), abs=1e-12)
                 assert p.worst_pure_response(u)[0] == pytest.approx(
                     oracles.worst_response_value(p, u), abs=1e-12)
+
+
+def test_enumeration_rows_match_the_tuple_recursion(two_stage):
+    """Row for row, the walk gives what the old tuple recursion gave."""
+    rng = np.random.default_rng(71)
+    problems = [hypercube_problem(n) for n in range(1, 12)] + [two_stage]
+    problems += [random_problem(rng) for _ in range(40)]
+    for p in problems:
+        ours = p.enumerate_pure_strategies()
+        ref = oracles.enumerate_pure_tuples(p)
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref), p
+
+
+def test_enumeration_cap_is_checked_before_the_walk(two_stage):
+    for p in (two_stage, hypercube_problem(6)):
+        count = p.count_pure_strategies()
+        assert len(p.enumerate_pure_strategies(cap=count)) == count
+        message = (
+            f"{count} pure strategies exceeds the cap of {count - 1}; "
+            "raise the cap only for desk-scale work"
+        )
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            p.enumerate_pure_strategies(cap=count - 1)
