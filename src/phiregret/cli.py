@@ -12,7 +12,7 @@ import numpy as np
 
 from .efg import deviation_dag, efg_self_play, parse_efg, phi_equilibrium_gap
 from .errors import CapacityError, ParseError
-from .fixedpoint import CURVE_COLUMNS, curves_csv
+from .fixedpoint import CURVE_COLUMNS, RoundRecord, curves_csv
 from .gadget import gadget_min_sum
 from .nfg import ce_horizon, parse_nfg, run_ce, swap_gap
 from .profile import CorrelatedProfile
@@ -74,9 +74,11 @@ def _run_efg(args):
     print(f"game={game.name} rounds={res.rounds} dev={args.dev} "
           f"delta={args.delta} elapsed={res.elapsed:.2f}s")
     for i in (0, 1):
-        run = res.run_for(i)
-        print(f"player {i + 1}: phi-regret={run.phi_regret():.6f} "
-              f"external={run.external_regret():.6f} fp-bound={run.fp_error_bound():.6f}")
+        # self-play checkpoints its last round, so only --rounds 0 has no record
+        records = res.run_for(i).records
+        last = records[-1] if records else RoundRecord(0, 0.0, 0.0, 0.0)
+        print(f"player {i + 1}: phi-regret={last.phi_regret:.6f} "
+              f"external={last.external_regret:.6f} fp-bound={last.fp_error_bound:.6f}")
     if args.out:
         _write(args.out, res.profile.export_csv())
         print(f"profile -> {args.out}")

@@ -78,14 +78,16 @@ class Mwu:
 
     With a known horizon the learning rate is sqrt(ln(A)/T); otherwise the
     doubling trick restarts the weights with a halved rate each epoch.
-    rows=R runs R instances in lockstep on the rows of an (R, A) matrix.
+    rows=R runs R instances in lockstep on the rows of an (R, A) matrix;
+    a tuple R gives leading axes R, so the weights are an R + (A,) array.
     """
 
     def __init__(self, n_arms, horizon=None, rows=None):
         if n_arms < 1:
             raise ValueError("need at least one arm")
         self.n_arms = n_arms
-        self.log_weights = np.zeros(n_arms if rows is None else (rows, n_arms))
+        lead = () if rows is None else tuple(np.atleast_1d(rows))
+        self.log_weights = np.zeros(lead + (n_arms,))
         self.horizon = horizon
         if horizon is not None:
             self.eta = math.sqrt(math.log(max(n_arms, 2)) / horizon)

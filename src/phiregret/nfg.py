@@ -6,6 +6,9 @@ row-stochastic matrix Q replaced by the average of the power iterates
 x_{l+1} = Q^T x_l. That average pi satisfies ||Q^T pi - pi||_1 <= 2/L by the
 same telescoping argument as the general template, and squaring over the
 bits of L makes a round O(log L) small matrix products, not an eigensolve.
+Self-play stacks the players that have the same action count into one
+learner, so a round takes one batched step per action count, not one per
+player.
 """
 
 from __future__ import annotations
@@ -185,47 +188,60 @@ class SwapLearner:
 
     mwu holds an (A, A) log-weight matrix whose row a decides where
     recommendation a gets rerouted; q_matrix() is its row-wise softmax, Q.
+    stack=G holds G players with A actions each as one (G, A, A) matrix:
+    q_matrix() is then (G, A, A), and bm_next and bm_observe step all G
+    players at once.
     """
 
-    def __init__(self, n_actions, horizon=None):
+    def __init__(self, n_actions, horizon=None, stack=None):
         self.n_actions = int(n_actions)
-        self.mwu = Mwu(self.n_actions, horizon=horizon, rows=self.n_actions)
+        self.stack = stack
+        rows = self.n_actions if stack is None else (int(stack), self.n_actions)
+        self.mwu = Mwu(self.n_actions, horizon=horizon, rows=rows)
 
     def q_matrix(self):
         return self.mwu.next_distribution()
 
     def __repr__(self):
-        return f"SwapLearner(n_actions={self.n_actions})"
+        stack = "" if self.stack is None else f", stack={self.stack}"
+        return f"SwapLearner(n_actions={self.n_actions}{stack})"
 
 
 def bm_next(learner, L, q=None):
     """Average of L power iterates of Q^T from the uniform point x1: the play
-    distribution pi.
+    distribution pi, of shape (A,), or (G, A) for a stacked learner.
 
     pi = (1/L) sum_{l<L} M^l x1 with M = Q^T has ||M pi - pi||_1 <= 2/L by
     telescoping. [[M, 0], [I, I]]^n = [[M^n, 0], [sum_{l<n} M^l, I]], so pi
-    is read off its L-th power, taken by squaring over the bits of L.
+    is read off its L-th power, taken by squaring over the bits of L. A stack
+    squares a (G, 2A, 2A) block and carries its vector as (G, 2A, 1), so each
+    player's products are the ones its own learner would take.
     q is the learner's current Q, if the caller has already built it.
     """
     L = int(L)
     if L < 1:
         raise ValueError("need at least one iterate")
     n = learner.n_actions
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = (learner.q_matrix() if q is None else q).T
-    block[n:, :n] = block[n:, n:] = np.eye(n)
-    v = np.zeros(2 * n)
-    v[:n] = 1.0 / n
+    q = learner.q_matrix() if q is None else q
+    lead = q.shape[:-2]
+    block = np.zeros(lead + (2 * n, 2 * n))
+    block[..., :n, :n] = np.swapaxes(q, -1, -2)
+    block[..., n:, :n] = block[..., n:, n:] = np.eye(n)
+    v = np.zeros(lead + (2 * n, 1))
+    v[..., :n, :] = 1.0 / n
     for bit in reversed(bin(L)[2:]):
         if bit == "1":
             v = block @ v
         block = block @ block
-    return v[n:] / L
+    return v[..., n:, 0] / L
 
 
 def bm_observe(learner, u, pi):
-    """Charge each per-action row its share pi[a] of the round utility."""
-    learner.mwu.observe(np.outer(pi, np.asarray(u, dtype=float)))
+    """Charge each per-action row its share pi[a] of the round utility
+    (per player, for a stacked learner)."""
+    u = np.asarray(u, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    learner.mwu.observe(pi[..., :, None] * u[..., None, :])
 
 
 def swap_gap(profile, game):
@@ -290,6 +306,7 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
 
     Horizon T = ceil(c * A ln A / eps^2) with A the largest action count,
     and L = ceil(4 / eps) power iterates per round, unless overridden. The
+    players with the same action count play as one stacked SwapLearner. The
     returned profile is the uniform mixture over rounds of the product play
     distributions; when audit is set its exact swap gap is computed.
     """
@@ -300,26 +317,47 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     if L is None:
         L = max(1, math.ceil(4.0 / eps))
     start = time.monotonic()
-    learners = [SwapLearner(a, horizon=horizon) for a in game.action_counts]
-    moments = [np.zeros((a, a)) for a in game.action_counts]
-    rerouted = np.zeros(game.n_players)  # sum_t u_t . (Q_t^T pi_t)
-    realized = np.zeros(game.n_players)  # sum_t u_t . pi_t
-    err_sum = np.zeros(game.n_players)
+    by_count = {}
+    for i, a in enumerate(game.action_counts):
+        by_count.setdefault(a, []).append(i)
+    groups = list(by_count.values())  # the players of each stack
+    learners = [SwapLearner(a, horizon=horizon, stack=len(p)) for a, p in by_count.items()]
+    moments = [np.zeros((len(p), a, a)) for a, p in by_count.items()]
+    rerouted = [np.zeros(len(p)) for p in groups]  # sum_t u_t . (Q_t^T pi_t)
+    realized = [np.zeros(len(p)) for p in groups]  # sum_t u_t . pi_t
+    err_sum = [np.zeros(len(p)) for p in groups]
     profile = CorrelatedProfile(game.n_players, dims=game.action_counts) if record_profile else None
     eyes = [np.eye(a) for a in game.action_counts]
     checkpoints = set(checkpoints)
     curve_rows = []
+    pis = [None] * game.n_players
+
+    def regrets(t):
+        """Per-player swap regret, external regret of the reroutes and mean
+        fixed-point error after t rounds, in player order."""
+        swap, ext, err = np.zeros((3, game.n_players))
+        for g, players in enumerate(groups):
+            swap[players] = [swap_regret_from_moments(m, t) for m in moments[g]]
+            ext[players] = (np.sum(np.max(moments[g], axis=2), axis=1) - rerouted[g]) / t
+            err[players] = err_sum[g] / t
+        return swap, ext, err
+
     for t in range(1, horizon + 1):
         qs = [learner.q_matrix() for learner in learners]
-        pis = [bm_next(learners[i], L, q=qs[i]) for i in range(game.n_players)]
+        stacked = [bm_next(learner, L, q=q) for learner, q in zip(learners, qs)]
+        for players, pi in zip(groups, stacked):
+            for k, i in enumerate(players):
+                pis[i] = pi[k]
         utils = expectation_oracle(game, pis)
-        for i in range(game.n_players):
-            moments[i] += np.outer(pis[i], utils[i])
-            shifted = qs[i].T @ pis[i]
-            rerouted[i] += float(utils[i] @ shifted)
-            realized[i] += float(utils[i] @ pis[i])
-            err_sum[i] += float(np.sum(np.abs(shifted - pis[i])))
-            bm_observe(learners[i], utils[i], pis[i])
+        for g, players in enumerate(groups):
+            pi = stacked[g]
+            u = np.array([utils[i] for i in players])
+            moments[g] += pi[:, :, None] * u[:, None, :]
+            shifted = np.swapaxes(qs[g], 1, 2) @ pi[:, :, None]
+            rerouted[g] += (u[:, None, :] @ shifted)[:, 0, 0]
+            realized[g] += (u[:, None, :] @ pi[:, :, None])[:, 0, 0]
+            err_sum[g] += np.sum(np.abs(shifted[:, :, 0] - pi), axis=1)
+            bm_observe(learners[g], u, pi)
         if record_profile:
             played = [pi > 0 for pi in pis]
             profile.add_round([
@@ -327,19 +365,8 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
                 for i in range(game.n_players)
             ])
         if t in checkpoints or t == horizon:
-            swap = np.array([
-                swap_regret_from_moments(moments[i], t) for i in range(game.n_players)
-            ])
-            ext = np.array([
-                (float(np.sum(np.max(moments[i], axis=1))) - rerouted[i]) / t
-                for i in range(game.n_players)
-            ])
-            curve_rows.append((
-                t, float(np.max(swap)), float(np.max(ext)), float(np.max(err_sum / t))
-            ))
-    swap_final = np.array([
-        swap_regret_from_moments(moments[i], horizon) for i in range(game.n_players)
-    ])
+            swap, ext, err = regrets(t)
+            curve_rows.append((t, float(np.max(swap)), float(np.max(ext)), float(np.max(err))))
     gaps = None
     if record_profile and audit:
         gaps = swap_gap(profile, game)
@@ -348,7 +375,7 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
         rounds=horizon,
         L=L,
         certified_gaps=gaps,
-        swap_regrets=swap_final,
+        swap_regrets=regrets(horizon)[0],
         elapsed=time.monotonic() - start,
         curve_rows=curve_rows,
     )

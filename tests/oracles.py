@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
+import time
 import types
 
 import numpy as np
 import scipy.optimize
 
 from phiregret.errors import CapacityError
-from phiregret.maps import MonomialTable
+from phiregret.maps import MonomialTable, SupportMix
+from phiregret.nfg import (
+    CeResult,
+    SwapLearner,
+    ce_horizon,
+    expectation_oracle,
+    swap_regret_from_moments,
+)
+from phiregret.nfg import swap_gap as nfg_swap_gap
+from phiregret.profile import CorrelatedProfile
 from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL, DecisionProblem, NodeRow
 
 
@@ -510,4 +521,95 @@ def interleave_bfs(problem, k, cap=200_000):
         terminal_mono=terminal_mono,
         terms=MonomialTable(list(row)).terms,
         mono_row=np.array([row[m] for m in terminal_mono]),
+    )
+
+
+def bm_next_single(learner, L, q=None):
+    """The library's former one-player ``nfg.bm_next``, kept verbatim: a
+    (2A, 2A) block squared over the bits of L and a (2A,) vector."""
+    L = int(L)
+    if L < 1:
+        raise ValueError("need at least one iterate")
+    n = learner.n_actions
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = (learner.q_matrix() if q is None else q).T
+    block[n:, :n] = block[n:, n:] = np.eye(n)
+    v = np.zeros(2 * n)
+    v[:n] = 1.0 / n
+    for bit in reversed(bin(L)[2:]):
+        if bit == "1":
+            v = block @ v
+        block = block @ block
+    return v[n:] / L
+
+
+def bm_observe_single(learner, u, pi):
+    """The library's former one-player ``nfg.bm_observe``, kept verbatim."""
+    learner.mwu.observe(np.outer(pi, np.asarray(u, dtype=float)))
+
+
+def run_ce_per_player(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
+                      checkpoints=(), audit=True):
+    """The library's former ``nfg.run_ce``, kept verbatim: one unstacked
+    SwapLearner per player and a Python loop over players every round. Pins
+    the batched loop's results bit for bit. The library's ``swap_gap`` is
+    imported here as ``nfg_swap_gap``, beside this module's own oracle."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if horizon is None:
+        horizon = ce_horizon(game, eps, c)
+    if L is None:
+        L = max(1, math.ceil(4.0 / eps))
+    start = time.monotonic()
+    learners = [SwapLearner(a, horizon=horizon) for a in game.action_counts]
+    moments = [np.zeros((a, a)) for a in game.action_counts]
+    rerouted = np.zeros(game.n_players)  # sum_t u_t . (Q_t^T pi_t)
+    realized = np.zeros(game.n_players)  # sum_t u_t . pi_t
+    err_sum = np.zeros(game.n_players)
+    profile = CorrelatedProfile(game.n_players, dims=game.action_counts) if record_profile else None
+    eyes = [np.eye(a) for a in game.action_counts]
+    checkpoints = set(checkpoints)
+    curve_rows = []
+    for t in range(1, horizon + 1):
+        qs = [learner.q_matrix() for learner in learners]
+        pis = [bm_next_single(learners[i], L, q=qs[i]) for i in range(game.n_players)]
+        utils = expectation_oracle(game, pis)
+        for i in range(game.n_players):
+            moments[i] += np.outer(pis[i], utils[i])
+            shifted = qs[i].T @ pis[i]
+            rerouted[i] += float(utils[i] @ shifted)
+            realized[i] += float(utils[i] @ pis[i])
+            err_sum[i] += float(np.sum(np.abs(shifted - pis[i])))
+            bm_observe_single(learners[i], utils[i], pis[i])
+        if record_profile:
+            played = [pi > 0 for pi in pis]
+            profile.add_round([
+                SupportMix.from_arrays(pis[i][played[i]], eyes[i][played[i]])
+                for i in range(game.n_players)
+            ])
+        if t in checkpoints or t == horizon:
+            swap = np.array([
+                swap_regret_from_moments(moments[i], t) for i in range(game.n_players)
+            ])
+            ext = np.array([
+                (float(np.sum(np.max(moments[i], axis=1))) - rerouted[i]) / t
+                for i in range(game.n_players)
+            ])
+            curve_rows.append((
+                t, float(np.max(swap)), float(np.max(ext)), float(np.max(err_sum / t))
+            ))
+    swap_final = np.array([
+        swap_regret_from_moments(moments[i], horizon) for i in range(game.n_players)
+    ])
+    gaps = None
+    if record_profile and audit:
+        gaps = nfg_swap_gap(profile, game)
+    return CeResult(
+        profile=profile,
+        rounds=horizon,
+        L=L,
+        certified_gaps=gaps,
+        swap_regrets=swap_final,
+        elapsed=time.monotonic() - start,
+        curve_rows=curve_rows,
     )

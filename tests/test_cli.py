@@ -233,3 +233,42 @@ def test_capacity_error_exits_2(efg_file, capsys, monkeypatch):
     rc = main(["efg-run", "--game", efg_file, "--dev", "dt:16", "--rounds", "3"])
     assert rc == 2
     assert "error: query tree exceeds 50 states" in capsys.readouterr().err
+
+
+def test_efg_run_prints_the_last_checkpoint_without_solving_again(efg_file, capsys,
+                                                                  monkeypatch):
+    from phiregret import cli, fixedpoint
+
+    solves = []
+    solve = fixedpoint.best_reduced_strategy
+    play = cli.efg_self_play
+    played = {}
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        played["res"] = play(*args, **kwargs)
+        played["solves"] = len(solves)
+        return played["res"]
+
+    monkeypatch.setattr(fixedpoint, "best_reduced_strategy", counted)
+    monkeypatch.setattr(cli, "efg_self_play", recorded)
+    assert main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "300"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert played["solves"] == 2  # one checkpoint per seat
+    assert len(solves) == played["solves"]
+    # the lines the per-call methods printed before, solved again here
+    expected = [
+        f"player {i + 1}: phi-regret={run.phi_regret():.6f} "
+        f"external={run.external_regret():.6f} fp-bound={run.fp_error_bound():.6f}"
+        for i, run in enumerate(map(played["res"].run_for, (0, 1)))
+    ]
+    assert printed[1:] == expected
+
+    assert main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"player {i}: phi-regret=0.000000 external=0.000000 fp-bound=0.000000"
+        for i in (1, 2)
+    ]
