@@ -172,6 +172,8 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     """
     if len(devs) != 2:
         raise ValueError("two deviation configurations required")
+    if rounds < 0:
+        raise ValueError(f"rounds must be nonnegative, got {rounds}")
     cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)
     agents = []
     for i, dev in enumerate(devs):
@@ -223,9 +225,7 @@ def phi_equilibrium_gap(profile, game, player, dag):
     baseline = 0.0
     for t in range(profile.rounds):
         comps = profile.components(t, player)
-        mixture = MixtureStrategy(
-            [(1.0 / len(comps), c) for c in comps], kind="profile"
-        )
+        mixture = MixtureStrategy([(1.0 / len(comps), c) for c in comps])
         u = game.utility_vector(player, profile.round_mean(t, 1 - player))
         total_w += terminal_weights(dag, u, mixture)
         baseline += float(u @ mixture.mean())

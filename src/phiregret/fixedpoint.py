@@ -90,13 +90,11 @@ def expected_fixed_point(problem, phi, cfg):
                 "the deviation is not valid on this problem"
             )
         if np.max(np.abs(nxt - x)) <= STALL_TOL:
-            pi = MixtureStrategy([(1.0, comp)], kind=cfg.delta)
+            pi = MixtureStrategy([(1.0, comp)])
             return FixedPointResult(iterates, pi, nxt - x, cfg.L, True)
         iterates.append(nxt)
         x = nxt
-    pi = MixtureStrategy(
-        [(1.0 / cfg.L, c) for c in components], kind=cfg.delta
-    )
+    pi = MixtureStrategy([(1.0 / cfg.L, c) for c in components])
     error = (iterates[-1] - iterates[0]) / cfg.L
     return FixedPointResult(iterates[:-1], pi, error, cfg.L, False)
 

@@ -101,11 +101,11 @@ class Mwu:
         w = np.exp(shifted)
         return w / w.sum(axis=-1, keepdims=True)
 
-    def observe(self, utilities, scale=1.0):
+    def observe(self, utilities):
         utilities = np.asarray(utilities, dtype=float)
         if not np.all(np.isfinite(utilities)):
             raise ValueError("arm utilities must be finite")
-        self.log_weights = self.log_weights + self.eta * scale * utilities
+        self.log_weights = self.log_weights + self.eta * utilities
         if self.horizon is None:
             self._epoch_used += 1
             if self._epoch_used >= self._epoch_len:

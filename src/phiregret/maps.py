@@ -298,8 +298,7 @@ class MixtureStrategy:
     component.
     """
 
-    def __init__(self, components, kind="beta"):
-        self.kind = kind
+    def __init__(self, components):
         total = sum(w for w, _ in components)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights sum to {total}, expected 1")
@@ -326,4 +325,4 @@ class MixtureStrategy:
         return _expected_image(self, phi)
 
     def __repr__(self):
-        return f"MixtureStrategy({self.kind}, components={len(self.components)})"
+        return f"MixtureStrategy(components={len(self.components)})"

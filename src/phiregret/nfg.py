@@ -294,8 +294,8 @@ class CeResult:
 
 def ce_horizon(game, eps, c=8.0):
     """Rounds T = ceil(c * A ln A / eps^2), with A the largest action count."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     A = game.max_actions
     return max(1, math.ceil(c * A * math.log(max(A, 2)) / eps**2))
 
@@ -310,8 +310,8 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     returned profile is the uniform mixture over rounds of the product play
     distributions; when audit is set its exact swap gap is computed.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if horizon is None:
         horizon = ce_horizon(game, eps, c)
     if L is None:
@@ -324,7 +324,6 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     learners = [SwapLearner(a, horizon=horizon, stack=len(p)) for a, p in by_count.items()]
     moments = [np.zeros((len(p), a, a)) for a, p in by_count.items()]
     rerouted = [np.zeros(len(p)) for p in groups]  # sum_t u_t . (Q_t^T pi_t)
-    realized = [np.zeros(len(p)) for p in groups]  # sum_t u_t . pi_t
     err_sum = [np.zeros(len(p)) for p in groups]
     profile = CorrelatedProfile(game.n_players, dims=game.action_counts) if record_profile else None
     eyes = [np.eye(a) for a in game.action_counts]
@@ -355,7 +354,6 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
             moments[g] += pi[:, :, None] * u[:, None, :]
             shifted = np.swapaxes(qs[g], 1, 2) @ pi[:, :, None]
             rerouted[g] += (u[:, None, :] @ shifted)[:, 0, 0]
-            realized[g] += (u[:, None, :] @ pi[:, :, None])[:, 0, 0]
             err_sum[g] += np.sum(np.abs(shifted[:, :, 0] - pi), axis=1)
             bm_observe(learners[g], u, pi)
         if record_profile:

@@ -3,7 +3,10 @@
 A deviation is stored per output terminal as a list of (coefficient, monomial)
 terms, where a monomial is a frozenset of input terminal indices and the empty
 set is the constant term. Pure strategies are 0/1 vectors, so monomials are
-idempotent and products reduce by set union.
+idempotent and products reduce by set union. The module also extends maps
+from pure strategies to all 0/1 vectors, draws random valid low-degree
+deviations, and enumerates the low-degree Boolean functions on up to four
+variables through one Moebius matrix product.
 """
 
 from __future__ import annotations
@@ -258,37 +261,30 @@ def random_low_degree_deviation(problem, rng, degree=2, pieces=3, pure=None):
 
 def all_low_degree_boolean_functions(n_vars, max_degree):
     """Every function {0,1}^n -> {0,1} of at most the given degree, as
-    multilinear term tuples. Brute force over truth tables; desk scale only.
+    multilinear term tuples in truth-table order (bit i of a table's index
+    is its value at the i-th point of {0,1}^n in product order). Brute force
+    over all 2^(2^n) truth tables; desk scale only.
 
     The degree of a truth table is read off its Moebius transform: the
-    coefficient of monomial S is sum_{T <= S} (-1)^(|S|-|T|) f(T).
+    coefficient of monomial S is sum_{T <= S} (-1)^(|S|-|T|) f(T), one
+    integer matrix applied to every table at once.
     """
     if n_vars > 4:
         raise ValueError("truth-table enumeration is capped at 4 variables")
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n_vars), r) for r in range(n_vars + 1)
-        )
+    subsets = [
+        frozenset(s) for r in range(n_vars + 1)
+        for s in itertools.combinations(range(n_vars), r)
+    ]
+    points = [
+        frozenset(itertools.compress(range(n_vars), bits))
+        for bits in itertools.product((0, 1), repeat=n_vars)
+    ]
+    moebius = np.array(
+        [[(-1) ** (len(s) - len(t)) if t <= s else 0 for t in points] for s in subsets],
+        dtype=np.int64,
     )
-    index = {frozenset(s): i for i, s in enumerate(subsets)}
-    points = list(itertools.product((0, 1), repeat=n_vars))
-    out = []
-    for table in range(2 ** len(points)):
-        f = [(table >> i) & 1 for i in range(len(points))]
-        coeffs = {}
-        ok = True
-        for s in subsets:
-            sset = frozenset(s)
-            total = 0
-            for t_bits, ft in zip(points, f):
-                t = frozenset(i for i in range(n_vars) if t_bits[i])
-                if t <= sset:
-                    total += ft if (len(sset) - len(t)) % 2 == 0 else -ft
-            if total != 0 and len(sset) > max_degree:
-                ok = False
-                break
-            if total != 0:
-                coeffs[sset] = float(total)
-        if ok:
-            out.append(tuple((c, m) for m, c in coeffs.items()))
-    return out
+    tables = (np.arange(2 ** len(points))[:, None] >> np.arange(len(points))) & 1
+    coeffs = tables @ moebius.T
+    too_high = [len(s) > max_degree for s in subsets]
+    kept = coeffs[~np.any(coeffs[:, too_high] != 0, axis=1)]
+    return [tuple((float(c), s) for c, s in zip(row, subsets) if c) for row in kept]

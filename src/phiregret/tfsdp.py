@@ -202,7 +202,7 @@ class DecisionProblem:
     the dummy-insertion repair cannot fix that shape.
     """
 
-    def __init__(self, rows, name="problem", min_decision_branching=2):
+    def __init__(self, rows, name="problem"):
         rows = [NodeRow(*r) if not isinstance(r, NodeRow) else r for r in rows]
         self.name = name
         rows, self.transform_log = self._repair_alternation(rows)
@@ -238,10 +238,10 @@ class DecisionProblem:
 
         for node_id, row in by_id.items():
             kids = children_ids[node_id]
-            if row.kind == DECISION and len(kids) < min_decision_branching:
+            if row.kind == DECISION and len(kids) < 2:
                 raise StructureError(
                     f"decision point {node_id!r} has {len(kids)} children "
-                    f"(needs at least {min_decision_branching})"
+                    "(needs at least 2)"
                 )
             if row.kind == OBSERVATION and len(kids) < 1:
                 raise StructureError(f"observation point {node_id!r} has no children")

@@ -9,6 +9,7 @@ they stay independent of the library's algorithmic code paths.
 from __future__ import annotations
 
 import collections
+import copy
 import itertools
 import math
 import time
@@ -28,7 +29,7 @@ from phiregret.nfg import (
 )
 from phiregret.nfg import swap_gap as nfg_swap_gap
 from phiregret.profile import CorrelatedProfile
-from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL, DecisionProblem, NodeRow
+from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL, Graph, graph_arrays
 
 
 def enumerate_pure(problem):
@@ -396,6 +397,41 @@ def swap_gap(profile, game, utility_oracle):
     ])
 
 
+def all_low_degree_boolean_functions(n_vars, max_degree):
+    """Reference enumeration: the per-table, per-subset, per-point Moebius
+    loop that ``polynomials.all_low_degree_boolean_functions`` replaced, kept
+    verbatim."""
+    if n_vars > 4:
+        raise ValueError("truth-table enumeration is capped at 4 variables")
+    subsets = list(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n_vars), r) for r in range(n_vars + 1)
+        )
+    )
+    index = {frozenset(s): i for i, s in enumerate(subsets)}
+    points = list(itertools.product((0, 1), repeat=n_vars))
+    out = []
+    for table in range(2 ** len(points)):
+        f = [(table >> i) & 1 for i in range(len(points))]
+        coeffs = {}
+        ok = True
+        for s in subsets:
+            sset = frozenset(s)
+            total = 0
+            for t_bits, ft in zip(points, f):
+                t = frozenset(i for i in range(n_vars) if t_bits[i])
+                if t <= sset:
+                    total += ft if (len(sset) - len(t)) % 2 == 0 else -ft
+            if total != 0 and len(sset) > max_degree:
+                ok = False
+                break
+            if total != 0:
+                coeffs[sset] = float(total)
+        if ok:
+            out.append(tuple((c, m) for m, c in coeffs.items()))
+    return out
+
+
 def dual_problem(problem):
     """The same tree with decision and observation points swapped.
 
@@ -403,24 +439,31 @@ def dual_problem(problem):
     vectors pair coordinate-for-coordinate with the original's and applying
     the construction twice restores the original node-for-node. Observation
     points with a single branch become single-action decision points, which
-    the constructor allows here.
+    the ``DecisionProblem`` constructor rejects, so the dual is a copy of the
+    problem with its kinds swapped and every kind-dependent field re-derived.
     """
     swap = {DECISION: OBSERVATION, OBSERVATION: DECISION, TERMINAL: TERMINAL}
-    rows = [
-        NodeRow(
-            problem.node_ids[i],
-            swap[problem.kind[i]],
-            None if problem.parent[i] < 0 else problem.node_ids[problem.parent[i]],
-            problem.edge_label[i],
-        )
-        for i in range(problem.n_nodes)
-    ]
-    name = (
+    dual = copy.copy(problem)
+    dual.name = (
         problem.name[:-5]
         if problem.name.endswith("~dual")
         else problem.name + "~dual"
     )
-    return DecisionProblem(rows, name=name, min_decision_branching=1)
+    dual.transform_log = []
+    dual.kind = [swap[k] for k in problem.kind]
+    dual.graph = Graph(*graph_arrays(dual.kind, problem.children), problem.graph.level)
+    dual.terminals = dual.graph.terminals
+    dual.decision_edges = []
+    for node in dual.terminals:
+        edges = []
+        while problem.parent[node] >= 0:
+            parent = problem.parent[node]
+            if dual.kind[parent] == DECISION:
+                edges.append((int(parent), int(node)))
+            node = parent
+        dual.decision_edges.append(tuple(reversed(edges)))
+    dual.depth = max(map(len, dual.decision_edges), default=0)
+    return dual
 
 
 def interleave_bfs(problem, k, cap=200_000):

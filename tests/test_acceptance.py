@@ -2,15 +2,13 @@
 
 One test per guarantee; each prints a single [PASS]/[FAIL] line with the
 measured numbers (run pytest with -s to see the lines as they happen).
-Stated runtime budgets are asserted. The exhaustive quadratic search is
-marked slow but still finishes in well under its budget.
+Stated runtime budgets are asserted.
 """
 
 import itertools
 import time
 
 import numpy as np
-import pytest
 import scipy.optimize
 
 import oracles
@@ -378,7 +376,6 @@ def test_criterion_09_min_gate_gadget():
     )
 
 
-@pytest.mark.slow
 def test_criterion_10_quadratic_is_not_a_low_degree_mixture():
     """No mixture of degree-<=2 Boolean functions matches the quadratic."""
     t0 = time.monotonic()

@@ -219,6 +219,21 @@ def test_nonpositive_eps_exits_2(pennies_file, capsys):
     assert "eps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_nonfinite_eps_exits_2(pennies_file, capsys, eps):
+    assert main(["nfg-ce", "--game", pennies_file, "--eps", eps]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: eps must be positive and finite, got {eps}" in err
+
+
+def test_negative_rounds_exits_2(efg_file, capsys):
+    assert main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: rounds must be nonnegative, got -3" in err
+
+
 def test_zero_fixed_point_iters_exits_2(efg_file, capsys):
     rc = main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "3",
                "--fixed-point-iters", "0"])

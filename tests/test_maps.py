@@ -114,12 +114,12 @@ def test_extended_maps_agree_for_linear_deviations(two_stage):
 def test_mixture_strategy_aggregates():
     a = SupportMix([(1.0, [1, 0])])
     b = SupportMix([(0.5, [1, 0]), (0.5, [0, 1])])
-    pi = MixtureStrategy([(0.5, a), (0.5, b)], kind="test")
+    pi = MixtureStrategy([(0.5, a), (0.5, b)])
     assert np.allclose(pi.mean(), [0.75, 0.25])
     assert pi.monomial_expectation(MonomialTable([frozenset([0])]))[0] == pytest.approx(0.75)
     f = counterexample_deviation()
     mix = SupportMix([(1.0, [1, 0, 0, 0, 0]), (0.0, [0, 1, 0, 1, 0])])
-    single = MixtureStrategy([(1.0, mix)], kind="test")
+    single = MixtureStrategy([(1.0, mix)])
     assert np.allclose(single.expected_image(f), mix.expected_image(f), atol=1e-14)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -157,3 +158,26 @@ def test_low_degree_boolean_functions_are_boolean_and_low_degree():
         for pt in points:
             val = sum(c * np.prod([pt[i] for i in mono]) for c, mono in terms)
             assert val in (0.0, 1.0)
+
+
+@pytest.mark.parametrize("n_vars, max_degree", [(n, d) for n in range(4) for d in range(n + 1)])
+def test_low_degree_boolean_functions_match_the_per_table_loop(n_vars, max_degree):
+    funcs = all_low_degree_boolean_functions(n_vars, max_degree)
+    assert funcs == oracles.all_low_degree_boolean_functions(n_vars, max_degree)
+    assert all(type(c) is float for terms in funcs for c, _ in terms)
+
+
+def test_quadratic_boolean_functions_of_four_variables_are_pinned():
+    # 222 tables; the digest is that of the per-table loop's output, which
+    # takes about 18 s to recompute
+    funcs = all_low_degree_boolean_functions(4, 2)
+    assert len(funcs) == 222
+    canonical = repr([[(c, sorted(mono)) for c, mono in terms] for terms in funcs])
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "5bc70e1f4cc7e53d5895293dd9b40d58e9ad4b523326c64051640d2d63f42f85"
+    )
+
+
+def test_boolean_enumeration_is_capped_at_four_variables():
+    with pytest.raises(ValueError, match="capped at 4 variables"):
+        all_low_degree_boolean_functions(5, 2)
