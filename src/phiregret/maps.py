@@ -143,6 +143,34 @@ class SupportMix:
         mix._set(np.asarray(weights, dtype=float), np.asarray(matrix, dtype=float))
         return mix
 
+    @classmethod
+    def split(cls, weights, matrix, sizes):
+        """Consecutive mixtures of ``sizes`` atoms each, as views of one
+        weight array and one atom matrix, with every mean filled in: one
+        cumsum over the atom axis per distinct atom count, the same
+        left-to-right sum ``mean`` takes."""
+        whole = cls.from_arrays(weights, matrix)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != whole.n_atoms:
+            raise ValueError(
+                f"need positive sizes summing to {whole.n_atoms}, got {sizes.tolist()}"
+            )
+        starts = sizes.cumsum() - sizes
+        means = np.empty((len(sizes), whole.matrix.shape[1]))
+        for n in sorted(set(sizes.tolist())):
+            pick = (sizes == n).nonzero()[0]
+            rows = starts[pick, None] + np.arange(n)
+            terms = whole.matrix[rows]
+            terms *= whole.weights[rows, None]
+            means[pick] = terms.cumsum(axis=1, out=terms)[:, -1]
+        means.flags.writeable = False
+        out = []
+        for s, e, mean in zip(starts.tolist(), (starts + sizes).tolist(), means):
+            mix = cls.__new__(cls)  # views of checked arrays need no _set
+            mix.weights, mix.matrix, mix._mean = whole.weights[s:e], whole.matrix[s:e], mean
+            out.append(mix)
+        return out
+
     def _set(self, weights, matrix):
         if weights.ndim != 1 or matrix.ndim != 2 or len(weights) != len(matrix):
             raise ValueError(

@@ -297,7 +297,10 @@ def ce_horizon(game, eps, c=8.0):
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     A = game.max_actions
-    return max(1, math.ceil(c * A * math.log(max(A, 2)) / eps**2))
+    rounds = c * A * math.log(max(A, 2)) / eps**2 if eps**2 > 0 else math.inf
+    if rounds == math.inf:
+        raise ValueError(f"eps {eps} is too small: c A ln A / eps^2 rounds is not finite")
+    return max(1, math.ceil(rounds))
 
 
 def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,

@@ -7,12 +7,14 @@ independently draws one of its components uniformly and an atom from it.
 Components are either explicit mixtures (SupportMix: a weight array and a
 matrix of 0/1 atom rows) or implicit behavioral descriptors; export expands
 descriptors into their explicit support and writes each component's atoms
-from its arrays, and import rebuilds each component's arrays from its rows.
+from its arrays. Import parses the rows in blocks, column by column, and
+cuts each player's components from one weight array and one atom matrix.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import ParseError
 from .maps import SupportMix
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
+ROW_BLOCK = 1024  # CSV rows parsed at a time; bounds the transient field lists
 
 
 class CorrelatedProfile:
@@ -100,53 +103,66 @@ class CorrelatedProfile:
 
         Each row needs positive integer t, player, ell and j, a finite
         nonnegative alpha and a nonempty string of 0s and 1s whose length is
-        the same for all of a player's rows; each component's alphas must sum
-        to 1 within 1e-9. A component's atom matrix is decoded from its
-        joined bit strings in one step.
+        the same for all of a player's rows; the first bad line is named.
+        Then, round by round and player by player, every player needs atoms
+        and each component's alphas must sum to 1 within 1e-9. Last, each
+        component's j must count 1, 2, ... in file order.
+
+        Rows are parsed ROW_BLOCK at a time, column by column. One stable
+        sort groups them by (player, t, ell) with file order kept within a
+        component, and each player's components and their means are cut from
+        one weight array and one atom matrix (``SupportMix.split``).
         """
-        rows = {}  # (t, player) -> {ell: (first line, alphas, bit strings)}
-        dims = {}
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        if not lines or lines[0] != HEADER:
+        lines = text.strip().splitlines()
+        if not lines or lines[0].strip() != HEADER:
             raise ParseError("missing profile header row")
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ParseError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                t, player, ell, j = map(int, parts[:4])
-                alpha = float(parts[4])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            bits = parts[5]
-            if min(t, player, ell, j) < 1:
-                raise ParseError(f"line {lineno}: indices are 1-based")
-            if not math.isfinite(alpha):
-                raise ParseError(f"line {lineno}: atom weight {alpha} is not finite")
-            if alpha < 0:
-                raise ParseError(f"line {lineno}: negative atom weight {alpha}")
-            if not bits or bits.strip("01"):
-                raise ParseError(f"line {lineno}: pure-strategy bits {bits!r} are not 0s and 1s")
-            if dims.setdefault(player - 1, len(bits)) != len(bits):
-                raise ParseError(f"line {lineno}: inconsistent strategy length")
-            levels = rows.setdefault((t - 1, player - 1), {})
-            if ell not in levels:
-                levels[ell] = (lineno, [], [])
-            levels[ell][1].append(alpha)
-            levels[ell][2].append(bits)
-        n_rounds = max((t for t, _ in rows), default=-1) + 1
-        n_players = max((i for _, i in rows), default=-1) + 1
-        profile = cls(n_players, dims=[dims.get(i) for i in range(n_players)])
-        for t in range(n_rounds):
-            per_player = []
-            for i in range(n_players):
-                levels = rows.get((t, i))
-                if not levels:
-                    raise ParseError(f"round {t + 1}: no atoms for player {i + 1}")
-                per_player.append([_component(*levels[ell]) for ell in sorted(levels)])
-            profile.add_round(per_player)
+        dims = {}
+        blocks = [_read_block(lines[k:k + ROW_BLOCK], k + 1, dims)
+                  for k in range(1, len(lines), ROW_BLOCK)]
+        del lines  # the line strings go before the components are built
+        if not sum(len(block[0]) for block in blocks):
+            return cls(0, dims=[])
+        t, player, ell, j, alpha, lens, lineno, chars = map(np.concatenate, zip(*blocks))
+        del blocks
+        # past int64 the parser keeps Python ints: a round or player that
+        # large always leaves an earlier one missing, and only ell's order counts
+        t, player = (np.minimum(col, 2**62).astype(np.int64) for col in (t, player))
+        if ell.dtype == object:
+            ell = np.unique(ell, return_inverse=True)[1]
+        first_byte = np.cumsum(lens) - lens
+        order = np.lexsort((ell, t, player))
+        t, player, ell, j, alpha, lineno, first_byte = (
+            col[order] for col in (t, player, ell, j, alpha, lineno, first_byte)
+        )
+        new = np.ones(len(t), dtype=bool)
+        new[1:] = (player[1:] != player[:-1]) | (t[1:] != t[:-1]) | (ell[1:] != ell[:-1])
+        starts = new.nonzero()[0]
+        sizes = np.concatenate((starts[1:], [len(t)])) - starts
+        ct, cp = t[starts], player[starts]
+        n_rounds, n_players = int(t.max()), int(player[-1])
+        _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, lineno[starts])
+        position = np.arange(len(j)) - np.repeat(starts, sizes) + 1
+        wrong = (j != position).nonzero()[0]
+        if len(wrong):
+            w = wrong[np.argmin(lineno[wrong])]
+            raise ParseError(
+                f"line {lineno[w]}: j is {j[w]}, expected {position[w]} "
+                "(a component's atoms count 1, 2, ... in file order)"
+            )
+
+        row_bounds = np.searchsorted(player, np.arange(1, n_players + 2))
+        comp_bounds = np.searchsorted(cp, np.arange(1, n_players + 2))
+        per_player = []
+        for i in range(n_players):
+            rows = slice(row_bounds[i], row_bounds[i + 1])
+            comps = slice(comp_bounds[i], comp_bounds[i + 1])
+            bits = chars[first_byte[rows, None] + np.arange(dims[i + 1])]
+            mixes = SupportMix.split(alpha[rows], bits - 48.0, sizes[comps])
+            cuts = np.searchsorted(ct[comps], np.arange(1, n_rounds + 2)).tolist()
+            per_player.append([mixes[a:b] for a, b in zip(cuts, cuts[1:])])
+        profile = cls(n_players, dims=[dims[i + 1] for i in range(n_players)])
+        profile._components = [list(comps) for comps in zip(*per_player)]
+        profile.rounds = n_rounds
         return profile
 
     def __repr__(self):
@@ -161,10 +177,116 @@ def uniform_mean(components):
     return total / len(components)
 
 
-def _component(lineno, alphas, bits):
-    """One imported mixture: its weights must sum to 1 within 1e-9."""
-    total = math.fsum(alphas)
-    if abs(total - 1.0) > 1e-9:
-        raise ParseError(f"line {lineno}: component weights sum to {total}, expected 1")
-    matrix = np.frombuffer("".join(bits).encode(), dtype=np.uint8).reshape(len(bits), -1)
-    return SupportMix.from_arrays(alphas, matrix - 48)
+def _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, first_line):
+    """Raise the error the round-by-round scan meets first: a player
+    without atoms in a round, or a component whose weights do not sum to 1
+    within 1e-9.
+
+    Components come in (player, round, ell) order, given by their round
+    ``ct``, player ``cp``, first row ``starts`` into ``alpha``, atom count
+    and first line. A running sum of n nonnegative weights is within
+    n * 2**-53 of the exact sum, so only the components whose running sum is
+    that close to the bound or past it are summed again with math.fsum.
+    """
+    pair = np.ones(len(ct), dtype=bool)
+    pair[1:] = (cp[1:] != cp[:-1]) | (ct[1:] != ct[:-1])
+    lex = np.lexsort((cp[pair], ct[pair]))
+    pt, pp = ct[pair][lex], cp[pair][lex]
+    # in (round, player) order the k-th pair is (k // P + 1, k % P + 1) up
+    # to the first missing one
+    k = np.arange(len(pt))
+    off = ((pt != k // n_players + 1) | (pp != k % n_players + 1)).nonzero()[0]
+    g = int(off[0]) if len(off) else len(pt)
+    gap = divmod(g, n_players) if g < n_rounds * n_players else None
+    sums = np.add.reduceat(alpha, starts)
+    slack = sizes * 2.0**-52 * np.maximum(sums, 1.0)
+    doubt = (np.abs(sums - 1.0) > 1e-9 - slack).nonzero()[0]
+    for c in doubt[np.lexsort((doubt, cp[doubt], ct[doubt]))].tolist():
+        if gap is not None and (int(ct[c]) - 1, int(cp[c]) - 1) > gap:
+            break
+        total = math.fsum(alpha[starts[c]:starts[c] + sizes[c]].tolist())
+        if abs(total - 1.0) > 1e-9:
+            raise ParseError(f"line {first_line[c]}: component weights sum to {total}, expected 1")
+    if gap is not None:
+        raise ParseError(f"round {gap[0] + 1}: no atoms for player {gap[1] + 1}")
+
+
+def _read_block(lines, lineno, dims):
+    """Parse and check a block of CSV rows, the first on line ``lineno``.
+
+    Returns the columns t, player, ell and j (int64, or Python ints past
+    int64), alpha, each row's bit count and line number, and the rows' bits
+    as one uint8 buffer. Raises the ParseError of the block's first bad row.
+    ``dims`` maps each player seen so far to its strategy length.
+    """
+    lines = list(map(str.strip, lines))
+    numbers = np.arange(lineno, lineno + len(lines))
+    if not all(lines):
+        keep = [k for k, ln in enumerate(lines) if ln]
+        lines, numbers = [lines[k] for k in keep], numbers[keep]
+    # rows from `stop` on are not read; row `stop` raises `late` unless an
+    # earlier row has an error
+    counts = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) + 1
+    stop, late = len(lines), None
+    if (counts != 6).any():
+        stop = int(np.argmax(counts != 6))
+        late = f"expected 6 fields, got {counts[stop]}"
+    fields = ",".join(lines[:stop]).split(",") if stop else []
+    try:
+        t, player, ell, j, alpha = _columns(fields)
+    except ValueError:
+        for k in range(stop):  # the first row int() or float() rejects
+            try:
+                _columns(fields[6 * k:6 * k + 6])
+            except ValueError as exc:
+                stop, late = k, str(exc)
+                break
+        fields = fields[:6 * stop]
+        t, player, ell, j, alpha = _columns(fields)
+    bits = fields[5::6]
+    lens = np.fromiter(map(len, bits), np.intp, stop)
+    joined = "".join(bits)
+    chars = (np.frombuffer(joined.encode("ascii"), np.uint8) if joined.isascii()
+             else np.frombuffer(joined.encode("utf-32-le"), np.uint32))
+    nonbit = np.zeros(len(chars) + 1, dtype=np.intp)
+    np.cumsum((chars != 48) & (chars != 49), out=nonbit[1:])
+    end = np.cumsum(lens)
+    bad_bits = (lens == 0) | (nonbit[end] > nonbit[end - lens])
+    seen, first, inverse = np.unique(player, return_index=True, return_inverse=True)
+    want = np.array([dims.setdefault(p, int(lens[f]))
+                     for p, f in zip(seen.tolist(), first.tolist())], dtype=np.intp)
+    small = (t < 1) | (player < 1) | (ell < 1) | (j < 1)
+    bad = small | ~np.isfinite(alpha) | (alpha < 0) | bad_bits | (lens != want[inverse])
+    if bad.any():
+        k = int(np.argmax(bad))
+        a = float(alpha[k])
+        if small[k]:
+            message = "indices are 1-based"
+        elif not math.isfinite(a):
+            message = f"atom weight {a} is not finite"
+        elif a < 0:
+            message = f"negative atom weight {a}"
+        elif bad_bits[k]:
+            message = f"pure-strategy bits {bits[k]!r} are not 0s and 1s"
+        else:
+            message = "inconsistent strategy length"
+        raise ParseError(f"line {numbers[k]}: {message}")
+    if late is not None:
+        raise ParseError(f"line {numbers[stop]}: {late}")
+    return t, player, ell, j, alpha, lens, numbers[:stop], chars
+
+
+def _columns(fields):
+    """t, player, ell, j and alpha from a flat list of six fields per row,
+    each column parsed by int() or float() as one row would be."""
+    n = len(fields) // 6
+    return (*(_ints(fields[k::6], n) for k in range(4)),
+            np.fromiter(map(float, fields[4::6]), float, n))
+
+
+def _ints(strings, n):
+    """int() of each string, as int64 unless a value does not fit."""
+    try:
+        return np.fromiter(map(int, strings), np.int64, n)
+    except OverflowError:
+        return np.array(list(map(int, strings)), dtype=object)

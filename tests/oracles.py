@@ -372,6 +372,68 @@ def export_rows(profile):
     return "\n".join(lines) + "\n"
 
 
+def from_csv_rows(text):
+    """The library's former profile import, kept verbatim: one row at a time
+    (one split, four int(), one float() and the checks), grouped in dicts,
+    then each component's weight sum checked with math.fsum and its atom
+    matrix decoded from its joined bit strings. It never checks j."""
+    from phiregret.errors import ParseError
+    from phiregret.profile import HEADER
+
+    rows = {}  # (t, player) -> {ell: (first line, alphas, bit strings)}
+    dims = {}
+    lines = [ln.strip() for ln in text.strip().splitlines()]
+    if not lines or lines[0] != HEADER:
+        raise ParseError("missing profile header row")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ParseError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            t, player, ell, j = map(int, parts[:4])
+            alpha = float(parts[4])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        bits = parts[5]
+        if min(t, player, ell, j) < 1:
+            raise ParseError(f"line {lineno}: indices are 1-based")
+        if not math.isfinite(alpha):
+            raise ParseError(f"line {lineno}: atom weight {alpha} is not finite")
+        if alpha < 0:
+            raise ParseError(f"line {lineno}: negative atom weight {alpha}")
+        if not bits or bits.strip("01"):
+            raise ParseError(f"line {lineno}: pure-strategy bits {bits!r} are not 0s and 1s")
+        if dims.setdefault(player - 1, len(bits)) != len(bits):
+            raise ParseError(f"line {lineno}: inconsistent strategy length")
+        levels = rows.setdefault((t - 1, player - 1), {})
+        if ell not in levels:
+            levels[ell] = (lineno, [], [])
+        levels[ell][1].append(alpha)
+        levels[ell][2].append(bits)
+
+    def component(lineno, alphas, bits):
+        total = math.fsum(alphas)
+        if abs(total - 1.0) > 1e-9:
+            raise ParseError(f"line {lineno}: component weights sum to {total}, expected 1")
+        matrix = np.frombuffer("".join(bits).encode(), dtype=np.uint8).reshape(len(bits), -1)
+        return SupportMix.from_arrays(alphas, matrix - 48)
+
+    n_rounds = max((t for t, _ in rows), default=-1) + 1
+    n_players = max((i for _, i in rows), default=-1) + 1
+    profile = CorrelatedProfile(n_players, dims=[dims.get(i) for i in range(n_players)])
+    for t in range(n_rounds):
+        per_player = []
+        for i in range(n_players):
+            levels = rows.get((t, i))
+            if not levels:
+                raise ParseError(f"round {t + 1}: no atoms for player {i + 1}")
+            per_player.append([component(*levels[ell]) for ell in sorted(levels)])
+        profile.add_round(per_player)
+    return profile
+
+
 def swap_gap(profile, game, utility_oracle):
     """Per-player swap gap of a profile, one round at a time.
 

@@ -227,6 +227,14 @@ def test_nonfinite_eps_exits_2(pennies_file, capsys, eps):
     assert f"error: eps must be positive and finite, got {eps}" in err
 
 
+@pytest.mark.parametrize("eps", ["1e-300", "1e-160"])
+def test_tiny_eps_exits_2(pennies_file, capsys, eps):
+    assert main(["nfg-ce", "--game", pennies_file, "--eps", eps]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: eps {float(eps)} is too small" in err
+
+
 def test_negative_rounds_exits_2(efg_file, capsys):
     assert main(["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "-3"]) == 2
     out, err = capsys.readouterr()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,19 @@ def test_nfg_parse_errors():
 def test_horizon_needs_positive_eps(eps):
     with pytest.raises(ValueError, match="eps must be positive"):
         ce_horizon(matching_pennies(), eps)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-160])
+def test_horizon_rejects_an_eps_whose_round_count_is_not_finite(eps):
+    # eps**2 underflows to 0 at 1e-300; at 1e-160 it is subnormal and the
+    # quotient overflows to inf
+    with pytest.raises(ValueError, match=f"eps {eps} is too small"):
+        ce_horizon(matching_pennies(), eps)
+
+
+def test_horizon_keeps_its_formula_for_a_small_finite_eps():
+    eps = 1e-150
+    assert ce_horizon(matching_pennies(), eps) == math.ceil(8.0 * 2 * math.log(2) / eps**2)
 
 
 def test_swap_gap_checks_the_profile_against_the_game():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from phiregret import (
     BehavioralDescriptor,
     CorrelatedProfile,
@@ -158,3 +161,163 @@ def test_weights_within_tolerance_of_one_are_accepted():
     text = HEADER + "\n1,1,1,1,0.3,10\n1,1,1,2,0.7000000001,01\n"
     profile = CorrelatedProfile.from_csv(text)
     assert profile.components(0, 0)[0].weights.tolist() == [0.3, 0.7000000001]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,1,1,7,0.5,10\n1,1,1,7,0.5,01", "line 2: j is 7, expected 1"),
+        ("1,1,1,1,0.5,10\n1,1,1,1,0.5,01", "line 3: j is 1, expected 2"),
+        ("1,1,1,2,0.5,10\n1,1,1,1,0.5,01", "line 2: j is 2, expected 1"),
+        ("1,1,1,1,0.5,10\n1,1,1,3,0.5,01", "line 3: j is 3, expected 2"),
+    ],
+)
+def test_j_must_count_the_atoms_of_a_component_in_file_order(rows, message):
+    with pytest.raises(ParseError, match=message):
+        CorrelatedProfile.from_csv(HEADER + "\n" + rows + "\n")
+
+
+def test_j_counts_within_its_own_component_when_components_interleave():
+    text = HEADER + "\n1,1,2,1,0.5,10\n1,1,1,1,1.0,11\n1,1,2,2,0.5,01\n"
+    profile = CorrelatedProfile.from_csv(text)
+    assert [c.n_atoms for c in profile.components(0, 0)] == [1, 2]
+    with pytest.raises(ParseError, match="line 4: j is 1, expected 2"):
+        CorrelatedProfile.from_csv(text.replace("1,1,2,2,", "1,1,2,1,"))
+
+
+def test_the_first_bad_line_is_named_whatever_the_kind():
+    rows = [f"1,1,1,{j},0.125,10" for j in range(1, 9)]
+    rows[6] = "1,1,1,7,oops,10"  # line 9
+    rows[2] = "1,1,1,3,0.125,12"  # line 4
+    with pytest.raises(ParseError, match=r"^line 4: pure-strategy bits '12'"):
+        CorrelatedProfile.from_csv(HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+def test_a_silent_player_is_named_before_a_later_round_bad_weights():
+    rows = []
+    for t in range(1, 6):
+        for player in (1, 2):
+            if (t, player) != (2, 2):
+                rows.append(f"{t},{player},1,1,{0.5 if t == 5 else 1.0},10")
+    with pytest.raises(ParseError, match=r"^round 2: no atoms for player 2$"):
+        CorrelatedProfile.from_csv(HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+def test_a_player_past_int64_names_the_first_silent_player():
+    # the row parser builds a list as long as the largest player number
+    text = HEADER + f"\n1,1,1,1,1.0,10\n1,{2**64},1,1,1.0,1\n"
+    with pytest.raises(ParseError, match="^round 1: no atoms for player 2$"):
+        CorrelatedProfile.from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # ell past int64 only orders the components
+        f"1,1,{2**70 + 1},1,1.0,10\n1,1,{2**70},1,1.0,01\n1,1,{2**63},1,1.0,11",
+        # a round past int64 leaves an earlier one without atoms
+        f"1,1,1,1,1.0,10\n{2**70},1,1,1,1.0,01",
+        f"1,1,1,1,1.0,10\n1,1,1,{-2**70},1.0,01",
+        # blank lines, surrounding spaces and CR line ends count as lines
+        "\r\n 1,1,1,1,0.5,10 \r\n\r\n1,1,1,2,0.5,01\r\n\n1,1,1,3,x,01",
+        "\n\n",
+    ],
+)
+def test_unusual_rows_read_as_the_row_parser_reads_them(rows):
+    text = HEADER + "\n" + rows + "\n"
+    want, got = _outcome(oracles.from_csv_rows, text), _outcome(CorrelatedProfile.from_csv, text)
+    _assert_same(got, want)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    """Both the same ParseError message, or profiles whose components have
+    bitwise equal weights, matrices and means."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert (got.n_players, got.rounds, got.dims) == (want.n_players, want.rounds, want.dims)
+    for t in range(want.rounds):
+        for i in range(want.n_players):
+            pairs = zip(got.components(t, i), want.components(t, i), strict=True)
+            for g, w in pairs:
+                for a, b in ((g.weights, w.weights), (g.matrix, w.matrix), (g.mean(), w.mean())):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            assert got.round_mean(t, i).tobytes() == want.round_mean(t, i).tobytes()
+
+
+@st.composite
+def profile_csvs(draw):
+    """CSV text of a random valid profile: 1-3 players with strategy lengths
+    1-6, 1-3 components per round and player under distinct ell labels, 1-6
+    atoms each (zero weights included), the components' rows interleaved in
+    random order with each component's own rows kept in j order, blank lines
+    and LF or CRLF line ends."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    comps = []
+    for t in range(1, draw(st.integers(1, 3)) + 1):
+        for player, d in enumerate(dims, start=1):
+            ells = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True))
+            for ell in ells:
+                counts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6)
+                              .filter(any))
+                total = sum(counts)
+                comps.append([
+                    f"{t},{player},{ell},{j},{c / total!r},"
+                    + "".join(draw(st.sampled_from("01")) for _ in range(d))
+                    for j, c in enumerate(counts, start=1)
+                ])
+    slots = [k for k, rows in enumerate(comps) for _ in rows]
+    lines = [comps[k].pop(0) for k in draw(st.permutations(slots))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join([HEADER, *lines]) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile_csvs())
+def test_import_matches_the_row_parser_bit_for_bit(text):
+    got = CorrelatedProfile.from_csv(text)
+    _assert_same(got, oracles.from_csv_rows(text))
+    assert CorrelatedProfile.from_csv(got.export_csv()).export_csv() == got.export_csv()
+
+
+SEEDED = {
+    "fields": lambda f: f[:5],
+    "int": lambda f: [f[0], "1.5", *f[2:]],
+    "float": lambda f: [*f[:4], "0.5x", f[5]],
+    "index": lambda f: [f[0], f[1], "0", *f[3:]],
+    "nan": lambda f: [*f[:4], "nan", f[5]],
+    "inf": lambda f: [*f[:4], "-inf", f[5]],
+    "negative": lambda f: [*f[:4], "-0.25", f[5]],
+    "bits": lambda f: [*f[:5], f[5][:-1] + "2"],
+    "empty bits": lambda f: [*f[:5], ""],
+    "length": lambda f: [*f[:5], f[5] + "0"],
+    "weight": lambda f: [*f[:4], "0.875", f[5]],
+    "silent": lambda f: [],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile_csvs(), st.sampled_from(sorted(SEEDED)), st.data())
+def test_a_seeded_error_reads_as_the_row_parser_reads_it(text, kind, data):
+    newline = "\r\n" if "\r\n" in text else "\n"
+    lines = text.split(newline)
+    rows = [k for k, line in enumerate(lines) if "," in line and k > 0]
+    k = data.draw(st.sampled_from(rows))
+    fields = SEEDED[kind](lines[k].strip().split(","))
+    if kind == "silent":  # drop every row of this line's round and player
+        key = lines[k].strip().split(",")[:2]
+        lines = [ln for ln in lines if ln.strip().split(",")[:2] != key or ln == lines[0]]
+    else:
+        lines[k] = ",".join(fields)
+    text = newline.join(lines)
+    _assert_same(_outcome(CorrelatedProfile.from_csv, text),
+                 _outcome(oracles.from_csv_rows, text))
