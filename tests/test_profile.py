@@ -187,7 +187,7 @@ def test_j_counts_within_its_own_component_when_components_interleave():
 
 def test_the_first_bad_line_is_named_whatever_the_kind():
     rows = [f"1,1,1,{j},0.125,10" for j in range(1, 9)]
-    rows[6] = "1,1,1,7,oops,10"  # line 9
+    rows[7] = "1,1,1,8,oops,10"  # line 9
     rows[2] = "1,1,1,3,0.125,12"  # line 4
     with pytest.raises(ParseError, match=r"^line 4: pure-strategy bits '12'"):
         CorrelatedProfile.from_csv(HEADER + "\n" + "\n".join(rows) + "\n")
