@@ -149,7 +149,8 @@ class SupportMix:
         weight array and one atom matrix, with every mean filled in: one
         cumsum over the atom axis per distinct atom count, the same
         left-to-right sum ``mean`` takes."""
-        whole = cls.from_arrays(weights, matrix)
+        whole = cls.__new__(cls)
+        whole._set(np.asarray(weights, dtype=float), np.asarray(matrix, dtype=float))
         sizes = np.asarray(sizes, dtype=np.intp)
         if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != whole.n_atoms:
             raise ValueError(

@@ -8,12 +8,16 @@ same telescoping argument as the general template, and squaring over the
 bits of L makes a round O(log L) small matrix products, not an eigensolve.
 Self-play stacks the players that have the same action count into one
 learner, so a round takes one batched step per action count, not one per
-player.
+player. A round of run_ce only plays: it writes its play pi_t, utilities
+u_t and rerouted play Q_t^T pi_t into ROUND_BLOCK-row buffers. The regret
+sums are updated once per block, by one cumsum down the block in round
+order, and the profile is built from the play log after the last round.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import string
 import time
 from dataclasses import dataclass, field
@@ -23,7 +27,6 @@ import numpy as np
 from .errors import ParseError
 from .fixedpoint import curves_csv
 from .learners import Mwu
-from .maps import SupportMix
 from .profile import CorrelatedProfile
 
 PAYOFF_TOL = 1e-9
@@ -229,11 +232,13 @@ def bm_next(learner, L, q=None):
     block[..., n:, :n] = block[..., n:, n:] = np.eye(n)
     v = np.zeros(lead + (2 * n, 1))
     v[..., :n, :] = 1.0 / n
-    for bit in reversed(bin(L)[2:]):
+    # the leading bit of L is always 1, and the block it would square next
+    # is never read
+    for bit in reversed(bin(L)[3:]):
         if bit == "1":
             v = block @ v
         block = block @ block
-    return v[..., n:, 0] / L
+    return (block @ v)[..., n:, 0] / L
 
 
 def bm_observe(learner, u, pi):
@@ -312,71 +317,114 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     players with the same action count play as one stacked SwapLearner. The
     returned profile is the uniform mixture over rounds of the product play
     distributions; when audit is set its exact swap gap is computed.
+
+    A round only plays: it writes pi_t, u_t and Q_t^T pi_t into ROUND_BLOCK-row
+    buffers, one set per action count. When a block fills, and at the
+    horizon, one pass accounts for it: the moments sum_t outer(pi_t, u_t),
+    the rerouted utilities u_t . Q_t^T pi_t and the fixed-point errors are
+    carried into the block's first row and summed down it by cumsum, the same
+    sequential sums as a per-round update, and the curve rows of the
+    checkpoints in the block are read off those sums. Without record_profile
+    memory stays O(ROUND_BLOCK); with it each player's log of pi_t becomes
+    the profile after play, in one ``CorrelatedProfile.from_columns`` call.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if horizon is None:
         horizon = ce_horizon(game, eps, c)
+    elif not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     if L is None:
+        if 4.0 / eps == math.inf:
+            raise ValueError(f"eps {eps} is too small: 4 / eps power iterates is not finite")
         L = max(1, math.ceil(4.0 / eps))
+    horizon = int(horizon)
     start = time.monotonic()
     by_count = {}
     for i, a in enumerate(game.action_counts):
         by_count.setdefault(a, []).append(i)
     groups = list(by_count.values())  # the players of each stack
     learners = [SwapLearner(a, horizon=horizon, stack=len(p)) for a, p in by_count.items()]
-    moments = [np.zeros((len(p), a, a)) for a, p in by_count.items()]
-    rerouted = [np.zeros(len(p)) for p in groups]  # sum_t u_t . (Q_t^T pi_t)
-    err_sum = [np.zeros(len(p)) for p in groups]
-    profile = CorrelatedProfile(game.n_players, dims=game.action_counts) if record_profile else None
-    eyes = [np.eye(a) for a in game.action_counts]
-    checkpoints = set(checkpoints)
+    rows = min(ROUND_BLOCK, horizon)
+    played = [np.empty((rows, len(p), a)) for a, p in by_count.items()]  # pi_t
+    utils = [np.empty_like(pi) for pi in played]  # u_t
+    shifted = [np.empty(pi.shape + (1,)) for pi in played]  # Q_t^T pi_t
+    # running sums: outer(pi_t, u_t), u_t . (Q_t^T pi_t) and ||Q_t^T pi_t - pi_t||_1
+    sums = [[np.zeros((len(p), a, a)), np.zeros(len(p)), np.zeros(len(p))]
+            for a, p in by_count.items()]
+    logs = [[] for _ in groups]  # each group's pi_t blocks, when recording
+    wanted = set(checkpoints)
+    marks = np.array([t for t in range(1, horizon) if t in wanted] + [horizon])
     curve_rows = []
     pis = [None] * game.n_players
 
-    def regrets(t):
+    def account(done, n):
+        """Fold rounds done+1 .. done+n into the sums; write their curve rows."""
+        block = []
+        for g in range(len(groups)):
+            pi, u, sh = played[g][:n], utils[g][:n], shifted[g][:n]
+            moment, rerouted, err = sums[g]
+            outer = pi[:, :, :, None] * u[:, :, None, :]
+            outer[0] += moment
+            reroute = (u[:, :, None, :] @ sh)[:, :, 0, 0]
+            reroute[0] += rerouted
+            miss = np.sum(np.abs(sh[..., 0] - pi), axis=2)
+            miss[0] += err
+            block.append([np.add.accumulate(x, axis=0, out=x) for x in (outer, reroute, miss)])
+            sums[g] = [x[-1].copy() for x in block[-1]]
+            if record_profile:
+                logs[g].append(pi.copy())
+        for t in marks[(marks > done) & (marks <= done + n)].tolist():
+            swap, ext, err = regrets(t, [[x[t - done - 1] for x in b] for b in block])
+            curve_rows.append((t, float(np.max(swap)), float(np.max(ext)), float(np.max(err))))
+
+    def regrets(t, state):
         """Per-player swap regret, external regret of the reroutes and mean
-        fixed-point error after t rounds, in player order."""
+        fixed-point error after t rounds, in player order, from each group's
+        (moments, rerouted, error) sums."""
         swap, ext, err = np.zeros((3, game.n_players))
-        for g, players in enumerate(groups):
-            swap[players] = [swap_regret_from_moments(m, t) for m in moments[g]]
-            ext[players] = (np.sum(np.max(moments[g], axis=2), axis=1) - rerouted[g]) / t
-            err[players] = err_sum[g] / t
+        for players, (moment, rerouted, miss) in zip(groups, state):
+            swap[players] = [swap_regret_from_moments(m, t) for m in moment]
+            ext[players] = (np.sum(np.max(moment, axis=2), axis=1) - rerouted) / t
+            err[players] = miss / t
         return swap, ext, err
 
-    for t in range(1, horizon + 1):
-        qs = [learner.q_matrix() for learner in learners]
-        stacked = [bm_next(learner, L, q=q) for learner, q in zip(learners, qs)]
-        for players, pi in zip(groups, stacked):
+    for done in range(0, horizon, rows):
+        n = min(rows, horizon - done)
+        for b in range(n):
+            qs = [learner.q_matrix() for learner in learners]
+            for g, players in enumerate(groups):
+                pi = played[g][b]
+                pi[...] = bm_next(learners[g], L, q=qs[g])
+                for k, i in enumerate(players):
+                    pis[i] = pi[k]
+            payoff = expectation_oracle(game, pis)
+            for g, players in enumerate(groups):
+                u, pi = utils[g][b], played[g][b]
+                for k, i in enumerate(players):
+                    u[k] = payoff[i]
+                np.matmul(np.swapaxes(qs[g], 1, 2), pi[:, :, None], out=shifted[g][b])
+                bm_observe(learners[g], u, pi)
+        account(done, n)
+    profile = gaps = None
+    if record_profile:
+        columns = [None] * game.n_players
+        for players, log in zip(groups, logs):
+            log = np.concatenate(log)
             for k, i in enumerate(players):
-                pis[i] = pi[k]
-        utils = expectation_oracle(game, pis)
-        for g, players in enumerate(groups):
-            pi = stacked[g]
-            u = np.array([utils[i] for i in players])
-            moments[g] += pi[:, :, None] * u[:, None, :]
-            shifted = np.swapaxes(qs[g], 1, 2) @ pi[:, :, None]
-            rerouted[g] += (u[:, None, :] @ shifted)[:, 0, 0]
-            err_sum[g] += np.sum(np.abs(shifted[:, :, 0] - pi), axis=1)
-            bm_observe(learners[g], u, pi)
-        if record_profile:
-            played = [pi > 0 for pi in pis]
-            profile.add_round([
-                SupportMix.from_arrays(pis[i][played[i]], eyes[i][played[i]])
-                for i in range(game.n_players)
-            ])
-        if t in checkpoints or t == horizon:
-            swap, ext, err = regrets(t)
-            curve_rows.append((t, float(np.max(swap)), float(np.max(ext)), float(np.max(err))))
-    gaps = None
-    if record_profile and audit:
-        gaps = swap_gap(profile, game)
+                p = log[:, k]
+                positive = p > 0
+                atoms = np.eye(game.action_counts[i])[positive.nonzero()[1]]
+                columns[i] = (p[positive], atoms, positive.sum(1), np.arange(horizon))
+        profile = CorrelatedProfile.from_columns(game.action_counts, columns, horizon)
+        if audit:
+            gaps = swap_gap(profile, game)
     return CeResult(
         profile=profile,
         rounds=horizon,
         L=L,
         certified_gaps=gaps,
-        swap_regrets=regrets(horizon)[0],
+        swap_regrets=regrets(horizon, sums)[0],
         elapsed=time.monotonic() - start,
         curve_rows=curve_rows,
     )

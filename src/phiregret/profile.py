@@ -8,7 +8,10 @@ Components are either explicit mixtures (SupportMix: a weight array and a
 matrix of 0/1 atom rows) or implicit behavioral descriptors; export expands
 descriptors into their explicit support and writes each component's atoms
 from its arrays. Import parses the rows in blocks, column by column, and
-cuts each player's components from one weight array and one atom matrix.
+hands each player's weight array and atom matrix to
+``CorrelatedProfile.from_columns``, the one constructor that builds a profile
+from columns; ``nfg.run_ce`` builds its profile from the play log through it
+too. It cuts each player's components with one ``SupportMix.split``.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class CorrelatedProfile:
         Rows are parsed ROW_BLOCK at a time, column by column. One stable
         sort groups them by (player, t, ell) with file order kept within a
         component, and each player's components and their means are cut from
-        one weight array and one atom matrix (``SupportMix.split``).
+        one weight array and one atom matrix (``from_columns``).
         """
         lines = text.strip().splitlines()
         if not lines or lines[0].strip() != HEADER:
@@ -152,17 +155,30 @@ class CorrelatedProfile:
 
         row_bounds = np.searchsorted(player, np.arange(1, n_players + 2))
         comp_bounds = np.searchsorted(cp, np.arange(1, n_players + 2))
-        per_player = []
+        columns = []
         for i in range(n_players):
             rows = slice(row_bounds[i], row_bounds[i + 1])
             comps = slice(comp_bounds[i], comp_bounds[i + 1])
             bits = chars[first_byte[rows, None] + np.arange(dims[i + 1])]
-            mixes = SupportMix.split(alpha[rows], bits - 48.0, sizes[comps])
-            cuts = np.searchsorted(ct[comps], np.arange(1, n_rounds + 2)).tolist()
+            columns.append((alpha[rows], bits - 48.0, sizes[comps], ct[comps] - 1))
+        return cls.from_columns([dims[i + 1] for i in range(n_players)], columns, n_rounds)
+
+    @classmethod
+    def from_columns(cls, dims, columns, rounds):
+        """A profile of ``rounds`` rounds from one column set per player:
+        ``(weights, matrix, sizes, comp_rounds)`` hold the atom weights and
+        0/1 atom rows of all the player's components in (round, component)
+        order, each component's atom count and each component's 0-based
+        round. One ``SupportMix.split`` per player cuts the components, means
+        filled in, as views of its two arrays."""
+        per_player = []
+        for weights, matrix, sizes, comp_rounds in columns:
+            mixes = SupportMix.split(weights, matrix, sizes)
+            cuts = np.searchsorted(comp_rounds, np.arange(rounds + 1)).tolist()
             per_player.append([mixes[a:b] for a, b in zip(cuts, cuts[1:])])
-        profile = cls(n_players, dims=[dims[i + 1] for i in range(n_players)])
+        profile = cls(len(dims), dims=dims)
         profile._components = [list(comps) for comps in zip(*per_player)]
-        profile.rounds = n_rounds
+        profile.rounds = rounds
         return profile
 
     def __repr__(self):
