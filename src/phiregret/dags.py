@@ -15,9 +15,11 @@ utility-weight computation are the same code for both families. The
 distinct monomials are compiled once into a ``maps.MonomialTable``, so each
 of these is one batched table evaluation and one gather.
 
-Both builders hand the DAG a ``tfsdp.Graph`` built from arrays, as a tree's
-is, leveled by summed component depth or history depth;
-``interleave(problem, 0)`` compiles to the tree's own arrays. A
+Both builders work one level at a time on arrays and hand the DAG a
+``tfsdp.Graph``, as a tree's is, leveled by summed component depth or
+history depth; ``interleave(problem, 0)`` compiles to the tree's own arrays.
+The DAG keeps only arrays: the graph, the terminal outputs and monomials,
+and for an interleaving each state's node per component (``nodes``). A
 policy is a per-edge share array over that graph (1 on observation edges, a
 distribution over each decision state's edges), and flows, best responses
 and pure-strategy counts are the graph passes of ``tfsdp``.
@@ -26,12 +28,11 @@ and pure-strategy counts are the graph passes of ``tfsdp``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, StructureError
-from .maps import MonomialTable, padded
+from .maps import MonomialTable
 from .polynomials import PolynomialDeviation
 from .tfsdp import (
     CODE,
@@ -41,13 +42,11 @@ from .tfsdp import (
     Graph,
     back_up,
     flow_down,
-    graph_arrays,
     hypercube_problem,
 )
 
 STATE_CAP = 200_000
 
-KIND = {code: kind for kind, code in CODE.items()}
 # The dual tree's kind code of each tree kind code: decision and observation swap.
 DUAL_CODE = np.arange(len(CODE), dtype=np.int8)
 DUAL_CODE[[CODE[DECISION], CODE[OBSERVATION]]] = CODE[OBSERVATION], CODE[DECISION]
@@ -60,13 +59,10 @@ class DecisionDAG:
     each terminal state's output coordinate ``terminal_out``, the table of
     distinct terminal monomials ``monomials`` and each terminal state's row
     ``mono_row``. The builder passes the monomials as rows padded with -1
-    (see ``MonomialTable.distinct``) and a ``describe()`` returning the state
-    descriptions and per-edge advance labels. The list views ``states``,
-    ``edge_moves``, ``kind``, ``edges``, ``terminal_mono``, ``terminal_slot``,
-    ``topo`` and ``decision_states`` are built when first read.
+    (see ``MonomialTable.distinct``).
     """
 
-    def __init__(self, family, base, graph, terminal_out, terms, describe):
+    def __init__(self, family, base, graph, terminal_out, terms):
         self.family = family
         self.base = base
         self.graph = graph
@@ -76,40 +72,6 @@ class DecisionDAG:
         self.n_terminal_states = len(graph.terminals)
         self.terminal_out = np.asarray(terminal_out, dtype=int)
         self.monomials, self.mono_row = MonomialTable.distinct(terms)
-        self._describe = describe
-
-    @cached_property
-    def _views(self):
-        return self._describe()
-
-    states = property(lambda self: self._views[0])
-    edge_moves = property(lambda self: self._views[1])
-
-    @cached_property
-    def kind(self):
-        return [KIND[c] for c in self.graph.code.tolist()]
-
-    @cached_property
-    def edges(self):
-        ptr, dst = self.graph.ptr.tolist(), self.graph.dst.tolist()
-        return [tuple(dst[a:b]) for a, b in zip(ptr, ptr[1:])]
-
-    @cached_property
-    def terminal_mono(self):
-        rows = self.monomials.terms[self.mono_row]
-        return [frozenset(row[row >= 0].tolist()) for row in rows]
-
-    @cached_property
-    def terminal_slot(self):
-        return {s: i for i, s in enumerate(self.terminal_states.tolist())}
-
-    @cached_property
-    def topo(self):
-        return list(range(self.n_states))
-
-    @cached_property
-    def decision_states(self):
-        return np.flatnonzero(self.graph.code == CODE[DECISION]).tolist()
 
     def __repr__(self):
         return (
@@ -143,6 +105,8 @@ def interleave(problem, k, cap=STATE_CAP):
     keeps the first occurrence of each unseen key: the per-state BFS
     discovery order. The states are then sorted stably by summed component
     depth. A layer taking the DAG past ``cap`` states raises CapacityError.
+    The DAG's ``nodes`` (n_states, k + 1) holds each state's node per
+    component.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -205,25 +169,12 @@ def interleave(problem, k, cap=STATE_CAP):
     edges = np.argsort(np.repeat(rank, deg), kind="stable")
     ptr = np.concatenate([[0], np.cumsum(deg[order])])
     graph = Graph(code[order], ptr, dst[edges], level[order])
-    digits = digits[order]
-    ends = problem.terminal_index[digits[graph.terminals]]
-    dag = DecisionDAG(
-        "mediator", problem, graph, ends[:, 0], ends[:, 1:],
-        lambda: _describe_product(graph, digits),
-    )
+    nodes = digits[order]
+    ends = problem.terminal_index[nodes[graph.terminals]]
+    dag = DecisionDAG("mediator", problem, graph, ends[:, 0], ends[:, 1:])
     dag.k = k
+    dag.nodes = nodes
     return dag
-
-
-def _describe_product(graph, digits):
-    """Product states as node tuples, and each edge's move: the (component,
-    node) pairs that advance, in component order."""
-    states = list(map(tuple, digits.tolist()))
-    moves = [[] for _ in states]
-    for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
-        pairs = enumerate(zip(states[d], states[s]))
-        moves[s].append(tuple((c, node) for c, (node, was) in pairs if node != was))
-    return states, list(map(tuple, moves))
 
 
 def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
@@ -235,77 +186,61 @@ def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
     queries, stopping early when none remain), then commits the output bit.
     Terminal states record the full history, so without the distinctness
     constraint there are exactly n^(k+1) * 2^(k+1) of them.
+
+    Every branch asks the same number of queries, so the tree is regular by
+    level. It is built one level at a time, each state's children in order
+    after every state of its own level, so edge e leads to state e + 1 and
+    the level of a state is its history depth. The level sizes are counted
+    first, and a tree of more than ``cap`` states raises CapacityError before
+    anything is built. A terminal writes output 2 * j0 + a for the observed
+    coordinate j0 and committed bit a; its monomial holds 2 * j + a for each
+    query j answered a.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     base = hypercube_problem(n_bits)
-    raw_states = []
-    raw_kind = []
-    raw_edges = []
-    raw_moves = []
-    outs = []
-    monos = []
-    level = []
-
-    def add_state(state, kind, lvl):
-        if len(raw_states) >= cap:
+    depth = min(k, n_bits - 1) if distinct else k
+    # Per level: size, kind and out-degree. The root observes j0, each query
+    # depth adds its query states and their reply states, and the last branch
+    # states commit the output bit. Sizes at least double per query depth.
+    size, kind, deg = [1], [OBSERVATION], [n_bits]
+    for r in range(depth + 1):
+        branches = size[-1] * deg[-1]
+        if r < depth:
+            m = n_bits - 1 - r if distinct else n_bits
+            size += [branches, branches * m]
+            kind += [DECISION, OBSERVATION]
+            deg += [m, 2]
+        else:
+            size += [branches, 2 * branches]
+            kind += [DECISION, TERMINAL]
+            deg += [2, 0]
+        if sum(size) > cap:
             raise CapacityError(f"query tree exceeds {cap} states")
-        raw_states.append(state)
-        raw_kind.append(kind)
-        raw_edges.append(())
-        raw_moves.append(())
-        level.append(lvl)
-        return len(raw_states) - 1
-
-    def available_queries(j0, replies):
-        if not distinct:
-            return list(range(n_bits))
-        used = {j0} | {j for j, _ in replies}
-        return [j for j in range(n_bits) if j not in used]
-
-    def build_branch(j0, replies, lvl):
-        """Decision stage after the given replies; returns the state index."""
-        queries = available_queries(j0, replies) if len(replies) < k else []
-        if queries:
-            idx = add_state((j0, replies, "query"), DECISION, lvl)
-            children = []
-            moves = []
-            for j in queries:
-                reply = add_state((j0, replies, ("asked", j)), OBSERVATION, lvl + 1)
-                kids = []
-                for a in (0, 1):
-                    kids.append(build_branch(j0, replies + ((j, a),), lvl + 2))
-                raw_edges[reply] = tuple(kids)
-                raw_moves[reply] = (("reply", j, 0), ("reply", j, 1))
-                children.append(reply)
-                moves.append(("query", j))
-            raw_edges[idx] = tuple(children)
-            raw_moves[idx] = tuple(moves)
-            return idx
-        idx = add_state((j0, replies, "act"), DECISION, lvl)
-        kids = []
-        for a0 in (0, 1):
-            kids.append(add_state((j0, replies, ("end", a0)), TERMINAL, lvl + 1))
-            outs.append(2 * j0 + a0)
-            monos.append([2 * j + a for j, a in replies])
-        raw_edges[idx] = tuple(kids)
-        raw_moves[idx] = (("act", 0), ("act", 1))
-        return idx
-
-    root = add_state(("start",), OBSERVATION, 0)
-    branches = []
-    for j0 in range(n_bits):
-        branches.append(build_branch(j0, (), 1))
-    raw_edges[root] = tuple(branches)
-    raw_moves[root] = tuple(("observe", j0) for j0 in range(n_bits))
-
-    # The recursion appends parents before children, so the states keep their
-    # creation order (terminals included); the history depth is their level.
-    graph = Graph(*graph_arrays(raw_kind, raw_edges), level)
-    dag = DecisionDAG(
-        "query-tree", base, graph, outs, padded(monos),
-        lambda: (raw_states, raw_moves),
+    n = sum(size)
+    graph = Graph(
+        np.repeat([CODE[kd] for kd in kind], size),
+        np.concatenate([[0], np.cumsum(np.repeat(deg, size))]),
+        np.arange(1, n),
+        np.repeat(np.arange(len(size)), size),
     )
+
+    # Each branch state's j0 and literals so far, one query depth at a time.
+    j0 = np.arange(n_bits)
+    lits = np.zeros((n_bits, 0), dtype=np.intp)
+    for m in deg[1 : 2 * depth : 2]:
+        if distinct:
+            free = np.ones((len(j0), n_bits), dtype=bool)
+            free[np.arange(len(j0))[:, None], np.column_stack([j0, lits // 2])] = False
+            query = np.nonzero(free)[1].reshape(-1, m)
+        else:
+            query = np.broadcast_to(np.arange(n_bits), (len(j0), m))
+        j0 = np.repeat(j0, 2 * m)
+        lits = np.column_stack([
+            np.repeat(lits, 2 * m, axis=0), (2 * query[..., None] + [0, 1]).reshape(-1)
+        ])
+    outs = 2 * np.repeat(j0, 2) + np.tile([0, 1], len(j0))
+    dag = DecisionDAG("query-tree", base, graph, outs, np.repeat(lits, 2, axis=0))
     dag.k = k
     dag.n_bits = n_bits
     dag.distinct = distinct
@@ -360,8 +295,9 @@ def policy_from_choices(dag, choices, default=0):
     """Pure policy from a {decision state: edge index} table."""
     g = dag.graph
     share = np.where(g.decision_edge, 0.0, 1.0)
-    picks = [g.ptr[s] + choices.get(s, default) for s in dag.decision_states]
-    share[np.array(picks, dtype=np.intp)] = 1.0
+    states = np.flatnonzero(g.code == CODE[DECISION])
+    picks = [choices.get(s, default) for s in states.tolist()]
+    share[g.ptr[states] + np.array(picks, dtype=np.intp)] = 1.0
     return share
 
 
@@ -417,7 +353,8 @@ def deviation_polynomial(dag, q):
     outputs = [[] for _ in range(dag.base.n_terminals)]
     for slot in range(dag.n_terminal_states):
         if q[slot] != 0.0:
-            outputs[dag.terminal_out[slot]].append((q[slot], dag.terminal_mono[slot]))
+            row = dag.monomials.terms[dag.mono_row[slot]]
+            outputs[dag.terminal_out[slot]].append((q[slot], row[row >= 0]))
     return PolynomialDeviation(dag.base.n_terminals, outputs)
 
 
@@ -447,7 +384,7 @@ def follow_identity_policy(dag):
     under = np.eye(problem.n_nodes, dtype=bool)
     for node in range(1, problem.n_nodes):
         under[node] |= under[problem.parent[node]]
-    base, med = np.array(dag.states).T
+    base, med = dag.nodes.T
     b, m, b_next, m_next = base[g.src], med[g.src], base[g.dst], med[g.dst]
     code = problem.graph.code
     chase = (code[m] == CODE[OBSERVATION]) & under[b, m] & (b != m)
@@ -458,5 +395,6 @@ def follow_identity_policy(dag):
     first = np.full(g.n, g.n_edges)
     np.minimum.at(first, g.src[hit], np.flatnonzero(hit))
     share = np.where(g.decision_edge, 0.0, 1.0)
-    share[np.where(first < g.n_edges, first, g.ptr[:-1])[dag.decision_states]] = 1.0
+    pick = np.where(first < g.n_edges, first, g.ptr[:-1])
+    share[pick[g.code == CODE[DECISION]]] = 1.0
     return share

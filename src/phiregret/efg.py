@@ -98,15 +98,27 @@ def deviation_dag(problem, spec, cap=STATE_CAP):
     if spec == "external":
         return interleave(problem, 0, cap=cap)
     if spec.startswith("med:"):
-        return interleave(problem, int(spec[4:]), cap=cap)
+        return interleave(problem, _spec_depth(spec), cap=cap)
     if spec.startswith("dt:"):
+        k = _spec_depth(spec)
         pairs = hypercube_structure(problem)
         if pairs is None:
             raise ValueError(
                 "dt:K deviations need a hypercube problem (one decision per bit)"
             )
-        return build_dt_problem(len(pairs), int(spec[3:]), cap=cap)
+        return build_dt_problem(len(pairs), k, cap=cap)
     raise ValueError(f"unknown deviation spec {spec!r}")
+
+
+def _spec_depth(spec):
+    """The K of a 'med:K' or 'dt:K' spec."""
+    try:
+        k = int(spec.partition(":")[2])
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise ValueError(f"deviation spec {spec!r}: K must be a nonnegative integer")
+    return k
 
 
 class FixedAgent:

@@ -229,7 +229,9 @@ def bm_next(learner, L, q=None):
     lead = q.shape[:-2]
     block = np.zeros(lead + (2 * n, 2 * n))
     block[..., :n, :n] = np.swapaxes(q, -1, -2)
-    block[..., n:, :n] = block[..., n:, n:] = np.eye(n)
+    # the bottom block row [I, I]: flattened, both diagonals step 2n + 1
+    bottom = block[..., n:, :].reshape(lead + (2 * n * n,))
+    bottom[..., :: 2 * n + 1] = bottom[..., n :: 2 * n + 1] = 1.0
     v = np.zeros(lead + (2 * n, 1))
     v[..., :n, :] = 1.0 / n
     # the leading bit of L is always 1, and the block it would square next

@@ -68,15 +68,17 @@ TWO_MEDIATOR_POLICY = {
 
 def realize_state_policy(dag, table):
     """Reduced strategy of a per-state move table (default: first edge)."""
+    import oracles
     from phiregret.dags import forward_flow, policy_from_choices
 
+    lists = oracles.dag_lists(dag)
     choices = {}
-    for s in dag.decision_states:
-        target = table.get(tuple(dag.states[s]))
+    for s in lists.decision_states:
+        target = table.get(tuple(lists.states[s]))
         if target is None:
             continue
         (edge,) = [
-            e for e, move in enumerate(dag.edge_moves[s]) if move == (target,)
+            e for e, move in enumerate(lists.edge_moves[s]) if move == (target,)
         ]
         choices[s] = edge
     flow = forward_flow(dag, policy_from_choices(dag, choices, default=0))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.optimize
 
 from phiregret.errors import CapacityError
-from phiregret.maps import MonomialTable, SupportMix
+from phiregret.maps import MonomialTable, SupportMix, padded
 from phiregret.nfg import (
     CeResult,
     SwapLearner,
@@ -29,7 +29,15 @@ from phiregret.nfg import (
 )
 from phiregret.nfg import swap_gap as nfg_swap_gap
 from phiregret.profile import CorrelatedProfile
-from phiregret.tfsdp import CODE, DECISION, OBSERVATION, TERMINAL, Graph, graph_arrays
+from phiregret.tfsdp import (
+    CODE,
+    DECISION,
+    OBSERVATION,
+    TERMINAL,
+    Graph,
+    graph_arrays,
+    hypercube_problem,
+)
 
 
 def enumerate_pure(problem):
@@ -237,54 +245,57 @@ def power_iterate_average(q, x1, L):
     return total / L
 
 
-def dag_policy_flow(dag, choices):
+def dag_policy_flow(dag, lists, choices):
     """Terminal-state masses of a deterministic state policy on a decision DAG.
 
-    choices maps decision-state index -> outgoing edge position.
+    lists is ``dag_lists(dag)``; choices maps decision-state index ->
+    outgoing edge position.
     """
     mass = np.zeros(dag.n_states)
     mass[dag.root] = 1.0
-    for s in dag.topo:
+    for s in lists.topo:
         if mass[s] == 0.0:
             continue
-        kind = dag.kind[s]
+        kind = lists.kind[s]
         if kind == "O":
-            for c in dag.edges[s]:
+            for c in lists.edges[s]:
                 mass[c] += mass[s]
         elif kind == "D":
-            mass[dag.edges[s][choices[s]]] += mass[s]
+            mass[lists.edges[s][choices[s]]] += mass[s]
     return mass[dag.terminal_states]
 
 
 def best_pure_reduced_value(dag, weights, cap=200000):
     """max over deterministic state policies of <weights, terminal masses>."""
-    decision_states = [s for s in range(dag.n_states) if dag.kind[s] == "D"]
+    lists = dag_lists(dag)
+    decision_states = [s for s in range(dag.n_states) if lists.kind[s] == "D"]
     n_combos = 1
     for s in decision_states:
-        n_combos *= len(dag.edges[s])
+        n_combos *= len(lists.edges[s])
         if n_combos > cap:
             raise ValueError("too many policies to enumerate")
     best = -np.inf
     weights = np.asarray(weights, dtype=float)
-    for combo in itertools.product(*[range(len(dag.edges[s])) for s in decision_states]):
+    for combo in itertools.product(*[range(len(lists.edges[s])) for s in decision_states]):
         choices = dict(zip(decision_states, combo))
-        val = float(dag_policy_flow(dag, choices) @ weights)
+        val = float(dag_policy_flow(dag, lists, choices) @ weights)
         best = max(best, val)
     return best
 
 
 def pure_reduced_vectors(dag, cap=200000):
     """Distinct terminal-mass vectors of deterministic state policies."""
-    decision_states = [s for s in range(dag.n_states) if dag.kind[s] == "D"]
+    lists = dag_lists(dag)
+    decision_states = [s for s in range(dag.n_states) if lists.kind[s] == "D"]
     n_combos = 1
     for s in decision_states:
-        n_combos *= len(dag.edges[s])
+        n_combos *= len(lists.edges[s])
         if n_combos > cap:
             raise ValueError("too many policies to enumerate")
     seen = {}
-    for combo in itertools.product(*[range(len(dag.edges[s])) for s in decision_states]):
+    for combo in itertools.product(*[range(len(lists.edges[s])) for s in decision_states]):
         choices = dict(zip(decision_states, combo))
-        vec = dag_policy_flow(dag, choices)
+        vec = dag_policy_flow(dag, lists, choices)
         seen[vec.tobytes()] = vec
     return list(seen.values())
 
@@ -294,38 +305,39 @@ def rm_plus_step(dag, regrets, weights):
 
     regrets maps each decision state to its per-edge regret array. Returns
     the terminal-state masses played this round and the updated regrets.
-    Reads only kind, edges and terminal_slot; states are in topological
-    index order.
+    Reads only the kind, edges and terminal_slot of ``dag_lists``; states
+    are in topological index order.
     """
-    n = len(dag.kind)
+    lists = dag_lists(dag)
+    n = len(lists.kind)
     policy = {}
     for s in range(n):
-        if dag.kind[s] == "D":
+        if lists.kind[s] == "D":
             r = regrets[s]
             total = sum(r)
             policy[s] = [v / total for v in r] if total > 0 else [1.0 / len(r)] * len(r)
     reach = [0.0] * n
     reach[0] = 1.0
     for s in range(n):
-        for e, c in enumerate(dag.edges[s]):
-            reach[c] += reach[s] * (policy[s][e] if dag.kind[s] == "D" else 1.0)
+        for e, c in enumerate(lists.edges[s]):
+            reach[c] += reach[s] * (policy[s][e] if lists.kind[s] == "D" else 1.0)
     value = [0.0] * n
     for s in reversed(range(n)):
-        if dag.kind[s] == "T":
-            value[s] = float(weights[dag.terminal_slot[s]])
-        elif dag.kind[s] == "O":
-            value[s] = sum(value[c] for c in dag.edges[s])
+        if lists.kind[s] == "T":
+            value[s] = float(weights[lists.terminal_slot[s]])
+        elif lists.kind[s] == "O":
+            value[s] = sum(value[c] for c in lists.edges[s])
         else:
-            value[s] = sum(p * value[c] for p, c in zip(policy[s], dag.edges[s]))
+            value[s] = sum(p * value[c] for p, c in zip(policy[s], lists.edges[s]))
     updated = {
         s: np.array([
             max(0.0, r + reach[s] * (value[c] - value[s]))
-            for r, c in zip(regrets[s], dag.edges[s])
+            for r, c in zip(regrets[s], lists.edges[s])
         ])
         for s in policy
     }
-    played = np.zeros(len(dag.terminal_slot))
-    for s, slot in dag.terminal_slot.items():
+    played = np.zeros(len(lists.terminal_slot))
+    for s, slot in lists.terminal_slot.items():
         played[slot] = reach[s]
     return played, updated
 
@@ -626,6 +638,145 @@ def interleave_bfs(problem, k, cap=200_000):
         terminal_mono=terminal_mono,
         terms=MonomialTable(list(row)).terms,
         mono_row=np.array([row[m] for m in terminal_mono]),
+    )
+
+
+def dt_problem_recursive(n_bits, k, distinct=False, cap=200_000):
+    """Reference query tree: the per-state recursion that
+    ``dags.build_dt_problem`` replaced, kept verbatim, then the stable level
+    sort of ``interleave_bfs``. Returns the DAG's lists and its compiled
+    arrays as a ``SimpleNamespace``; ``preorder`` holds the recursion's own
+    graph arrays (code, ptr, dst, level), terminal outputs and padded
+    monomials, from which the library built its DAG before the sort."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    base = hypercube_problem(n_bits)
+    raw_states = []
+    raw_kind = []
+    raw_edges = []
+    raw_moves = []
+    outs = []
+    monos = []
+    level = []
+
+    def add_state(state, kind, lvl):
+        if len(raw_states) >= cap:
+            raise CapacityError(f"query tree exceeds {cap} states")
+        raw_states.append(state)
+        raw_kind.append(kind)
+        raw_edges.append(())
+        raw_moves.append(())
+        level.append(lvl)
+        return len(raw_states) - 1
+
+    def available_queries(j0, replies):
+        if not distinct:
+            return list(range(n_bits))
+        used = {j0} | {j for j, _ in replies}
+        return [j for j in range(n_bits) if j not in used]
+
+    def build_branch(j0, replies, lvl):
+        """Decision stage after the given replies; returns the state index."""
+        queries = available_queries(j0, replies) if len(replies) < k else []
+        if queries:
+            idx = add_state((j0, replies, "query"), DECISION, lvl)
+            children = []
+            moves = []
+            for j in queries:
+                reply = add_state((j0, replies, ("asked", j)), OBSERVATION, lvl + 1)
+                kids = []
+                for a in (0, 1):
+                    kids.append(build_branch(j0, replies + ((j, a),), lvl + 2))
+                raw_edges[reply] = tuple(kids)
+                raw_moves[reply] = (("reply", j, 0), ("reply", j, 1))
+                children.append(reply)
+                moves.append(("query", j))
+            raw_edges[idx] = tuple(children)
+            raw_moves[idx] = tuple(moves)
+            return idx
+        idx = add_state((j0, replies, "act"), DECISION, lvl)
+        kids = []
+        for a0 in (0, 1):
+            kids.append(add_state((j0, replies, ("end", a0)), TERMINAL, lvl + 1))
+            outs.append(2 * j0 + a0)
+            monos.append([2 * j + a for j, a in replies])
+        raw_edges[idx] = tuple(kids)
+        raw_moves[idx] = (("act", 0), ("act", 1))
+        return idx
+
+    root = add_state(("start",), OBSERVATION, 0)
+    branches = []
+    for j0 in range(n_bits):
+        branches.append(build_branch(j0, (), 1))
+    raw_edges[root] = tuple(branches)
+    raw_moves[root] = tuple(("observe", j0) for j0 in range(n_bits))
+
+    raw_terminals = [i for i, kd in enumerate(raw_kind) if kd == TERMINAL]
+    payload = dict(zip(raw_terminals, zip(outs, map(frozenset, monos))))
+    order = sorted(range(len(raw_states)), key=lambda i: (level[i], i))
+    rank = {tmp: pos for pos, tmp in enumerate(order)}
+    kind = [raw_kind[i] for i in order]
+    edges = [tuple(rank[c] for c in raw_edges[i]) for i in order]
+    ends = [payload[i] for i in order if i in payload]
+    terminal_mono = [mono for _, mono in ends]
+    row = {m: i for i, m in enumerate(dict.fromkeys(terminal_mono))}
+    degree = [len(e) for e in edges]
+    return types.SimpleNamespace(
+        base=base,
+        states=[raw_states[i] for i in order],
+        kind=kind,
+        edges=edges,
+        edge_moves=[raw_moves[i] for i in order],
+        level=np.array([level[i] for i in order]),
+        code=np.array([CODE[kd] for kd in kind]),
+        ptr=np.concatenate([[0], np.cumsum(degree)]).astype(int),
+        src=np.repeat(np.arange(len(kind)), degree),
+        dst=np.array([c for e in edges for c in e], dtype=int),
+        terminal_out=np.array([out for out, _ in ends]),
+        terminal_mono=terminal_mono,
+        terms=MonomialTable(list(row)).terms,
+        mono_row=np.array([row[m] for m in terminal_mono]),
+        preorder=types.SimpleNamespace(
+            graph=(*graph_arrays(raw_kind, raw_edges), level),
+            terminal_out=outs,
+            terms=padded(monos),
+        ),
+    )
+
+
+def dag_lists(dag):
+    """The per-state list views a ``DecisionDAG`` once carried, rebuilt from
+    its arrays: ``kind`` strings, child tuples ``edges``, ``terminal_mono``
+    frozensets, ``terminal_slot`` {terminal state: slot}, ``topo`` and
+    ``decision_states``; and ``states`` with each edge's advance label
+    ``edge_moves``. An interleaving's states are its node tuples, and an
+    edge's move is the (component, node) pairs that advance, in component
+    order; a query tree's come from ``dt_problem_recursive``."""
+    g = dag.graph
+    ptr, dst = g.ptr.tolist(), g.dst.tolist()
+    kind_of = {code: kd for kd, code in CODE.items()}
+    kind = [kind_of[c] for c in g.code.tolist()]
+    if dag.family == "mediator":
+        states = list(map(tuple, dag.nodes.tolist()))
+        moves = [[] for _ in states]
+        for s, d in zip(g.src.tolist(), dst):
+            pairs = enumerate(zip(states[d], states[s]))
+            moves[s].append(tuple((c, node) for c, (node, was) in pairs if node != was))
+        moves = list(map(tuple, moves))
+    else:
+        ref = dt_problem_recursive(dag.n_bits, dag.k, dag.distinct)
+        states, moves = ref.states, ref.edge_moves
+    return types.SimpleNamespace(
+        states=states,
+        edge_moves=moves,
+        kind=kind,
+        edges=[tuple(dst[a:b]) for a, b in zip(ptr, ptr[1:])],
+        terminal_mono=[
+            frozenset(row[row >= 0].tolist()) for row in dag.monomials.terms[dag.mono_row]
+        ],
+        terminal_slot={s: i for i, s in enumerate(dag.terminal_states.tolist())},
+        topo=list(range(dag.n_states)),
+        decision_states=[s for s, kd in enumerate(kind) if kd == DECISION],
     )
 
 

@@ -249,6 +249,21 @@ def test_zero_fixed_point_iters_exits_2(efg_file, capsys):
     assert "L >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["med:abc", "dt:", "med:1.5", "dt:-2"])
+def test_bad_deviation_depth_exits_2(tmp_path, efg_file, capsys, spec):
+    out = tmp_path / "profile.csv"
+    assert main(["efg-run", "--game", efg_file, "--dev", "external", "--rounds", "3",
+                 "--fixed-point-iters", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = f"error: deviation spec {spec!r}: K must be a nonnegative integer"
+    assert main(["efg-run", "--game", efg_file, "--dev", spec, "--rounds", "3"]) == 2
+    assert want in capsys.readouterr().err
+    assert main(["audit", "--profile", str(out), "--game", efg_file, "--dev", spec]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert want in err
+
+
 def test_capacity_error_exits_2(efg_file, capsys, monkeypatch):
     # the real cap takes 200k states to reach; a small one trips the same check
     small_cap = functools.partial(efg.deviation_dag, cap=50)

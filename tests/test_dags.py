@@ -47,8 +47,9 @@ def test_duality_pairing(two_stage):
 
 def test_interleave_zero_mediators_is_the_base_tree(two_stage):
     dag = interleave(two_stage, 0)
+    lists = oracles.dag_lists(dag)
     assert count_pure(dag.graph) == 5
-    assert all(len(m) == 0 for m in dag.terminal_mono)
+    assert all(len(m) == 0 for m in lists.terminal_mono)
     # reduced strategies are exactly the constant deviations = pure strategies
     vecs = oracles.pure_reduced_vectors(dag)
     outs = set()
@@ -61,8 +62,9 @@ def test_interleave_zero_mediators_is_the_base_tree(two_stage):
 
 def test_interleave_states_are_topological(two_stage):
     dag = interleave(two_stage, 2)
+    lists = oracles.dag_lists(dag)
     for s in range(dag.n_states):
-        for c in dag.edges[s]:
+        for c in lists.edges[s]:
             assert c > s
 
 
@@ -106,13 +108,14 @@ def test_best_reduced_strategy_matches_enumeration():
 def test_best_reduced_strategy_dominates_random_policies(two_stage):
     rng = np.random.default_rng(19)
     for dag in (interleave(two_stage, 1), build_dt_problem(2, 2)):
+        lists = oracles.dag_lists(dag)
         for _ in range(5):
             w = rng.normal(size=dag.n_terminal_states)
             val, strategy = best_reduced_strategy(dag, w)
             assert val == pytest.approx(strategy.terminal_vector() @ w, abs=1e-9)
             for _ in range(100):
                 choices = {
-                    s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states
+                    s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states
                 }
                 q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
                 assert float(q @ w) <= val + 1e-9
@@ -120,10 +123,11 @@ def test_best_reduced_strategy_dominates_random_policies(two_stage):
 
 def test_forward_flow_validates(two_stage):
     dag = interleave(two_stage, 1)
+    lists = oracles.dag_lists(dag)
     forward_flow(dag, dag.graph.uniform_share).validate()
     rng = np.random.default_rng(14)
     for _ in range(5):
-        choices = {s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states}
+        choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
         forward_flow(dag, policy_from_choices(dag, choices)).validate()
 
 
@@ -131,7 +135,8 @@ def test_mediator_deviations_have_bounded_degree(two_stage):
     rng = np.random.default_rng(15)
     for k in (1, 2):
         dag = interleave(two_stage, k)
-        choices = {s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states}
+        lists = oracles.dag_lists(dag)
+        choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
         q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
         poly = deviation_polynomial(dag, q)
         assert poly.degree <= k
@@ -143,8 +148,9 @@ def test_mediator_deviations_map_pure_into_polytope(two_stage):
     """Any reduced strategy of the interleaving gives a valid deviation."""
     rng = np.random.default_rng(16)
     dag = interleave(two_stage, 2)
+    lists = oracles.dag_lists(dag)
     for _ in range(10):
-        choices = {s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states}
+        choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
         q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
         for y in two_stage.enumerate_pure_strategies():
             two_stage.require_membership(evaluate_deviation(dag, q, y))
@@ -152,13 +158,14 @@ def test_mediator_deviations_map_pure_into_polytope(two_stage):
 
 def test_query_tree_swaps_bits():
     dag = build_dt_problem(2, 1)
+    lists = oracles.dag_lists(dag)
     pairs = hypercube_structure(dag.base)
     # depth-1 trees include every coordinate swap: find the strategy mapping
     # output bit j to input bit 1-j by scoring the matching terminal states
     w = np.zeros(dag.n_terminal_states)
     for slot in range(dag.n_terminal_states):
         out_coord = int(dag.terminal_out[slot])
-        mono = dag.terminal_mono[slot]
+        mono = lists.terminal_mono[slot]
         j = 0 if out_coord in (pairs[0][0], pairs[0][1]) else 1
         want_set = pairs[1 - j][1] if out_coord in (pairs[j][1],) else None
         if want_set is not None and mono == frozenset([want_set]):
@@ -173,9 +180,10 @@ def test_query_tree_swaps_bits():
 def test_query_tree_matches_point_evaluation():
     rng = np.random.default_rng(17)
     dag = build_dt_problem(3, 2)
+    lists = oracles.dag_lists(dag)
     pairs = hypercube_structure(dag.base)
     for _ in range(5):
-        choices = {s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states}
+        choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
         q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
         bits = rng.integers(0, 2, size=3)
         via_bits = eval_dt_deviation(dag, q, bits)
@@ -188,9 +196,10 @@ def test_terminal_weights_charging_identity(two_stage):
     the inner learner scores deviations exactly."""
     rng = np.random.default_rng(18)
     dag = interleave(two_stage, 2)
+    lists = oracles.dag_lists(dag)
     pure = two_stage.enumerate_pure_strategies()
     for _ in range(8):
-        choices = {s: int(rng.integers(len(dag.edges[s]))) for s in dag.decision_states}
+        choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
         q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
         picks = rng.integers(0, len(pure), size=3)
         alphas = rng.dirichlet(np.ones(3))
@@ -216,7 +225,6 @@ def test_non_topological_order_rejected(two_stage):
             "broken", two_stage,
             Graph(*graph_arrays(["D", "T"], [(1,), (0,)]), level=[0, 1]),
             terminal_out=[0], terms=[[]],
-            describe=lambda: (["a", "b"], [(("x", 0),), (("x", 0),)]),
         )
 
 
@@ -234,6 +242,7 @@ def test_tree_and_interleave_zero_compile_alike(two_stage):
 
 def test_validate_rejects_broken_flows(two_stage):
     dag = interleave(two_stage, 1)
+    lists = oracles.dag_lists(dag)
     good = forward_flow(dag, dag.graph.uniform_share).validate()
     g = dag.graph
     into_terminal = np.isin(g.dst, dag.terminal_states) & (good.edge_mass > 0)
@@ -248,7 +257,7 @@ def test_validate_rejects_broken_flows(two_stage):
         return ReducedStrategy(dag, state_mass, edge_mass)
 
     obs = np.flatnonzero(into_terminal & ~g.decision_edge)[0]
-    s = next(s for s in dag.decision_states
+    s = next(s for s in lists.decision_states
              if into_terminal[g.ptr[s]:g.ptr[s + 1]].all())
     e1, e2 = g.ptr[s], g.ptr[s] + 1
     move = good.edge_mass[e1] + 0.1

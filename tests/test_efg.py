@@ -93,7 +93,7 @@ def test_deviation_spec_dispatch(two_stage):
     assert ext.n_states < med.n_states
     direct = interleave(two_stage, 1)
     assert med.n_states == direct.n_states
-    assert med.states == direct.states
+    assert np.array_equal(med.nodes, direct.nodes)
 
     cube = hypercube_problem(2, "bits")
     dt = deviation_dag(cube, "dt:1")

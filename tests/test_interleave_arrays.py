@@ -31,17 +31,18 @@ def test_builder_matches_the_bfs_reference(name, k):
     problem = _problem(name)
     dag, ref = interleave(problem, k), oracles.interleave_bfs(problem, k)
     g = dag.graph
-    assert dag.states == ref.states
+    lists = oracles.dag_lists(dag)
+    assert lists.states == ref.states
     for field in ("code", "ptr", "src", "dst", "level"):
         assert np.array_equal(getattr(g, field), getattr(ref, field)), field
     assert np.array_equal(dag.terminal_out, ref.terminal_out)
     assert np.array_equal(dag.monomials.terms, ref.terms)
     assert dag.monomials.terms.shape == ref.terms.shape
     assert np.array_equal(dag.mono_row, ref.mono_row)
-    assert dag.edge_moves == ref.edge_moves
-    assert dag.terminal_mono == ref.terminal_mono
-    assert dag.kind == ref.kind
-    assert dag.edges == ref.edges
+    assert lists.edge_moves == ref.edge_moves
+    assert lists.terminal_mono == ref.terminal_mono
+    assert lists.kind == ref.kind
+    assert lists.edges == ref.edges
 
 
 @pytest.mark.parametrize("k", (2, 3))

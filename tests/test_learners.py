@@ -125,8 +125,9 @@ def test_cfr_matches_naive_rm_plus(two_stage):
     rng = np.random.default_rng(25)
     for dag in (interleave(two_stage, 1), interleave(two_stage, 2), build_dt_problem(2, 2)):
         learner = CfrLearner(dag)
+        lists = oracles.dag_lists(dag)
         regrets = {
-            s: np.zeros(len(dag.edges[s])) for s in range(len(dag.kind)) if dag.kind[s] == "D"
+            s: np.zeros(len(lists.edges[s])) for s in range(len(lists.kind)) if lists.kind[s] == "D"
         }
         for _ in range(5):
             w = rng.uniform(-1, 1, size=dag.n_terminal_states)
@@ -145,8 +146,9 @@ def test_cfr_holds_one_strategy_per_round(two_stage):
     rng = np.random.default_rng(26)
     for dag in (interleave(two_stage, 2), build_dt_problem(2, 2)):
         learner = CfrLearner(dag)
+        lists = oracles.dag_lists(dag)
         regrets = {
-            s: np.zeros(len(dag.edges[s])) for s in range(len(dag.kind)) if dag.kind[s] == "D"
+            s: np.zeros(len(lists.edges[s])) for s in range(len(lists.kind)) if lists.kind[s] == "D"
         }
         for _ in range(50):
             w = rng.uniform(-1, 1, size=dag.n_terminal_states)

@@ -68,11 +68,12 @@ def oracle_expectation(pi, mono):
 @pytest.mark.parametrize("name", DAGS)
 def test_table_holds_each_distinct_monomial_once(name):
     dag = DAGS[name]()
+    lists = oracles.dag_lists(dag)
     table = dag.monomials
-    assert table.n == len(set(dag.terminal_mono))
+    assert table.n == len(set(lists.terminal_mono))
     rows = [tuple(int(z) for z in row if z >= 0) for row in table.terms]
     assert len(set(rows)) == table.n
-    for slot, mono in enumerate(dag.terminal_mono):
+    for slot, mono in enumerate(lists.terminal_mono):
         assert rows[dag.mono_row[slot]] == tuple(sorted(mono))
 
 
@@ -97,12 +98,13 @@ def test_dt_with_repeated_queries_has_conflicting_monomials():
 @pytest.mark.parametrize("name", DAGS)
 def test_batched_weights_and_image_match_slot_loops(name):
     dag = DAGS[name]()
+    lists = oracles.dag_lists(dag)
     problem = dag.base
     rng = np.random.default_rng(sorted(DAGS).index(name))
     q = random_q(dag, rng)
     u = rng.uniform(-1.0, 1.0, problem.n_terminals)
     for pi in mixtures(problem, rng):
-        expect = [oracle_expectation(pi, mono) for mono in dag.terminal_mono]
+        expect = [oracle_expectation(pi, mono) for mono in lists.terminal_mono]
         weights = terminal_weights(dag, u, pi)
         image = deviation_image(dag, q, pi)
         want_image = np.zeros(problem.n_terminals)
@@ -116,11 +118,12 @@ def test_batched_weights_and_image_match_slot_loops(name):
 @pytest.mark.parametrize("name", DAGS)
 def test_evaluate_deviation_matches_slot_loop(name):
     dag = DAGS[name]()
+    lists = oracles.dag_lists(dag)
     rng = np.random.default_rng(50 + sorted(DAGS).index(name))
     q = random_q(dag, rng)
     for x in (dag.base.random_point(rng), rng.random(dag.base.n_terminals)):
         want = np.zeros(dag.base.n_terminals)
-        for slot, mono in enumerate(dag.terminal_mono):
+        for slot, mono in enumerate(lists.terminal_mono):
             want[dag.terminal_out[slot]] += q[slot] * np.prod([x[i] for i in mono])
         assert np.max(np.abs(evaluate_deviation(dag, q, x) - want)) <= TOL
 
@@ -129,6 +132,7 @@ def test_evaluate_deviation_matches_slot_loop(name):
 def test_fixed_point_displacement_is_the_oracle_image(name):
     """The fixed point's displacement is E_pi[phi_q(x) - x] for its mixture."""
     dag = DAGS[name]()
+    lists = oracles.dag_lists(dag)
     problem = dag.base
     rng = np.random.default_rng(70 + sorted(DAGS).index(name))
     q = random_q(dag, rng)
@@ -136,7 +140,7 @@ def test_fixed_point_displacement_is_the_oracle_image(name):
         problem, lambda pi: deviation_image(dag, q, pi), FixedPointConfig(L=12)
     )
     want = np.zeros(problem.n_terminals)
-    for slot, mono in enumerate(dag.terminal_mono):
+    for slot, mono in enumerate(lists.terminal_mono):
         want[dag.terminal_out[slot]] += q[slot] * oracle_expectation(fp.pi, mono)
     assert np.max(np.abs(fp.error_vector - (want - fp.pi.mean()))) <= TOL
 
