@@ -71,10 +71,9 @@ def test_a_huge_depth_raises_at_the_cap():
 
 def preorder_dag(n_bits, k, distinct):
     """The DAG built from the recursion's own state order, unsorted."""
-    raw = oracles.dt_problem_recursive(n_bits, k, distinct=distinct).preorder
-    dag = DecisionDAG(
-        "query-tree", hypercube_problem(n_bits), Graph(*raw.graph), raw.terminal_out, raw.terms
-    )
+    ref = oracles.dt_problem_recursive(n_bits, k, distinct=distinct)
+    raw = ref.preorder
+    dag = DecisionDAG("query-tree", ref.base, Graph(*raw.graph), raw.terminal_out, raw.terms)
     dag.k, dag.n_bits, dag.distinct = k, n_bits, distinct
     return dag
 
