@@ -50,13 +50,18 @@ class MonomialTable:
         terms.sort(axis=1)
         terms = terms[:, : (terms < top).sum(1).max(initial=0)]
         terms[terms == top] = -1
-        terms, first, inverse = np.unique(
-            terms, axis=0, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
+        # a stable lexsort groups equal rows with each group's first row first
+        order = np.lexsort(terms.T[::-1]) if terms.size else np.arange(len(terms))
+        ranked = terms[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        group = np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        first = order[new]
+        by_first = np.argsort(first)
         table = cls.__new__(cls)
-        table._set(terms[order])
-        return table, np.argsort(order)[inverse.reshape(-1)]
+        table._set(terms[first[by_first]])
+        return table, np.argsort(by_first)[group]
 
     def _set(self, terms):
         self.terms = terms
@@ -144,11 +149,10 @@ class SupportMix:
         return mix
 
     @classmethod
-    def split(cls, weights, matrix, sizes):
+    def split(cls, weights, matrix, sizes, means=None):
         """Consecutive mixtures of ``sizes`` atoms each, as views of one
-        weight array and one atom matrix, with every mean filled in: one
-        cumsum over the atom axis per distinct atom count, the same
-        left-to-right sum ``mean`` takes."""
+        weight array and one atom matrix, with every mean filled in from
+        ``means`` (C, d) or else from ``segment_means``."""
         whole = cls.__new__(cls)
         whole._set(np.asarray(weights, dtype=float), np.asarray(matrix, dtype=float))
         sizes = np.asarray(sizes, dtype=np.intp)
@@ -157,14 +161,8 @@ class SupportMix:
                 f"need positive sizes summing to {whole.n_atoms}, got {sizes.tolist()}"
             )
         starts = sizes.cumsum() - sizes
-        means = np.empty((len(sizes), whole.matrix.shape[1]))
-        for n in sorted(set(sizes.tolist())):
-            pick = (sizes == n).nonzero()[0]
-            rows = starts[pick, None] + np.arange(n)
-            terms = whole.matrix[rows]
-            terms *= whole.weights[rows, None]
-            means[pick] = terms.cumsum(axis=1, out=terms)[:, -1]
-        means.flags.writeable = False
+        if means is None:
+            means = segment_means(whole.weights, whole.matrix, sizes)
         out = []
         for s, e, mean in zip(starts.tolist(), (starts + sizes).tolist(), means):
             mix = cls.__new__(cls)  # views of checked arrays need no _set
@@ -210,6 +208,22 @@ class SupportMix:
 
     def __repr__(self):
         return f"SupportMix(atoms={self.n_atoms})"
+
+
+def segment_means(weights, matrix, sizes):
+    """The means (C, d) of consecutive mixtures of ``sizes`` atoms each, read
+    only: one cumsum over the atom axis per distinct atom count, the same
+    left-to-right sum ``SupportMix.mean`` takes."""
+    starts = sizes.cumsum() - sizes
+    means = np.empty((len(sizes), matrix.shape[1]))
+    for n in sorted(set(sizes.tolist())):
+        pick = (sizes == n).nonzero()[0]
+        rows = starts[pick, None] + np.arange(n)
+        terms = matrix[rows]
+        terms *= weights[rows, None]
+        means[pick] = terms.cumsum(axis=1, out=terms)[:, -1]
+    means.flags.writeable = False
+    return means
 
 
 class BehavioralDescriptor:

@@ -256,9 +256,12 @@ def swap_gap(profile, game):
 
     For each player: sum over recommendations a of the best single reroute
     a -> a', i.e. sum_a max_a' E[1{rec=a} (u(a') - u(a))], computed from the
-    per-round product distributions. All rounds go through the oracle at
-    once; the reroute matrix sums the per-round outer products in round
-    order, ROUND_BLOCK rounds at a time. Returns an array of per-player gaps.
+    per-round product distributions. Each player's round means come from
+    ``CorrelatedProfile.stacked_means`` (for a column profile, rows of its
+    round means, computed in one pass per player on first read). All rounds
+    go through the oracle at once; the reroute matrix sums the per-round
+    outer products in round order, ROUND_BLOCK rounds at a time. Returns an
+    array of per-player gaps.
     """
     gaps = np.zeros(game.n_players)
     T = profile.rounds

@@ -1,45 +1,62 @@
 """Correlated strategy profiles: uniform-over-rounds mixtures of per-player
 product distributions, with bit-exact CSV round-tripping.
 
-A profile stores, for each round and player, a list of mixture components.
 The sampling semantics are: draw a round uniformly; then each player
 independently draws one of its components uniformly and an atom from it.
 Components are either explicit mixtures (SupportMix: a weight array and a
-matrix of 0/1 atom rows) or implicit behavioral descriptors; export expands
-descriptors into their explicit support and writes each component's atoms
-from its arrays. Import parses the rows in blocks, column by column, and
-hands each player's weight array and atom matrix to
-``CorrelatedProfile.from_columns``, the one constructor that builds a profile
-from columns; ``nfg.run_ce`` builds its profile from the play log through it
-too. It cuts each player's components with one ``SupportMix.split``.
+matrix of 0/1 atom rows) or implicit behavioral descriptors.
+
+A profile keeps them in one of two forms. ``CorrelatedProfile.from_columns``,
+which ``from_csv`` and ``nfg.run_ce`` both use, keeps each player's four
+columns as they are: the atom weights and 0/1 atom rows of all its
+components in (round, component) order, each component's atom count and
+each component's round. ``add_round`` keeps a per-player list of component
+objects for each round, since a behavioral descriptor has no columns short
+of expanding its support. Means are computed when first read: a column
+profile's round means in one pass per player, and its ``SupportMix`` views
+with one ``SupportMix.split`` per player when ``components`` is first read.
+
+Export gathers every component's rows into columns, a descriptor's through
+its explicit support, and formats them ROW_BLOCK rows at a time. Import
+parses the rows in blocks, column by column, and hands each player's
+columns to ``from_columns``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ParseError
-from .maps import SupportMix
+from .maps import SupportMix, segment_means
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
-ROW_BLOCK = 1024  # CSV rows parsed at a time; bounds the transient field lists
+ROW_BLOCK = 1024  # CSV rows parsed or formatted at a time; bounds the transient lists
+ROW_FORMAT = "%d,%d,%d,%d,%.17g,%s\n"
 
 
 class CorrelatedProfile:
+    """``columns`` is the per-player ``(weights, matrix, sizes,
+    comp_rounds)`` of a profile built by ``from_columns``, else None."""
+
     def __init__(self, n_players, dims=None):
         self.n_players = int(n_players)
         self.rounds = 0
         self.dims = list(dims) if dims is not None else None
-        self._components: list[list[list]] = []  # [t][player] -> components
+        self.columns = None
+        self._lists = [[] for _ in range(self.n_players)]  # [player][t] -> components
+        self._component_means = [None] * self.n_players
+        self._round_means = [None] * self.n_players
 
     def add_round(self, per_player_components):
         """Append one round: a per-player list of mixture components.
 
         A component must expose mean() (and support() for export).
-        A bare component is treated as a one-component mixture.
+        A bare component is treated as a one-component mixture. Every
+        component of a player has the same strategy length: its entry of
+        ``dims``, or else that of the player's first round.
         """
         if len(per_player_components) != self.n_players:
             raise ValueError(
@@ -53,7 +70,20 @@ class CorrelatedProfile:
             if not comps:
                 raise ValueError("a player needs at least one component")
             row.append(list(comps))
-        self._components.append(row)
+        dims = self.dims if self.dims is not None else [_length(c[0]) for c in row]
+        for i, comps in enumerate(row):
+            for comp in comps:
+                if _length(comp) != dims[i]:
+                    raise ValueError(
+                        f"player {i + 1}: a component of strategy length "
+                        f"{_length(comp)}, expected {dims[i]}"
+                    )
+        if self.columns is not None:  # later rounds are objects: cut the columns first
+            self._lists = [self._cut(i) for i in range(self.n_players)]
+            self.columns = None
+        self.dims = dims
+        for lists, comps in zip(self._lists, row):
+            lists.append(comps)
         self.rounds += 1
 
     def require_shape(self, dims):
@@ -70,35 +100,97 @@ class CorrelatedProfile:
             )
 
     def components(self, t, player):
-        return self._components[t][player]
+        return self._cut(player)[t]
+
+    def _cut(self, player):
+        """The player's per-round component lists; a column profile cuts
+        them, means filled in, with one ``SupportMix.split`` on the first
+        call."""
+        if self._lists[player] is None:
+            weights, matrix, sizes, comp_rounds = self.columns[player]
+            mixes = SupportMix.split(weights, matrix, sizes, self._means(player)[0])
+            cuts = np.searchsorted(comp_rounds, np.arange(self.rounds + 1)).tolist()
+            self._lists[player] = [mixes[a:b] for a, b in zip(cuts, cuts[1:])]
+        return self._lists[player]
 
     def round_mean(self, t, player):
-        return uniform_mean(self._components[t][player])
+        """The uniform mean of round t's components, as ``uniform_mean``."""
+        if self.columns is None:
+            return uniform_mean(self._lists[player][t])
+        if self._round_means[player] is None:
+            self._means(player)
+        return self._round_means[player][t]
 
     def stacked_means(self, player):
         """T x dim matrix of the player's per-round mean strategies."""
         return np.array([self.round_mean(t, player) for t in range(self.rounds)])
 
+    def _means(self, player):
+        """A column profile's component means and round means of the player,
+        computed on the first call. A round's mean adds its component means in
+        order and divides by their count, as ``uniform_mean`` does, one
+        cumsum per distinct component count; with one component a round it
+        is that component's mean."""
+        if self._round_means[player] is None:
+            weights, matrix, sizes, comp_rounds = self.columns[player]
+            means = rounds = segment_means(weights, matrix, sizes)
+            if len(comp_rounds) > self.rounds:
+                first = np.searchsorted(comp_rounds, np.arange(self.rounds + 1))
+                counts = np.diff(first)
+                rounds = np.empty((self.rounds, matrix.shape[1]))
+                for n in sorted(set(counts.tolist())):
+                    pick = (counts == n).nonzero()[0]
+                    total = np.add.accumulate(means[first[pick, None] + np.arange(n)], axis=1)
+                    rounds[pick] = total[:, -1] / n
+                rounds.flags.writeable = False
+            self._component_means[player], self._round_means[player] = means, rounds
+        return self._component_means[player], self._round_means[player]
+
     def export_csv(self):
         """One row per pure atom: t,player,ell,j,alpha,pure-strategy-bits.
 
         Indices are 1-based; alpha values carry 17 significant digits so the
-        import reproduces them bit for bit. Each component's bit strings are
-        cut from one byte buffer of its atom matrix.
+        import reproduces them bit for bit. Each player's rows are gathered
+        into columns (``columns``, else ``_gather``), with one bit string per
+        row cut from the byte buffer of its atom matrix; a stable sort by
+        round puts them in (t, player, ell, j) order, and each block of
+        ROW_BLOCK rows is written by one %-format.
         """
-        lines = [HEADER]
-        for t in range(self.rounds):
-            for i in range(self.n_players):
-                for ell, comp in enumerate(self._components[t][i], start=1):
-                    mix = comp.support()
-                    d = mix.matrix.shape[1]
-                    bits = (np.rint(mix.matrix).astype(np.uint8) + 48).tobytes().decode()
-                    prefix = f"{t + 1},{i + 1},{ell},"
-                    for j, alpha in enumerate(mix.weights.tolist()):
-                        lines.append(
-                            f"{prefix}{j + 1},{alpha:.17g},{bits[j * d:(j + 1) * d]}"
-                        )
-        return "\n".join(lines) + "\n"
+        if not (self.rounds and self.n_players):
+            return HEADER + "\n"
+        parts = [[] for _ in range(6)]  # t, player, ell, j, alpha, bits
+        for i in range(self.n_players):
+            weights, matrix, sizes, comp_rounds = (
+                self.columns[i] if self.columns is not None else self._gather(i))
+            starts = sizes.cumsum() - sizes
+            ell = np.arange(len(sizes)) - np.searchsorted(comp_rounds, comp_rounds) + 1
+            for part, col in zip(parts, (
+                np.repeat(comp_rounds + 1, sizes),
+                np.full(len(weights), i + 1),
+                np.repeat(ell, sizes),
+                np.arange(len(weights)) - np.repeat(starts, sizes) + 1,
+                weights,
+                _bit_strings(matrix),
+            )):
+                part.append(col)
+        order = np.argsort(np.concatenate(parts[0]), kind="stable")
+        columns = [np.concatenate(part)[order] for part in parts]
+        columns[5] = columns[5].astype(str)
+        out = [HEADER + "\n"]
+        for k in range(0, len(order), ROW_BLOCK):
+            block = [col[k:k + ROW_BLOCK].tolist() for col in columns]
+            out.append(ROW_FORMAT * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        return "".join(out)
+
+    def _gather(self, player):
+        """The player's columns as ``from_columns`` takes them, gathered from
+        the components of a profile built by ``add_round``; a descriptor's
+        atoms are those of its support()."""
+        mixes = [comp.support() for comps in self._lists[player] for comp in comps]
+        comp_rounds = np.repeat(np.arange(self.rounds), [len(c) for c in self._lists[player]])
+        return (np.concatenate([m.weights for m in mixes]),
+                np.concatenate([m.matrix for m in mixes]),
+                np.array([m.n_atoms for m in mixes]), comp_rounds)
 
     @classmethod
     def from_csv(cls, text):
@@ -166,18 +258,29 @@ class CorrelatedProfile:
     @classmethod
     def from_columns(cls, dims, columns, rounds):
         """A profile of ``rounds`` rounds from one column set per player:
-        ``(weights, matrix, sizes, comp_rounds)`` hold the atom weights and
-        0/1 atom rows of all the player's components in (round, component)
-        order, each component's atom count and each component's 0-based
-        round. One ``SupportMix.split`` per player cuts the components, means
-        filled in, as views of its two arrays."""
-        per_player = []
-        for weights, matrix, sizes, comp_rounds in columns:
-            mixes = SupportMix.split(weights, matrix, sizes)
-            cuts = np.searchsorted(comp_rounds, np.arange(rounds + 1)).tolist()
-            per_player.append([mixes[a:b] for a, b in zip(cuts, cuts[1:])])
+        ``(weights, matrix, sizes, comp_rounds)`` hold the atom weights (N,)
+        and 0/1 atom rows (N, dims[p]) of all the player's components in
+        (round, component) order, each component's atom count (positive,
+        summing to N) and each component's 0-based round (nondecreasing,
+        every round present). The columns are kept as they are; only those
+        shapes and counts are checked."""
+        columns = [tuple(map(np.asarray, cols)) for cols in columns]
+        if len(columns) != len(dims):
+            raise ValueError(f"need {len(dims)} column sets, got {len(columns)}")
+        for p, (d, (weights, matrix, sizes, comp_rounds)) in enumerate(zip(dims, columns)):
+            first = np.searchsorted(comp_rounds, np.arange(rounds + 1))
+            if not (weights.shape == (len(matrix),) and matrix.shape[1:] == (d,)
+                    and sizes.shape == comp_rounds.shape == (len(comp_rounds),)
+                    and (sizes >= 1).all() and sizes.sum() == len(weights)
+                    and (np.diff(comp_rounds) >= 0).all() and first[0] == 0
+                    and (np.diff(first) >= 1).all() and first[-1] == len(comp_rounds)):
+                raise ValueError(
+                    f"player {p + 1}: the columns are not {rounds} rounds of "
+                    f"components of strategy length {d}"
+                )
         profile = cls(len(dims), dims=dims)
-        profile._components = [list(comps) for comps in zip(*per_player)]
+        profile.columns = columns
+        profile._lists = [None] * len(dims)
         profile.rounds = rounds
         return profile
 
@@ -191,6 +294,22 @@ def uniform_mean(components):
     for c in components[1:]:
         total += c.mean()
     return total / len(components)
+
+
+def _length(component):
+    """A component's strategy length, read without computing a mean where
+    the component has an atom matrix."""
+    if isinstance(component, SupportMix):
+        return component.matrix.shape[1]
+    return len(component.mean())
+
+
+def _bit_strings(matrix):
+    """One bytes string of '0'/'1' characters per row of a 0/1 matrix."""
+    if not matrix.shape[1]:
+        return np.zeros(len(matrix), dtype="S1")
+    codes = np.rint(matrix).astype(np.uint8) + 48
+    return codes.view(f"S{matrix.shape[1]}")[:, 0]
 
 
 def _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, first_line):

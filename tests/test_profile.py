@@ -51,6 +51,25 @@ def test_add_round_shape_errors():
         profile.add_round([[], [SupportMix([(1.0, one_hot(2, 0))])]])
 
 
+def test_add_round_rejects_a_component_of_the_wrong_length():
+    profile = CorrelatedProfile(2, dims=[3, 2])
+    with pytest.raises(ValueError, match="player 1: a component of strategy length 4, expected 3"):
+        profile.add_round([SupportMix([(1.0, one_hot(4, 0))]), SupportMix([(1.0, one_hot(2, 0))])])
+    problem = parse_problem(TWO_STAGE_TEXT)  # 5 terminals
+    with pytest.raises(ValueError, match="player 2: a component of strategy length 5, expected 2"):
+        profile.add_round([SupportMix([(1.0, one_hot(3, 0))]),
+                           [SupportMix([(1.0, one_hot(2, 0))]),
+                            BehavioralDescriptor(problem, problem.random_point(np.random.default_rng(1)))]])
+    assert profile.rounds == 0
+
+    unsized = CorrelatedProfile(2)  # lengths come from the first round
+    unsized.add_round([SupportMix([(1.0, one_hot(3, 0))]), SupportMix([(1.0, one_hot(2, 0))])])
+    with pytest.raises(ValueError, match="player 2: a component of strategy length 3, expected 2"):
+        unsized.add_round([SupportMix([(1.0, one_hot(3, 1))]), SupportMix([(1.0, one_hot(3, 0))])])
+    assert unsized.rounds == 1 and unsized.dims == [3, 2]
+    assert CorrelatedProfile.from_csv(unsized.export_csv()).export_csv() == unsized.export_csv()
+
+
 def test_csv_round_trip_is_bit_exact():
     rng = np.random.default_rng(11)
     profile = CorrelatedProfile(2, dims=[4, 4])

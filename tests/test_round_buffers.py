@@ -1,7 +1,8 @@
 """run_ce plays into ROUND_BLOCK-row buffers and accounts for a block at a
 time; these tests pin it to the per-player loop at the block edges, check
-its inputs, and check that play builds no per-round profile objects and
-holds no per-round memory without a profile."""
+its inputs, and check that play builds no profile objects, holds no
+per-round memory without a profile and, with one, holds its columns and
+no more."""
 
 import tracemalloc
 
@@ -72,7 +73,7 @@ def test_block_edges_match_the_per_player_loop(horizon, rows, record_profile, mo
         assert got.profile is None and got.certified_gaps is None
 
 
-def test_run_ce_builds_its_profile_with_one_split_per_player(monkeypatch):
+def test_run_ce_builds_no_profile_objects(monkeypatch):
     calls = {"add_round": 0, "from_arrays": 0, "split": []}
     add_round = CorrelatedProfile.add_round
     from_arrays = SupportMix.from_arrays.__func__
@@ -86,17 +87,18 @@ def test_run_ce_builds_its_profile_with_one_split_per_player(monkeypatch):
         calls["from_arrays"] += 1
         return from_arrays(cls, weights, matrix)
 
-    def counted_split(cls, weights, matrix, sizes):
+    def counted_split(cls, weights, matrix, sizes, *means):
         calls["split"].append(len(sizes))
-        return split(cls, weights, matrix, sizes)
+        return split(cls, weights, matrix, sizes, *means)
 
     monkeypatch.setattr(CorrelatedProfile, "add_round", counted_add_round)
     monkeypatch.setattr(SupportMix, "from_arrays", classmethod(counted_from_arrays))
     monkeypatch.setattr(SupportMix, "split", classmethod(counted_split))
     res = run_ce(dense_game([2, 3, 2, 3], 93), eps=0.3, horizon=40)
-    assert calls == {"add_round": 0, "from_arrays": 0, "split": [40, 40, 40, 40]}
+    assert calls == {"add_round": 0, "from_arrays": 0, "split": []}
     assert res.profile.rounds == 40
     assert all(len(res.profile.components(t, i)) == 1 for t in range(40) for i in range(4))
+    assert calls["split"] == [40, 40, 40, 40]  # one split per player, on first read
 
 
 def test_play_without_a_profile_holds_one_block(monkeypatch):
@@ -114,3 +116,18 @@ def test_play_without_a_profile_holds_one_block(monkeypatch):
     peak(7)  # first-call allocations
     short, long = peak(70), peak(700)
     assert long <= 1.1 * short, (short, long)
+
+
+def test_a_played_profile_holds_its_columns_and_no_means():
+    game = dense_game([5, 5, 5], 95)
+    run_ce(game, eps=0.5, audit=False)  # first-call allocations
+    tracemalloc.start()
+    try:
+        res = run_ce(game, 0.1, audit=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for cols in res.profile.columns for a in cols)
+    # the margin covers the result's small objects; the T x P round means
+    # alone would take 6438 * 3 * 5 * 8 bytes, about 0.77 MB
+    assert held <= columns + 64 * 1024, (held, columns)
