@@ -10,6 +10,7 @@ backs up the round's values under the same policy.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -76,8 +77,8 @@ class CfrLearner:
 class Mwu:
     """Multiplicative weights over a fixed set of arms.
 
-    With a known horizon the learning rate is sqrt(ln(A)/T); otherwise the
-    doubling trick restarts the weights with a halved rate each epoch.
+    With a known horizon T, a positive integer, the learning rate is
+    sqrt(ln(A)/T); otherwise the doubling trick restarts the weights with a halved rate each epoch.
     rows=R runs R instances in lockstep on the rows of an (R, A) matrix;
     a tuple R gives leading axes R, so the weights are an R + (A,) array.
     """
@@ -85,6 +86,8 @@ class Mwu:
     def __init__(self, n_arms, horizon=None, rows=None):
         if n_arms < 1:
             raise ValueError("need at least one arm")
+        if horizon is not None and (not isinstance(horizon, numbers.Integral) or horizon < 1):
+            raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
         self.n_arms = n_arms
         lead = () if rows is None else tuple(np.atleast_1d(rows))
         self.log_weights = np.zeros(lead + (n_arms,))

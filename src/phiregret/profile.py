@@ -17,15 +17,18 @@ profile's round means in one pass per player, and its ``SupportMix`` views
 with one ``SupportMix.split`` per player when ``components`` is first read.
 
 Export gathers every component's rows into columns, a descriptor's through
-its explicit support, and formats them ROW_BLOCK rows at a time. Import
-parses the rows in blocks, column by column, and hands each player's
-columns to ``from_columns``.
+its explicit support, and writes them ROW_BLOCK rows at a time as an array
+of code units: the index digits, commas and bits by array arithmetic, the
+alphas by one "%.17g" pass. Import reads the text's code units: masks find
+the lines and commas and the indices are decoded from their digits; only
+the alphas go through ``float()``, and only an index that is not 1 to 18
+ASCII digits through ``int()``. Each player's columns go to
+``from_columns``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,8 +36,9 @@ from .errors import ParseError
 from .maps import SupportMix, segment_means
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
-ROW_BLOCK = 1024  # CSV rows parsed or formatted at a time; bounds the transient lists
-ROW_FORMAT = "%d,%d,%d,%d,%.17g,%s\n"
+ROW_BLOCK = 1024  # CSV rows parsed or written at a time; bounds the transient arrays
+POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1, 10, ..., 10**18
+BLANK = 32  # the code unit export pads its fixed-width rows with
 
 
 class CorrelatedProfile:
@@ -151,70 +155,90 @@ class CorrelatedProfile:
 
         Indices are 1-based; alpha values carry 17 significant digits so the
         import reproduces them bit for bit. Each player's rows are gathered
-        into columns (``columns``, else ``_gather``), with one bit string per
-        row cut from the byte buffer of its atom matrix; a stable sort by
-        round puts them in (t, player, ell, j) order, and each block of
-        ROW_BLOCK rows is written by one %-format.
+        into columns (``columns``, else ``_gather``) with the bits as '0'/'1'
+        codes, and a stable sort by round puts the rows in (t, player, ell, j)
+        order. Each block of ROW_BLOCK rows is written as code units
+        (``_write_block``); only the alphas are formatted, by one "%.17g"
+        pass a block.
         """
         if not (self.rounds and self.n_players):
             return HEADER + "\n"
-        parts = [[] for _ in range(6)]  # t, player, ell, j, alpha, bits
-        for i in range(self.n_players):
-            weights, matrix, sizes, comp_rounds = (
-                self.columns[i] if self.columns is not None else self._gather(i))
+        cols = ([self._gather(i) for i in range(self.n_players)] if self.columns is None
+                else [(w, np.rint(m).astype(np.uint8) + 48, s, r) for w, m, s, r in self.columns])
+        n = sum(len(c[0]) for c in cols)
+        keys = np.empty((4, n), np.int64)  # t, player, ell, j
+        alpha = np.empty(n)
+        bits = np.full((n, 1 + max(c[1].shape[1] for c in cols)), BLANK, np.uint8)
+        at = 0
+        for i, (weights, codes, sizes, comp_rounds) in enumerate(cols):
+            rows = slice(at, at + len(weights))
             starts = sizes.cumsum() - sizes
             ell = np.arange(len(sizes)) - np.searchsorted(comp_rounds, comp_rounds) + 1
-            for part, col in zip(parts, (
-                np.repeat(comp_rounds + 1, sizes),
-                np.full(len(weights), i + 1),
-                np.repeat(ell, sizes),
-                np.arange(len(weights)) - np.repeat(starts, sizes) + 1,
-                weights,
-                _bit_strings(matrix),
-            )):
-                part.append(col)
-        order = np.argsort(np.concatenate(parts[0]), kind="stable")
-        columns = [np.concatenate(part)[order] for part in parts]
-        columns[5] = columns[5].astype(str)
+            keys[0, rows] = np.repeat(comp_rounds + 1, sizes)
+            keys[1, rows] = i + 1
+            keys[2, rows] = np.repeat(ell, sizes)
+            keys[3, rows] = np.arange(len(weights)) - np.repeat(starts, sizes) + 1
+            alpha[rows] = weights
+            bits[rows, :codes.shape[1]] = codes
+            bits[rows, codes.shape[1]] = 10  # the newline
+            at += len(weights)
+        del cols
+        order = np.argsort(keys[0], kind="stable")
         out = [HEADER + "\n"]
-        for k in range(0, len(order), ROW_BLOCK):
-            block = [col[k:k + ROW_BLOCK].tolist() for col in columns]
-            out.append(ROW_FORMAT * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        for k in range(0, n, ROW_BLOCK):
+            rows = order[k:k + ROW_BLOCK]
+            out.append(_write_block(keys[:, rows], alpha[rows], bits[rows]))
         return "".join(out)
 
     def _gather(self, player):
-        """The player's columns as ``from_columns`` takes them, gathered from
-        the components of a profile built by ``add_round``; a descriptor's
-        atoms are those of its support()."""
-        mixes = [comp.support() for comps in self._lists[player] for comp in comps]
-        comp_rounds = np.repeat(np.arange(self.rounds), [len(c) for c in self._lists[player]])
-        return (np.concatenate([m.weights for m in mixes]),
-                np.concatenate([m.matrix for m in mixes]),
-                np.array([m.n_atoms for m in mixes]), comp_rounds)
+        """The player's columns, its 0/1 atom rows as '0'/'1' codes, gathered
+        from the components of a profile built by ``add_round``; a
+        descriptor's atoms are those of its support(). Supports are made a
+        block of rounds at a time, at least ROW_BLOCK atoms, and coded before
+        the next block is made."""
+        lists = self._lists[player]
+        weights, codes, sizes, block, atoms = [], [], [], [], 0
+        for t, comps in enumerate(lists, start=1):
+            for comp in comps:
+                block.append(comp.support())
+                atoms += block[-1].n_atoms
+            if atoms >= ROW_BLOCK or t == len(lists):
+                weights.append(np.concatenate([m.weights for m in block]))
+                matrix = np.concatenate([m.matrix for m in block])
+                codes.append(np.rint(matrix, out=matrix).astype(np.uint8) + 48)
+                sizes += [m.n_atoms for m in block]
+                block, atoms = [], 0
+        comp_rounds = np.repeat(np.arange(self.rounds), [len(c) for c in lists])
+        return np.concatenate(weights), np.concatenate(codes), np.array(sizes), comp_rounds
 
     @classmethod
     def from_csv(cls, text):
-        """Read what export_csv writes; raise ParseError on anything else.
+        """Read a profile CSV; raise ParseError, naming the line, on a bad one.
 
-        Each row needs positive integer t, player, ell and j, a finite
-        nonnegative alpha and a nonempty string of 0s and 1s whose length is
+        Lines are those of ``text.strip().splitlines()``, each stripped and
+        the blank ones skipped; after the header, each is a row of six
+        comma-separated fields. Each row needs t, player, ell and j that
+        ``int()`` reads as positive, an alpha that ``float()`` reads as finite
+        and nonnegative, and a nonempty string of 0s and 1s whose length is
         the same for all of a player's rows; the first bad line is named.
+        Export's rows read back bit for bit; other spellings those functions
+        accept, such as ``+1``, ``1_0`` or ``.5``, read as they read them.
         Then, round by round and player by player, every player needs atoms
         and each component's alphas must sum to 1 within 1e-9. Last, each
         component's j must count 1, 2, ... in file order.
 
-        Rows are parsed ROW_BLOCK at a time, column by column. One stable
-        sort groups them by (player, t, ell) with file order kept within a
-        component, and each player's components and their means are cut from
-        one weight array and one atom matrix (``from_columns``).
+        The text is read as code units (``_lines``), ROW_BLOCK rows at a
+        time (``_read_block``). One stable sort groups the rows by (player,
+        t, ell) with file order kept within a component, and each player's
+        columns go to ``from_columns``.
         """
-        lines = text.strip().splitlines()
-        if not lines or lines[0].strip() != HEADER:
+        text, chars, ends, numbers = _lines(text)
+        if text[:ends[0]] != HEADER:
             raise ParseError("missing profile header row")
         dims = {}
-        blocks = [_read_block(lines[k:k + ROW_BLOCK], k + 1, dims)
-                  for k in range(1, len(lines), ROW_BLOCK)]
-        del lines  # the line strings go before the components are built
+        blocks = [_read_block(text, chars, ends[k - 1:k + ROW_BLOCK], numbers[k:k + ROW_BLOCK], dims)
+                  for k in range(1, len(ends), ROW_BLOCK)]
+        del text, chars, ends, numbers
         if not sum(len(block[0]) for block in blocks):
             return cls(0, dims=[])
         t, player, ell, j, alpha, lens, lineno, chars = map(np.concatenate, zip(*blocks))
@@ -304,12 +328,49 @@ def _length(component):
     return len(component.mean())
 
 
-def _bit_strings(matrix):
-    """One bytes string of '0'/'1' characters per row of a 0/1 matrix."""
-    if not matrix.shape[1]:
-        return np.zeros(len(matrix), dtype="S1")
-    codes = np.rint(matrix).astype(np.uint8) + 48
-    return codes.view(f"S{matrix.shape[1]}")[:, 0]
+def _write_block(keys, alpha, bits):
+    """The text of the rows with indices ``keys`` (rows t, player, ell and j;
+    from 1), weights ``alpha`` and ``bits`` (codes and a newline, BLANK after).
+
+    Each row is laid out at fixed width: the indices right-aligned in as many
+    columns as the block's longest, each with its comma; the alpha by
+    "%-24.17g", whose output is at most 24 characters; the bits. No row of
+    a 0/1 profile holds a BLANK, so dropping every BLANK gives the text.
+    """
+    n, width = len(alpha), len(str(keys.max()))
+    scale = POW10[width - 1::-1, None, None]
+    text = np.empty((n, 4 * (width + 1) + 25 + bits.shape[1]), np.uint8)
+    head = text[:, :4 * (width + 1)].reshape(n, 4, width + 1)
+    head[..., :width] = np.where(keys < scale, BLANK, keys // scale % 10 + 48).T
+    head[..., width] = 44
+    text[:, 4 * (width + 1):-bits.shape[1]] = np.frombuffer(
+        ("%-24.17g," * n % tuple(alpha.tolist())).encode(), np.uint8).reshape(n, 25)
+    text[:, -bits.shape[1]:] = bits
+    return text[text != BLANK].tobytes().decode("ascii")
+
+
+def _lines(text):
+    """The text with its code units, the end of each line and each line's
+    number, the first line the header.
+
+    The lines are those of ``text.strip().splitlines()``, each stripped, the
+    blank ones dropped and joined by newlines. Text with nothing to strip or
+    split but its newlines, and no blank line, is kept as it is.
+    """
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), np.uint8)
+        ends = np.flatnonzero(chars == 10)
+        plain = np.count_nonzero(chars <= 32) == len(ends)  # no blank or control but newlines
+        if plain and not (len(ends) and (ends[0] == 0 or (np.diff(ends) == 1).any())):
+            if not len(ends) or ends[-1] != len(chars) - 1:
+                ends = np.append(ends, len(chars))
+            return text, chars, ends, np.arange(1, len(ends) + 1)
+    lines = list(map(str.strip, text.strip().splitlines()))
+    numbers = np.array([k for k, line in enumerate(lines, start=1) if line], dtype=np.int64)
+    text = "\n".join(filter(None, lines))
+    chars = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
+             else np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32))
+    return text, chars, np.append(np.flatnonzero(chars == 10), len(chars)), numbers
 
 
 def _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, first_line):
@@ -346,52 +407,78 @@ def _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, first_line)
         raise ParseError(f"round {gap[0] + 1}: no atoms for player {gap[1] + 1}")
 
 
-def _read_block(lines, lineno, dims):
-    """Parse and check a block of CSV rows, the first on line ``lineno``.
+def _read_block(text, chars, edges, numbers, dims):
+    """Parse and check the rows numbered ``numbers``, the lines of ``text``
+    (code units ``chars``) that end at ``edges[1:]``, one past ``edges[0]``.
 
     Returns the columns t, player, ell and j (int64, or Python ints past
     int64), alpha, each row's bit count and line number, and the rows' bits
-    as one uint8 buffer. Raises the ParseError of the block's first bad row.
-    ``dims`` maps each player seen so far to its strategy length.
+    as one code-unit buffer. Raises the ParseError of the block's first bad
+    row. ``dims`` maps each player seen so far to its strategy length.
+    An index of 1 to 18 ASCII digits is decoded from its digits, any other
+    by ``int()``; alpha is read by ``float()``.
     """
-    lines = list(map(str.strip, lines))
-    numbers = np.arange(lineno, lineno + len(lines))
-    if not all(lines):
-        keep = [k for k, ln in enumerate(lines) if ln]
-        lines, numbers = [lines[k] for k in keep], numbers[keep]
+    commas = np.flatnonzero(chars[edges[0] + 1:edges[-1]] == 44) + edges[0] + 1
     # rows from `stop` on are not read; row `stop` raises `late` unless an
     # earlier row has an error
-    counts = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) + 1
-    stop, late = len(lines), None
-    if (counts != 6).any():
-        stop = int(np.argmax(counts != 6))
-        late = f"expected 6 fields, got {counts[stop]}"
-    fields = ",".join(lines[:stop]).split(",") if stop else []
+    stop, late = len(edges) - 1, None
+    if (len(commas) != 5 * stop or (commas[::5] < edges[:-1]).any()
+            or (commas[4::5] > edges[1:]).any()):
+        fields = np.diff(np.searchsorted(commas, edges)) + 1
+        stop = int(np.argmax(fields != 6))
+        late = f"expected 6 fields, got {fields[stop]}"
+    # field f of each row runs from one past bounds[f] up to bounds[f + 1]
+    bounds = np.empty((7, stop), dtype=np.int64)
+    bounds[0], bounds[6] = edges[:stop], edges[1:stop + 1]
+    bounds[1:6] = commas[:5 * stop].reshape(stop, 5).T
+    size = np.diff(bounds, axis=0) - 1
+
+    # the k-th digit from the right of each index; the header line keeps
+    # every position in range
+    width = min(int(size[:4].max(initial=1)), 18)
+    digit = chars[bounds[1:5] - np.arange(1, width + 1)[:, None, None]] - 48
+    digit *= np.arange(width)[:, None, None] < size[:4]
+    keys = (digit * POW10[:width, None, None]).sum(axis=0)
+    slow = ()  # (row, field) of each index int() reads, in file order
+    if digit.max(initial=0) > 9 or not 1 <= size[:4].min(initial=1) <= size[:4].max(initial=1) <= 18:
+        slow = zip(*((digit.max(axis=0) > 9) | (size[:4] < 1) | (size[:4] > 18)).T.nonzero())
+    for r, f in slow:
+        if r >= stop:
+            break
+        try:
+            value = int(text[bounds[f, r] + 1:bounds[f + 1, r]])
+        except ValueError as exc:
+            stop, late = r, str(exc)
+            break
+        if not -2**63 <= value < 2**63 and keys.dtype != object:
+            keys = keys.astype(object)
+        keys[f, r] = value
+    # a row's fields 1-4 each make one piece, its bits and the next row's t one
+    fields = text[edges[0] + 1:bounds[6, stop - 1]].split(",")[4::5] if stop else []
     try:
-        t, player, ell, j, alpha = _columns(fields)
+        alpha = np.fromiter(map(float, fields), float, stop)
     except ValueError:
-        for k in range(stop):  # the first row int() or float() rejects
+        for k in range(stop):  # the first row float() rejects
             try:
-                _columns(fields[6 * k:6 * k + 6])
+                float(fields[k])
             except ValueError as exc:
                 stop, late = k, str(exc)
                 break
-        fields = fields[:6 * stop]
-        t, player, ell, j, alpha = _columns(fields)
-    bits = fields[5::6]
-    lens = np.fromiter(map(len, bits), np.intp, stop)
-    joined = "".join(bits)
-    chars = (np.frombuffer(joined.encode("ascii"), np.uint8) if joined.isascii()
-             else np.frombuffer(joined.encode("utf-32-le"), np.uint32))
-    nonbit = np.zeros(len(chars) + 1, dtype=np.intp)
-    np.cumsum((chars != 48) & (chars != 49), out=nonbit[1:])
-    end = np.cumsum(lens)
-    bad_bits = (lens == 0) | (nonbit[end] > nonbit[end - lens])
-    seen, first, inverse = np.unique(player, return_index=True, return_inverse=True)
+        alpha = np.fromiter(map(float, fields), float, stop)
+    # a copy: a view would keep the whole size array alive with the block
+    keys, bounds, lens = keys[:, :stop], bounds[:, :stop], size[5, :stop].copy()
+
+    # each row's bits, one run of code units after another
+    bits = chars[np.arange(lens.sum()) + np.repeat(bounds[5] + 1 - np.cumsum(lens) + lens, lens)]
+    bad_bits = lens == 0
+    nonbit = np.flatnonzero(bits - 48 > 1)  # unsigned: all but '0' and '1'
+    if len(nonbit):
+        bad_bits[np.searchsorted(np.cumsum(lens), nonbit, side="right")] = True
+    seen, once, inverse = np.unique(keys[1], return_index=True, return_inverse=True)
     want = np.array([dims.setdefault(p, int(lens[f]))
-                     for p, f in zip(seen.tolist(), first.tolist())], dtype=np.intp)
-    small = (t < 1) | (player < 1) | (ell < 1) | (j < 1)
-    bad = small | ~np.isfinite(alpha) | (alpha < 0) | bad_bits | (lens != want[inverse])
+                     for p, f in zip(seen.tolist(), once.tolist())], dtype=np.intp)
+    small = keys.min(axis=0, initial=1) < 1
+    bad = small | ~(alpha >= 0) | (alpha == math.inf) | bad_bits | (lens != want[inverse])
     if bad.any():
         k = int(np.argmax(bad))
         a = float(alpha[k])
@@ -402,26 +489,10 @@ def _read_block(lines, lineno, dims):
         elif a < 0:
             message = f"negative atom weight {a}"
         elif bad_bits[k]:
-            message = f"pure-strategy bits {bits[k]!r} are not 0s and 1s"
+            message = f"pure-strategy bits {text[bounds[5, k] + 1:bounds[6, k]]!r} are not 0s and 1s"
         else:
             message = "inconsistent strategy length"
         raise ParseError(f"line {numbers[k]}: {message}")
     if late is not None:
         raise ParseError(f"line {numbers[stop]}: {late}")
-    return t, player, ell, j, alpha, lens, numbers[:stop], chars
-
-
-def _columns(fields):
-    """t, player, ell, j and alpha from a flat list of six fields per row,
-    each column parsed by int() or float() as one row would be."""
-    n = len(fields) // 6
-    return (*(_ints(fields[k::6], n) for k in range(4)),
-            np.fromiter(map(float, fields[4::6]), float, n))
-
-
-def _ints(strings, n):
-    """int() of each string, as int64 unless a value does not fit."""
-    try:
-        return np.fromiter(map(int, strings), np.int64, n)
-    except OverflowError:
-        return np.array(list(map(int, strings)), dtype=object)
+    return *keys, alpha, lens, numbers[:stop], bits

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
-from phiregret import CfrLearner, Mwu, build_dt_problem, interleave
+from phiregret import CfrLearner, Mwu, SwapLearner, build_dt_problem, interleave
 from phiregret.learners import RegretMeter
 
 
@@ -43,6 +45,17 @@ def test_mwu_rejects_bad_input():
     m = Mwu(2, horizon=10)
     with pytest.raises(ValueError):
         m.observe(np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("horizon", [0, -5, 2.5])
+def test_mwu_and_swap_learner_need_a_positive_integer_horizon(horizon):
+    message = f"horizon must be a positive integer, got {horizon!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Mwu(3, horizon=horizon)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SwapLearner(3, horizon=horizon)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SwapLearner(3, horizon=horizon, stack=2)
 
 
 def test_row_batched_mwu_matches_independent_rows():

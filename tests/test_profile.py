@@ -240,6 +240,23 @@ def test_a_player_past_int64_names_the_first_silent_player():
         # blank lines, surrounding spaces and CR line ends count as lines
         "\r\n 1,1,1,1,0.5,10 \r\n\r\n1,1,1,2,0.5,01\r\n\n1,1,1,3,x,01",
         "\n\n",
+        # index fields int() reads but are not 1-18 ASCII digits
+        "+1,1,1,1,0.5,10\n1, 1,1_0,1,0.5,01",
+        "\u0661,\u0663,1,0007,1.0,10",
+        "1,1,1,1,0.5,10\n1,1,1,+2,0.5,01\n1,1,1,3,0.0,11",
+        f"1,1,{10**18 + 7},1,1.0,10\n1,1,{10**29 + 1},1,1.0,01",
+        f"{10**18 + 7},1,1,1,1.0,10",
+        f"{10**29},1,1,1,1.0,10",
+        "1,1,1,1,1.0,10\n1,1,1,- 1,1.0,10",
+        # what str.splitlines and str.strip take as line ends and padding
+        "1,1,1,1,0.25,10\v1,1,1,2,0.25,01\f1,1,1,3,0.25,11\x1c1,1,1,4,0.25,00",
+        "1,1,1,1,0.5,10\x851,1,1,2,0.5,01\u20281,2,1,1,1.0,1",
+        "\t1,1,1,1,0.5,10\t\n\t\t1,1,1,2,0.5,01 \t",
+        "1,1,1,1,0.5,10\n1,1,1,2,0.5,0\t1",
+        # non-ASCII bits and alpha in forms float() reads
+        "1,1,1,1,1.0,1\uff11",
+        "1,1,1,1,1e0,10",
+        "1,1,1,1, 0.5,10\n1,1,1,2,.5,01",
     ],
 )
 def test_unusual_rows_read_as_the_row_parser_reads_them(rows):
@@ -321,6 +338,7 @@ SEEDED = {
     "length": lambda f: [*f[:5], f[5] + "0"],
     "weight": lambda f: [*f[:4], "0.875", f[5]],
     "silent": lambda f: [],
+    "padded": lambda f: [f[0], f" {f[1]}", f"+{f[2]}", f"0{f[3]}\t", f" {f[4]}", f[5]],
 }
 
 

@@ -3,11 +3,23 @@ component objects (``add_round``) export the same bytes as the
 one-atom-at-a-time writer ``oracles.export_rows``, read back bit for bit and
 give round means bit-identical to ``uniform_mean``."""
 
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from phiregret import BehavioralDescriptor, CorrelatedProfile, SupportMix, hypercube_problem
+from phiregret import (
+    BehavioralDescriptor,
+    CorrelatedProfile,
+    SupportMix,
+    deviation_dag,
+    efg_self_play,
+    hypercube_problem,
+    parse_efg,
+)
 from phiregret import profile as profile_module
 from phiregret.profile import ROW_BLOCK, uniform_mean
 
@@ -120,6 +132,81 @@ def test_descriptors_and_mixtures_export_as_the_row_writer(block, monkeypatch):
         for i in range(3):
             np.testing.assert_allclose(again.round_mean(t, i), profile.round_mean(t, i),
                                        atol=1e-12)
+
+
+def rollover_columns(rng):
+    """Columns of 1 100 rounds for players of widths 1 and 12, so that t
+    passes 9 -> 10, 99 -> 100 and 999 -> 1000; round 5 of the first player
+    has 12 components (ell passes 9 -> 10) and one of its round-8
+    components has 120 atoms (j passes 9 -> 10 and 99 -> 100)."""
+    rounds, columns = 1100, []
+    for d, extra in ((1, {4: [1] * 12, 7: [3, 120]}), (12, {})):
+        per_round = [extra.get(t, [1 + t % 2]) for t in range(rounds)]
+        sizes = np.array([n for counts in per_round for n in counts])
+        comp_rounds = np.repeat(np.arange(rounds), [len(counts) for counts in per_round])
+        weights = np.concatenate([rng.dirichlet(np.ones(n)) for n in sizes.tolist()])
+        weights[np.cumsum(sizes) - 1] += 1.0 - np.add.reduceat(weights, np.cumsum(sizes) - sizes)
+        matrix = (rng.random((sizes.sum(), d)) < 0.5).astype(float)
+        columns.append((weights, matrix, sizes, comp_rounds))
+    return columns, rounds
+
+
+@pytest.mark.parametrize("block", [1, 7, ROW_BLOCK])
+def test_index_digits_roll_over_inside_a_block(block, monkeypatch):
+    monkeypatch.setattr(profile_module, "ROW_BLOCK", block)
+    columns, rounds = rollover_columns(np.random.default_rng(77))
+    profile = CorrelatedProfile.from_columns([1, 12], columns, rounds)
+    text = profile.export_csv()
+    for piece in ("\n9,1,", "\n10,1,", "\n99,2,", "\n100,1,", "\n999,2,", "\n1000,1,",
+                  "\n5,1,9,1,", "\n5,1,10,1,", "\n8,1,2,99,", "\n8,1,2,100,"):
+        assert piece in text
+    assert text == oracles.export_rows(profile)
+    assert objects_of(columns, rounds).export_csv() == text
+    assert CorrelatedProfile.from_csv(text).export_csv() == text
+
+
+def wide_cube_profile():
+    """The profile of 20 rounds of self-play on an 11-bit against a 2-bit
+    hypercube game with seeded payoffs, written as the benchmark's efg-wide
+    workload writes its seed-1 game: a column of behavioral descriptors of
+    up to 2 048 atoms each for the first player."""
+    rng = np.random.default_rng([1, 0])
+    corners = {n: np.array(list(itertools.product((0, 1), repeat=n)))[:, ::-1] for n in (11, 2)}
+    u = rng.uniform(-1.0, 1.0, size=(22, 4))
+    expand = {n: np.eye(2 * n)[2 * np.arange(n) + c].sum(1) for n, c in corners.items()}
+    u /= np.max(np.abs(expand[11] @ u @ expand[2].T))
+    lines = ["efg efg-wide-1-0"]
+    for player, n in ((1, 11), (2, 2)):
+        lines += [f"player {player}", "root O - -"]
+        for j in range(n):
+            lines += [f"b{j} D root {j}", f"b{j}:0 T b{j} 0", f"b{j}:1 T b{j} 1"]
+    lines.append("payoffs")
+    for a, b in itertools.product(range(22), range(4)):
+        lines.append(f"b{a // 2}:{a % 2} b{b // 2}:{b % 2} {float(u[a, b])!r}")
+    game = parse_efg("\n".join(lines) + "\n")
+    dags = [deviation_dag(p, "med:1") for p in game.problems]
+    return efg_self_play(game, dags, rounds=20, L=50).profile
+
+
+def test_export_holds_one_block_of_supports_at_a_time():
+    """Export's traced peak stays under 8 bytes, one float, per character of
+    the text it writes. That covers the text twice (the block strings and
+    their join), the row columns and one block of supports with its copy;
+    holding every support's float matrix and their concatenation at once
+    does not fit."""
+    profile = wide_cube_profile()
+    text = profile.export_csv()
+    assert text.count("\n") - 1 > 2 * ROW_BLOCK
+    assert text == oracles.export_rows(profile)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        again = profile.export_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == text
+    assert peak < 8 * len(text), (peak, len(text))
 
 
 def test_a_column_profile_takes_later_rounds_as_objects():
