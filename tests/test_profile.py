@@ -248,10 +248,13 @@ def test_a_player_past_int64_names_the_first_silent_player():
         f"{10**18 + 7},1,1,1,1.0,10",
         f"{10**29},1,1,1,1.0,10",
         "1,1,1,1,1.0,10\n1,1,1,- 1,1.0,10",
+        "1,,1,1,1.0,10",
+        "1,1,9999999999999999999,1,1.0,10\n1,1,1,1,1.0,01",
         # what str.splitlines and str.strip take as line ends and padding
         "1,1,1,1,0.25,10\v1,1,1,2,0.25,01\f1,1,1,3,0.25,11\x1c1,1,1,4,0.25,00",
         "1,1,1,1,0.5,10\x851,1,1,2,0.5,01\u20281,2,1,1,1.0,1",
         "\t1,1,1,1,0.5,10\t\n\t\t1,1,1,2,0.5,01 \t",
+        "\t1,1,1,1,0.5,10\t\n1,1,1,2,0.5,01\t",
         "1,1,1,1,0.5,10\n1,1,1,2,0.5,0\t1",
         # non-ASCII bits and alpha in forms float() reads
         "1,1,1,1,1.0,1\uff11",
