@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, StructureError
+from .errors import CapacityError
 from .maps import MonomialTable
 from .polynomials import PolynomialDeviation
 from .tfsdp import (
@@ -78,6 +78,29 @@ class DecisionDAG:
             f"DecisionDAG({self.family!r}, states={self.n_states}, "
             f"terminals={self.n_terminal_states})"
         )
+
+
+def join(dags):
+    """The DAGs under one observation root, their states after it in turn,
+    one level deeper: the product of their strategy sets (the Cartesian
+    product regret circuit of Farina, Kroer and Sandholm 2019). Returns the
+    joined DAG, which realizes no deviation, and each DAG's slices of its
+    states and edges."""
+    graphs = [dag.graph for dag in dags]
+    state = np.cumsum([1] + [g.n for g in graphs])[:-1]
+    edge = np.cumsum([len(graphs)] + [g.n_edges for g in graphs])[:-1]
+    deg = np.concatenate([[len(graphs)]] + [np.diff(g.ptr) for g in graphs])
+    graph = Graph(
+        np.concatenate([[CODE[OBSERVATION]]] + [g.code for g in graphs]),
+        np.concatenate([[0], np.cumsum(deg)]),
+        np.concatenate([state] + [g.dst + s for g, s in zip(graphs, state)]),
+        np.concatenate([[0]] + [g.level + 1 for g in graphs]),
+    )
+    joined = DecisionDAG.__new__(DecisionDAG)
+    joined.__dict__.update(family="joined", base=None, graph=graph, n_states=graph.n, root=0,
+                           terminal_states=graph.terminals, n_terminal_states=len(graph.terminals))
+    return joined, [(slice(s, s + g.n), slice(e, e + g.n_edges))
+                    for g, s, e in zip(graphs, state.tolist(), edge.tolist())]
 
 
 def _spread(count):
@@ -258,29 +281,6 @@ class ReducedStrategy:
     def terminal_vector(self):
         return self.state_mass[self.dag.terminal_states].copy()
 
-    def validate(self, tol=1e-9):
-        g = self.dag.graph
-        mass, em = self.state_mass, self.edge_mass
-        dec = g.decision_edge
-        split = np.bincount(g.src[dec], em[dec], minlength=g.n)
-        incoming = np.bincount(g.dst, em, minlength=g.n)
-        incoming[0] = 1.0
-        faults = {
-            "negative edge mass": g.src[dec & (em < -tol)],
-            "decision edges do not carry the state's mass": np.flatnonzero(
-                (g.code == CODE[DECISION]) & (np.abs(split - mass) > tol)
-            ),
-            "an observation edge does not carry the state's mass":
-                g.src[~dec & (np.abs(em - mass[g.src]) > tol)],
-            "incoming mass differs from the stored mass (root: 1)":
-                np.flatnonzero(np.abs(incoming - mass) > tol),
-        }
-        for fault, states in faults.items():
-            if len(states):
-                s = int(states[0])
-                raise StructureError(f"state {s} holding {mass[s]:.12g}: {fault}")
-        return self
-
 
 def forward_flow(dag, policy):
     """Push unit mass from the root through the DAG.
@@ -289,16 +289,6 @@ def forward_flow(dag, policy):
     distribution over each decision state's edges.
     """
     return ReducedStrategy(dag, *flow_down(dag.graph, policy))
-
-
-def policy_from_choices(dag, choices, default=0):
-    """Pure policy from a {decision state: edge index} table."""
-    g = dag.graph
-    share = np.where(g.decision_edge, 0.0, 1.0)
-    states = np.flatnonzero(g.code == CODE[DECISION])
-    picks = [choices.get(s, default) for s in states.tolist()]
-    share[g.ptr[states] + np.array(picks, dtype=np.intp)] = 1.0
-    return share
 
 
 def best_reduced_strategy(dag, weights):

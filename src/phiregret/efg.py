@@ -17,7 +17,7 @@ import numpy as np
 
 from .dags import STATE_CAP, best_reduced_strategy, build_dt_problem, interleave, terminal_weights
 from .errors import ParseError
-from .fixedpoint import FixedPointConfig, PhiRegretMinimizer
+from .fixedpoint import FixedPointConfig, PhiRegretMinimizer, SharedCfr
 from .maps import BehavioralDescriptor, MixtureStrategy
 from .profile import CorrelatedProfile, uniform_mean
 from .tfsdp import hypercube_structure, parse_problem
@@ -72,9 +72,6 @@ class EFGame:
     def zero_sum(cls, problem1, problem2, u1, name="efg", normalize=False):
         u1 = np.asarray(u1, dtype=float)
         return cls([problem1, problem2], [u1, -u1], name=name, normalize=normalize)
-
-    def value(self, x1, x2, player):
-        return float(np.asarray(x1) @ self.payoffs[player] @ np.asarray(x2))
 
     def utility_vector(self, player, opponent_mean):
         """Linear per-terminal utility for `player` against the opponent mean."""
@@ -140,11 +137,11 @@ class FixedAgent:
 class LearningAgent:
     """Wraps the deviation-regret minimizer for one seat at the table."""
 
-    def __init__(self, problem, dag, cfg):
+    def __init__(self, problem, dag, cfg, learner=None):
         if dag.base.n_terminals != problem.n_terminals:
             raise ValueError("deviation DAG does not match the player's problem")
         self.problem = problem
-        self.minimizer = PhiRegretMinimizer(dag, cfg)
+        self.minimizer = PhiRegretMinimizer(dag, cfg, learner)
 
     @property
     def run(self):
@@ -181,21 +178,23 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     deviation_dag), a prebuilt DecisionDAG, or a strategy vector for a
     fixed, non-learning opponent. Utilities are exchanged through the
     bilinear payoffs against the opponent's current mean strategy.
+
+    A round runs each learning seat's expected fixed point, then charges
+    each seat its utility. Two learning seats share one CfrLearner over
+    their joined DAGs (``SharedCfr``): it plays as a learner per seat would
+    and updates once, after both seats' weights arrive.
     """
     if len(devs) != 2:
         raise ValueError("two deviation configurations required")
     if rounds < 0:
         raise ValueError(f"rounds must be nonnegative, got {rounds}")
     cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)
-    agents = []
-    for i, dev in enumerate(devs):
-        problem = game.problems[i]
-        if isinstance(dev, str):
-            agents.append(LearningAgent(problem, deviation_dag(problem, dev), cfg))
-        elif isinstance(dev, (np.ndarray, list)):
-            agents.append(FixedAgent(problem, np.asarray(dev, dtype=float)))
-        else:
-            agents.append(LearningAgent(problem, dev, cfg))
+    seats = [deviation_dag(p, d) if isinstance(d, str) else d for p, d in zip(game.problems, devs)]
+    pinned = [isinstance(seat, (np.ndarray, list)) for seat in seats]
+    learners = iter([None] if any(pinned) else SharedCfr(seats).seats)
+    agents = [FixedAgent(p, np.asarray(seat, dtype=float)) if pin
+              else LearningAgent(p, seat, cfg, next(learners))
+              for p, seat, pin in zip(game.problems, seats, pinned)]
     profile = CorrelatedProfile(2, dims=[p.n_terminals for p in game.problems]) if record_profile else None
     checkpoints = set(checkpoints)
     marks = {}

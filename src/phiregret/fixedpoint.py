@@ -10,24 +10,32 @@ is at most 2/L. Feeding the induced linear utilities to an external-regret
 learner over the deviation DAG then drives the full deviation regret down.
 ``PhiRegretRun`` measures both regrets of such a run exactly, from one
 hindsight best response per checkpoint.
+
+An iterate reuses what is built once per problem and per DAG: the tree
+pass's ones, the start point, a boolean membership test (a failure alone
+is worded) and the monomial paths with their flow buffer. Its behavioral
+component keeps the iterate and node values uncopied. ``SharedCfr`` runs
+the learners of several minimizers as one, over their joined DAGs.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dags import best_reduced_strategy, deviation_image, terminal_weights
+from .dags import ReducedStrategy, best_reduced_strategy, deviation_image, join, terminal_weights
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
-from .maps import MixtureStrategy, consistent_map
+from .maps import BehavioralDescriptor, MixtureStrategy, caratheodory
+from .tfsdp import tree_values
 
 STALL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedPointConfig:
     """Iteration budget and consistent-map choice for fixed-point runs."""
 
@@ -36,13 +44,10 @@ class FixedPointConfig:
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"the fixed point needs L >= 1 iterates, got {self.L}")
-
-    @classmethod
-    def from_eps(cls, eps, **kw):
-        """Budget for a fixed-point error of eps (L = ceil(2/eps))."""
-        return cls(L=max(1, math.ceil(2.0 / eps)), **kw)
+        if not isinstance(self.L, numbers.Integral) or self.L < 1:
+            raise ValueError(f"the fixed point needs an integer L >= 1, got {self.L!r}")
+        if self.delta not in ("beta", "cara"):
+            raise ValueError(f"unknown consistent map {self.delta!r}")
 
 
 @dataclass
@@ -72,24 +77,31 @@ def expected_fixed_point(problem, phi, cfg):
     the 2/L guarantee.
     """
     image = phi if callable(phi) else (lambda comp: comp.expected_image(phi))
-    x = cfg.init if cfg.init is not None else problem.uniform_point()
-    x = np.asarray(x, dtype=float)
-    vals = _node_values(problem, x)
-    problem.require_membership(x, context="fixed-point init", vals=vals)
+    shape = (problem.n_terminals,)
+    if cfg.init is None:
+        x, vals = _uniform_start(problem)
+    else:
+        x = np.array(cfg.init, dtype=float)
+        vals = problem.node_values(x) if x.shape == shape else None
+        problem.require_membership(x, context="fixed-point init", vals=vals)
     iterates = [x]
     components = []
     for _ in range(cfg.L):
-        comp = consistent_map(problem, x, cfg.delta, vals)
+        x.flags.writeable = False  # the component keeps the iterate, uncopied
+        if cfg.delta == "beta":
+            comp = BehavioralDescriptor.shared(problem, x, vals)
+        else:
+            comp = caratheodory(problem, x, vals=vals)
         components.append(comp)
-        nxt = image(comp)
-        vals = _node_values(problem, nxt)
-        violation = problem.membership_violation(nxt, vals=vals)
-        if violation is not None:
+        nxt = np.asarray(image(comp), dtype=float)
+        vals = tree_values(problem.graph, nxt) if nxt.shape == shape else None
+        if vals is None or not problem.in_polytope(nxt, vals):
             raise InvalidDeviationError(
-                f"extended map left the polytope ({violation}); "
+                f"extended map left the polytope "
+                f"({problem.membership_violation(nxt, vals=vals)}); "
                 "the deviation is not valid on this problem"
             )
-        if np.max(np.abs(nxt - x)) <= STALL_TOL:
+        if abs(nxt - x).max() <= STALL_TOL:
             pi = MixtureStrategy([(1.0, comp)])
             return FixedPointResult(iterates, pi, nxt - x, cfg.L, True)
         iterates.append(nxt)
@@ -99,10 +111,19 @@ def expected_fixed_point(problem, phi, cfg):
     return FixedPointResult(iterates[:-1], pi, error, cfg.L, False)
 
 
-def _node_values(problem, x):
-    """x's node values, shared by the membership check and the consistent
-    map; None for a point of the wrong length, which the check reports."""
-    return problem.node_values(x) if np.shape(x) == (problem.n_terminals,) else None
+_STARTS = weakref.WeakKeyDictionary()
+
+
+def _uniform_start(problem):
+    """The problem's uniform point, read-only, and its node values: built
+    and checked on the first call for the problem, then kept."""
+    if problem not in _STARTS:
+        x = problem.uniform_point()
+        vals = problem.node_values(x)
+        problem.require_membership(x, context="fixed-point init", vals=vals)
+        x.flags.writeable = vals.flags.writeable = False
+        _STARTS[problem] = (x, vals)
+    return _STARTS[problem]
 
 
 @dataclass
@@ -198,24 +219,57 @@ class PhiRegretMinimizer:
         return q, fp
 
     def observe_utility(self, u):
+        """Charge the learner for utility u over the base problem's terminals;
+        a u of the wrong length or with a non-finite value changes nothing."""
         if self._pending is None:
             raise RuntimeError("observe_utility called before next_mixture")
+        u, n = np.asarray(u, dtype=float), self.problem.n_terminals
+        if u.shape != (n,):
+            raise ValueError(f"utility of shape {u.shape}; expected length {n}")
+        if not np.isfinite(u).all():
+            raise ValueError("utility values must be finite")
         qv, fp = self._pending
         self._pending = None
         w = terminal_weights(self.dag, u, fp.pi)
         self.learner.observe(w)
-        base = float(np.asarray(u, dtype=float) @ fp.pi.mean())
+        base = float(u @ fp.pi.mean())
         self.run.record(w, qv, base, fp.error_bound)
         return w
 
 
-def _as_mixture(proposed):
-    """The playable mixture of a next_mixture() return: PhiRegretMinimizer's
-    (deviation, FixedPointResult) pair, or a bare mixture."""
-    if isinstance(proposed, tuple):
-        _, fp = proposed
-        return fp.pi
-    return proposed
+class SharedCfr:
+    """One CfrLearner over several DAGs joined under an observation root
+    (``dags.join``); ``seats[i]`` is the i-th DAG's learner. Restricted to a
+    DAG, the joint flow and regrets are that DAG's own, so each seat plays
+    exactly as a CfrLearner of its own, at one learner's dispatch for all. A
+    seat reads its slice of the joint flow; the joint update runs once every
+    seat has observed. Seats hold the learner, not this object, so no
+    reference cycle outlives a run."""
+
+    def __init__(self, dags):
+        joined, parts = join(dags)
+        self.learner = CfrLearner(joined)
+        self.waiting = [None] * len(dags)
+        self.seats = [_Seat(self.learner, self.waiting, i, dag, *part)
+                      for i, (dag, part) in enumerate(zip(dags, parts))]
+
+
+class _Seat:
+    """One DAG's learner within a SharedCfr."""
+
+    def __init__(self, learner, waiting, index, dag, states, edges):
+        self.learner, self.waiting, self.index = learner, waiting, index
+        self.dag, self.states, self.edges = dag, states, edges
+
+    def next_strategy(self):
+        q = self.learner.next_strategy()
+        return ReducedStrategy(self.dag, q.state_mass[self.states], q.edge_mass[self.edges])
+
+    def observe(self, weights):
+        self.waiting[self.index] = weights
+        if all(w is not None for w in self.waiting):
+            self.learner.observe(np.concatenate(self.waiting))
+            self.waiting[:] = [None] * len(self.waiting)
 
 
 def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=10000):
@@ -243,7 +297,8 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
     threshold = eps * diameter
     last_err = None
     for t in range(1, budget + 1):
-        pi = _as_mixture(minimizer.next_mixture())
+        pi = minimizer.next_mixture()
+        pi = pi[1].pi if isinstance(pi, tuple) else pi
         g = image(pi) - pi.mean()
         err = float(np.linalg.norm(g))
         last_err = err

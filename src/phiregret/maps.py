@@ -77,10 +77,11 @@ class MonomialTable:
         return out
 
     def decision_paths(self, problem):
-        """``(edges, conflict)`` against the problem's tree: ``edges`` (U, E)
-        holds the decision edges (graph edge ids) each monomial requires,
-        padded with -1, and ``conflict`` (U,) marks those requiring two edges
-        out of one decision point. Compiled on the first call and kept."""
+        """``(edges, conflict)`` against the problem's tree: column u of
+        ``edges`` (E, U) holds the decision edges (graph edge ids) monomial u
+        requires, padded with -1, and ``conflict`` (U,) marks those requiring
+        two edges out of one decision point. Compiled on the first call, with
+        the flow buffer ``monomial_expectation_beta`` writes, and kept."""
         if self._paths is None or self._paths[0] is not problem:
             g = problem.graph
             into = np.empty(g.n, dtype=np.intp)
@@ -93,14 +94,15 @@ class MonomialTable:
             conflict = np.array(
                 [len(set(g.src[e].tolist())) < len(e) for e in need], dtype=bool
             )
-            self._paths = (problem, padded(need), conflict)
-        return self._paths[1:]
+            self._paths = (problem, padded(need).T.copy(), conflict, np.empty(g.n_edges + 1))
+        return self._paths[1:3]
 
 
-def _conditional_flow(graph, vals):
+def _conditional_flow(graph, vals, flow):
     """Each edge's share vals[dst] / vals[src] of its source's node value (1
-    below a state of value 0), then a trailing 1 for a -1 pad to read."""
-    flow = np.ones(graph.n_edges + 1)
+    below a state of value 0), then a trailing 1 for a -1 pad to read,
+    written into ``flow`` (n_edges + 1,)."""
+    flow.fill(1.0)
     above = vals[graph.src]
     np.divide(vals[graph.dst], above, out=flow[:-1], where=above > 0.0)
     return flow
@@ -116,10 +118,10 @@ def monomial_expectation_beta(problem, vals, table):
     is 0 on a conflict.
     """
     edges, conflict = table.decision_paths(problem)
-    flow = _conditional_flow(problem.graph, vals)
-    out = np.ones(table.n)
-    for col in edges.T:
-        out *= flow[col]
+    flow = _conditional_flow(problem.graph, vals, table._paths[3])
+    out = flow[edges[0]] if len(edges) else np.ones(table.n)
+    for row in edges[1:]:
+        out *= flow[row]
     out[conflict] = 0.0
     return out
 
@@ -239,6 +241,13 @@ class BehavioralDescriptor:
         self.base.flags.writeable = False
         self.vals = problem.node_values(self.base) if vals is None else vals
 
+    @classmethod
+    def shared(cls, problem, base, vals):
+        """The descriptor of a read-only float base and its node values, kept without a copy."""
+        comp = cls.__new__(cls)
+        comp.problem, comp.base, comp.vals = problem, base, vals
+        return comp
+
     def mean(self):
         return self.base
 
@@ -263,7 +272,7 @@ def beta_support(problem, x, cap=SUPPORT_CAP):
     atoms raises CapacityError before it is allocated.
     """
     vals = problem.node_values(np.asarray(x, dtype=float))
-    share = _conditional_flow(problem.graph, vals)[:-1]
+    share = _conditional_flow(problem.graph, vals, np.empty(problem.graph.n_edges + 1))[:-1]
     return SupportMix.from_arrays(*problem.pure_support(share, cap))
 
 
@@ -299,19 +308,10 @@ def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
     return SupportMix([(w / total, y) for w, y in atoms])
 
 
-def consistent_map(problem, x, delta="beta", vals=None):
-    """The named consistent map's mixture at x: "beta" for the behavioral
-    descriptor, "cara" for the peeling decomposition.
-    ``vals`` are x's node values when the caller already has them."""
-    if delta == "beta":
-        return BehavioralDescriptor(problem, x, vals)
-    if delta == "cara":
-        return caratheodory(problem, x, vals=vals)
-    raise ValueError(f"unknown consistent map {delta!r}")
-
-
 def extended_map_eval(phi, problem, x, delta="beta"):
-    """Expectation of phi over the chosen consistent map's mixture at x.
+    """Expectation of phi over the named consistent map's mixture at x:
+    "beta" for the behavioral descriptor, "cara" for the peeling
+    decomposition.
 
     Both routes replace each monomial of phi by its expectation, in closed
     form for the behavioral map and over the atoms for the peeling map.
@@ -319,7 +319,10 @@ def extended_map_eval(phi, problem, x, delta="beta"):
     so it stays inside the polytope whenever phi itself maps pure strategies
     into it.
     """
-    return consistent_map(problem, x, delta).expected_image(phi)
+    if delta not in ("beta", "cara"):
+        raise ValueError(f"unknown consistent map {delta!r}")
+    comp = BehavioralDescriptor(problem, x) if delta == "beta" else caratheodory(problem, x)
+    return comp.expected_image(phi)
 
 
 def _expected_image(mixture, phi):

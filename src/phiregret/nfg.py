@@ -30,7 +30,6 @@ from .learners import Mwu
 from .profile import CorrelatedProfile
 
 PAYOFF_TOL = 1e-9
-DENSE_CAP = 10**6
 ROUND_BLOCK = 4096
 
 
@@ -128,20 +127,6 @@ class NormalFormGame:
             elif player == j:
                 total += m_j[joint[j], joint[i]]
         return float(total)
-
-    def to_dense(self):
-        """Expand to dense tensors (small games only)."""
-        size = math.prod(self.action_counts)
-        if size > DENSE_CAP:
-            raise ValueError(f"{size} joint actions exceed the dense cap")
-        if self.tensors is not None:
-            return self
-        shape = tuple(self.action_counts)
-        tensors = [np.zeros(shape) for _ in range(self.n_players)]
-        for joint in np.ndindex(*shape):
-            for i in range(self.n_players):
-                tensors[i][joint] = self.payoff(i, joint)
-        return NormalFormGame.dense(tensors, name=self.name)
 
     def __repr__(self):
         layout = "polymatrix" if self.is_polymatrix else "dense"

@@ -69,19 +69,6 @@ class PolynomialDeviation:
         """Every distinct non-constant monomial appearing in any output."""
         return {m for out in self.terms for _, m in out if m}
 
-    def eval_point(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n_outputs)
-        for z, terms in enumerate(self.terms):
-            total = 0.0
-            for c, m in terms:
-                v = c
-                for i in m:
-                    v *= x[i]
-                total += v
-            out[z] = total
-        return out
-
     def eval_batch(self, points):
         points = np.asarray(points, dtype=float)
         out = np.zeros((points.shape[0], self.n_outputs))
@@ -141,13 +128,6 @@ class PolynomialDeviation:
                     f"the polytope: {violation}"
                 )
         return images
-
-    def is_valid_on(self, problem, pure=None, tol=1e-9):
-        try:
-            self.validate_on_polytope(problem, pure, tol)
-            return True
-        except InvalidDeviationError:
-            return False
 
     def __repr__(self):
         n_terms = sum(len(t) for t in self.terms)

@@ -74,6 +74,7 @@ class Graph:
         # Fraction of a state's mass each edge carries under uniform play.
         self.uniform_share = np.where(self.decision_edge, 1.0 / deg[self.src], 1.0)
         self.uniform_share.flags.writeable = False
+        self.sum_pass = None  # tree_values' blocks, compiled on its first call
 
         order = np.argsort(edge_level, kind="stable")
         cuts = np.flatnonzero(np.diff(edge_level[order])) + 1
@@ -169,15 +170,18 @@ def count_pure(graph):
 
 def tree_values(graph, leaf):
     """Node values of a terminal vector: decision states sum their children,
-    observation states copy their first child."""
+    each one dot with a row of ones, observation states copy their first
+    child. The ones and first children are compiled on the first call."""
+    if graph.sum_pass is None:
+        graph.sum_pass = [
+            (states, children, np.ones(children.shape)) if code == CODE[DECISION]
+            else (states, children[:, 0].copy(), None)
+            for code, states, _, children in graph.blocks
+        ]
     value = np.zeros(graph.n)
     value[graph.terminals] = leaf
-    for code, states, _, children in graph.blocks:
-        below = value[children]
-        if code == CODE[DECISION]:
-            value[states] = _row_dots(np.ones_like(below), below)
-        else:
-            value[states] = below[:, 0]
+    for states, children, ones in graph.sum_pass:
+        value[states] = value[children] if ones is None else _row_dots(ones, value[children])
     return value
 
 
@@ -283,6 +287,8 @@ class DecisionProblem:
         self.n_terminals = len(self.terminals)
         self.terminal_index = np.full(n, -1, dtype=int)
         self.terminal_index[self.terminals] = np.arange(self.n_terminals)
+        observed = ~self.graph.decision_edge
+        self.observation_edges = np.stack([self.graph.dst[observed], self.graph.src[observed]])
 
         # Decision edges (decision node, chosen child) on the path to each terminal.
         paths = []
@@ -344,16 +350,22 @@ class DecisionProblem:
             vals = self.node_values(x)
         if abs(vals[self.root] - 1.0) > tol:
             return f"root value {vals[self.root]:.12g} != 1"
-        g = self.graph
-        bad = ~g.decision_edge & (np.abs(vals[g.dst] - vals[g.src]) > tol)
+        dst, src = self.observation_edges
+        bad = np.abs(vals[dst] - vals[src]) > tol
         if bad.any():
             e = int(np.argmax(bad))
-            node, c = g.src[e], g.dst[e]
+            node, c = src[e], dst[e]
             return (
                 f"observation point {self.node_ids[node]!r}: child "
                 f"{self.node_ids[c]!r} carries {vals[c]:.12g} != {vals[node]:.12g}"
             )
         return None
+
+    def in_polytope(self, x, vals, tol=FLOW_TOL):
+        """Whether ``membership_violation(x, tol, vals)`` is None, for a float x of n terminals."""
+        child, parent = vals[self.observation_edges]
+        return not (x.min() < -tol or abs(vals[self.root] - 1.0) > tol
+                    or np.fmax.reduce(abs(child - parent), initial=0.0) > tol)
 
     def membership(self, x, tol=FLOW_TOL):
         return self.membership_violation(x, tol) is None
@@ -438,21 +450,6 @@ class DecisionProblem:
             lo, hi = g.ptr[node], g.ptr[node + 1]
             share[lo:hi] = rng.dirichlet(np.ones(hi - lo))
         return flow_down(g, share)[0][self.terminals]
-
-    # -- responses -----------------------------------------------------------
-
-    def _pure_response(self, u, maximize):
-        value, share = back_up(
-            self.graph, np.asarray(u, dtype=float), "max" if maximize else "min"
-        )
-        return float(value[self.root]), flow_down(self.graph, share)[0][self.terminals]
-
-    def best_pure_response(self, u):
-        """(value, strategy) maximizing <u, x>; ties break to the lowest child."""
-        return self._pure_response(u, maximize=True)
-
-    def worst_pure_response(self, u):
-        return self._pure_response(u, maximize=False)
 
     # -- restructuring -------------------------------------------------------
 
@@ -602,15 +599,6 @@ def hypercube_structure(problem):
             return None
         pairs.append((int(problem.terminal_index[lo]), int(problem.terminal_index[hi])))
     return pairs
-
-
-def bits_to_point(pairs, bits):
-    """Tree-form point for per-bit set probabilities."""
-    out = np.zeros(2 * len(pairs))
-    for (lo, hi), b in zip(pairs, bits):
-        out[hi] = b
-        out[lo] = 1.0 - b
-    return out
 
 
 def l2_diameter(points):

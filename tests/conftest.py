@@ -69,7 +69,7 @@ TWO_MEDIATOR_POLICY = {
 def realize_state_policy(dag, table):
     """Reduced strategy of a per-state move table (default: first edge)."""
     import oracles
-    from phiregret.dags import forward_flow, policy_from_choices
+    from phiregret.dags import forward_flow
 
     lists = oracles.dag_lists(dag)
     choices = {}
@@ -81,8 +81,8 @@ def realize_state_policy(dag, table):
             e for e, move in enumerate(lists.edge_moves[s]) if move == (target,)
         ]
         choices[s] = edge
-    flow = forward_flow(dag, policy_from_choices(dag, choices, default=0))
-    flow.validate()
+    flow = forward_flow(dag, oracles.policy_from_choices(dag, choices, default=0))
+    oracles.validate_flow(flow)
     return flow.terminal_vector()
 
 

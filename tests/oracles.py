@@ -18,10 +18,19 @@ import types
 import numpy as np
 import scipy.optimize
 
-from phiregret.errors import CapacityError
-from phiregret.maps import MonomialTable, SupportMix, padded
+from phiregret.errors import CapacityError, InvalidDeviationError, StructureError
+from phiregret.fixedpoint import STALL_TOL, FixedPointConfig, FixedPointResult
+from phiregret.maps import (
+    BehavioralDescriptor,
+    MixtureStrategy,
+    MonomialTable,
+    SupportMix,
+    caratheodory,
+    padded,
+)
 from phiregret.nfg import (
     CeResult,
+    NormalFormGame,
     SwapLearner,
     ce_horizon,
     expectation_oracle,
@@ -35,6 +44,8 @@ from phiregret.tfsdp import (
     OBSERVATION,
     TERMINAL,
     Graph,
+    back_up,
+    flow_down,
     graph_arrays,
     hypercube_problem,
 )
@@ -434,7 +445,13 @@ def from_csv_rows(text):
 
     n_rounds = max((t for t, _ in rows), default=-1) + 1
     n_players = max((i for _, i in rows), default=-1) + 1
-    profile = CorrelatedProfile(n_players, dims=[dims.get(i) for i in range(n_players)])
+    # A player with no atoms in any round fails round 1 below, so the dims
+    # stop at the first such player instead of running to the largest
+    # player number (which a huge player field would make exhaust memory).
+    missing = next(i for i in itertools.count() if i not in dims)
+    profile = None
+    if missing >= n_players:
+        profile = CorrelatedProfile(n_players, dims=[dims[i] for i in range(n_players)])
     for t in range(n_rounds):
         per_player = []
         for i in range(n_players):
@@ -869,3 +886,167 @@ def run_ce_per_player(game, eps, c=8.0, horizon=None, L=None, record_profile=Tru
         elapsed=time.monotonic() - start,
         curve_rows=curve_rows,
     )
+
+
+def expected_fixed_point_loop(problem, phi, cfg):
+    """The library's former ``fixedpoint.expected_fixed_point``, kept
+    verbatim: each iterate runs ``consistent_map``, the image, the node
+    values and ``membership_violation`` anew, and the behavioral component
+    copies its base."""
+    image = phi if callable(phi) else (lambda comp: comp.expected_image(phi))
+    x = cfg.init if cfg.init is not None else problem.uniform_point()
+    x = np.asarray(x, dtype=float)
+    vals = _node_values(problem, x)
+    problem.require_membership(x, context="fixed-point init", vals=vals)
+    iterates = [x]
+    components = []
+    for _ in range(cfg.L):
+        comp = consistent_map(problem, x, cfg.delta, vals)
+        components.append(comp)
+        nxt = image(comp)
+        vals = _node_values(problem, nxt)
+        violation = problem.membership_violation(nxt, vals=vals)
+        if violation is not None:
+            raise InvalidDeviationError(
+                f"extended map left the polytope ({violation}); "
+                "the deviation is not valid on this problem"
+            )
+        if np.max(np.abs(nxt - x)) <= STALL_TOL:
+            pi = MixtureStrategy([(1.0, comp)])
+            return FixedPointResult(iterates, pi, nxt - x, cfg.L, True)
+        iterates.append(nxt)
+        x = nxt
+    pi = MixtureStrategy([(1.0 / cfg.L, c) for c in components])
+    error = (iterates[-1] - iterates[0]) / cfg.L
+    return FixedPointResult(iterates[:-1], pi, error, cfg.L, False)
+
+
+def _node_values(problem, x):
+    """x's node values, shared by the membership check and the consistent
+    map; None for a point of the wrong length, which the check reports."""
+    return problem.node_values(x) if np.shape(x) == (problem.n_terminals,) else None
+
+
+def consistent_map(problem, x, delta="beta", vals=None):
+    """The library's former ``maps.consistent_map``, kept verbatim: the
+    named consistent map's mixture at x, "beta" for the behavioral
+    descriptor, "cara" for the peeling decomposition."""
+    if delta == "beta":
+        return BehavioralDescriptor(problem, x, vals)
+    if delta == "cara":
+        return caratheodory(problem, x, vals=vals)
+    raise ValueError(f"unknown consistent map {delta!r}")
+
+
+def fixed_point_config_from_eps(eps, **kw):
+    """The library's former ``FixedPointConfig.from_eps``: the budget for a
+    fixed-point error of eps (L = ceil(2/eps))."""
+    return FixedPointConfig(L=max(1, math.ceil(2.0 / eps)), **kw)
+
+
+def validate_flow(strategy, tol=1e-9):
+    """The library's former ``ReducedStrategy.validate``: raise
+    StructureError naming the first state whose flow breaks a rule, else
+    return the strategy."""
+    g = strategy.dag.graph
+    mass, em = strategy.state_mass, strategy.edge_mass
+    dec = g.decision_edge
+    split = np.bincount(g.src[dec], em[dec], minlength=g.n)
+    incoming = np.bincount(g.dst, em, minlength=g.n)
+    incoming[0] = 1.0
+    faults = {
+        "negative edge mass": g.src[dec & (em < -tol)],
+        "decision edges do not carry the state's mass": np.flatnonzero(
+            (g.code == CODE[DECISION]) & (np.abs(split - mass) > tol)
+        ),
+        "an observation edge does not carry the state's mass":
+            g.src[~dec & (np.abs(em - mass[g.src]) > tol)],
+        "incoming mass differs from the stored mass (root: 1)":
+            np.flatnonzero(np.abs(incoming - mass) > tol),
+    }
+    for fault, states in faults.items():
+        if len(states):
+            s = int(states[0])
+            raise StructureError(f"state {s} holding {mass[s]:.12g}: {fault}")
+    return strategy
+
+
+def policy_from_choices(dag, choices, default=0):
+    """The library's former ``dags.policy_from_choices``: the pure policy of
+    a {decision state: edge index} table."""
+    g = dag.graph
+    share = np.where(g.decision_edge, 0.0, 1.0)
+    states = np.flatnonzero(g.code == CODE[DECISION])
+    picks = [choices.get(s, default) for s in states.tolist()]
+    share[g.ptr[states] + np.array(picks, dtype=np.intp)] = 1.0
+    return share
+
+
+def bits_to_point(pairs, bits):
+    """The library's former ``tfsdp.bits_to_point``: the tree-form point for
+    per-bit set probabilities."""
+    out = np.zeros(2 * len(pairs))
+    for (lo, hi), b in zip(pairs, bits):
+        out[hi] = b
+        out[lo] = 1.0 - b
+    return out
+
+
+def graph_pure_response(problem, u, maximize=True):
+    """The library's former ``DecisionProblem.best_pure_response`` (and, with
+    maximize=False, ``worst_pure_response``): (value, strategy) by
+    ``back_up`` and ``flow_down``; ties break to the lowest child."""
+    value, share = back_up(
+        problem.graph, np.asarray(u, dtype=float), "max" if maximize else "min"
+    )
+    return float(value[problem.root]), flow_down(problem.graph, share)[0][problem.terminals]
+
+
+def eval_point(phi, x):
+    """The library's former ``PolynomialDeviation.eval_point``: phi at x,
+    each output a sum of coefficient times monomial, in term order."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(phi.n_outputs)
+    for z, terms in enumerate(phi.terms):
+        total = 0.0
+        for c, m in terms:
+            v = c
+            for i in m:
+                v *= x[i]
+            total += v
+        out[z] = total
+    return out
+
+
+def is_valid_on(phi, problem, pure=None, tol=1e-9):
+    """The library's former ``PolynomialDeviation.is_valid_on``: whether
+    ``validate_on_polytope`` passes."""
+    try:
+        phi.validate_on_polytope(problem, pure, tol)
+        return True
+    except InvalidDeviationError:
+        return False
+
+
+DENSE_CAP = 10**6
+
+
+def to_dense(game):
+    """The library's former ``NormalFormGame.to_dense``: the game expanded to
+    dense tensors (small games only)."""
+    size = math.prod(game.action_counts)
+    if size > DENSE_CAP:
+        raise ValueError(f"{size} joint actions exceed the dense cap")
+    if game.tensors is not None:
+        return game
+    shape = tuple(game.action_counts)
+    tensors = [np.zeros(shape) for _ in range(game.n_players)]
+    for joint in np.ndindex(*shape):
+        for i in range(game.n_players):
+            tensors[i][joint] = game.payoff(i, joint)
+    return NormalFormGame.dense(tensors, name=game.name)
+
+
+def game_value(game, x1, x2, player):
+    """The library's former ``EFGame.value``: the bilinear payoff x1^T U_i x2."""
+    return float(np.asarray(x1) @ game.payoffs[player] @ np.asarray(x2))

@@ -228,13 +228,13 @@ def test_criterion_05_naive_vs_consistent_extension():
     problem = two_stage_problem()
     phi = counterexample_deviation()
     for y in oracles.enumerate_pure(problem):
-        img = phi.eval_point(y)
+        img = oracles.eval_point(phi, y)
         assert oracles.membership(problem, img), (y, img)
         assert problem.membership_violation(img) is None
 
     x0 = np.array([0.5, 0.5, 0.0, 0.5, 0.0])
     assert problem.membership_violation(x0) is None
-    naive = phi.eval_point(x0)
+    naive = oracles.eval_point(phi, x0)
     assert np.array_equal(naive, [0.5, 0.25, 0.0, 0.5, 0.0]), naive
     assert not oracles.membership(problem, naive)
     assert problem.membership_violation(naive) is not None
@@ -311,7 +311,7 @@ def test_criterion_07_mediator_machinery():
     q2 = realize_state_policy(interleave(two_stage, 2), TWO_MEDIATOR_POLICY)
     dag2 = interleave(two_stage, 2)
     for y in two_stage.enumerate_pure_strategies():
-        assert np.allclose(evaluate_deviation(dag2, q2, y), phi.eval_point(y), atol=1e-12)
+        assert np.allclose(evaluate_deviation(dag2, q2, y), oracles.eval_point(phi, y), atol=1e-12)
 
     res = efg_self_play(
         skew_game(), ["med:1", "med:1"], rounds=4000, L=50, checkpoints=(1000,),
@@ -348,7 +348,7 @@ def test_criterion_08_identity_extension_degree():
         assert f.degree <= binary.depth, (problem.name, f.degree, binary.depth)
         degrees.append((f.degree, binary.depth))
         for y in binary.enumerate_pure_strategies():
-            assert np.allclose(f.eval_point(y), y, atol=1e-12)
+            assert np.allclose(oracles.eval_point(f, y), y, atol=1e-12)
     report(
         8,
         True,

@@ -23,11 +23,10 @@ from phiregret.dags import (
     eval_dt_deviation,
     evaluate_deviation,
     follow_identity_policy,
-    policy_from_choices,
 )
 from phiregret.errors import CapacityError, StructureError
 from phiregret.maps import SupportMix
-from phiregret.tfsdp import Graph, bits_to_point, count_pure, graph_arrays, hypercube_structure
+from phiregret.tfsdp import Graph, count_pure, graph_arrays, hypercube_structure
 
 def test_dual_swaps_kinds(two_stage):
     dual = oracles.dual_problem(two_stage)
@@ -73,7 +72,7 @@ def test_follow_the_mediator_is_identity(two_stage, hypercube2):
     for p in (two_stage, hypercube2, random_problem(rng)):
         dag = interleave(p, 1)
         flow = forward_flow(dag, follow_identity_policy(dag))
-        flow.validate()
+        oracles.validate_flow(flow)
         q = flow.terminal_vector()
         for y in p.enumerate_pure_strategies():
             assert np.allclose(evaluate_deviation(dag, q, y), y, atol=1e-12)
@@ -84,7 +83,7 @@ def test_two_mediator_policy_realizes_counterexample(two_stage):
     phi = counterexample_deviation()
     q = realize_state_policy(dag, TWO_MEDIATOR_POLICY)
     for y in two_stage.enumerate_pure_strategies():
-        assert np.allclose(evaluate_deviation(dag, q, y), phi.eval_point(y), atol=1e-12)
+        assert np.allclose(evaluate_deviation(dag, q, y), oracles.eval_point(phi, y), atol=1e-12)
 
 
 def test_best_reduced_strategy_matches_enumeration():
@@ -98,7 +97,7 @@ def test_best_reduced_strategy_matches_enumeration():
         for _ in range(3):
             w = rng.normal(size=dag.n_terminal_states)
             val, strategy = best_reduced_strategy(dag, w)
-            strategy.validate()
+            oracles.validate_flow(strategy)
             assert val == pytest.approx(strategy.terminal_vector() @ w, abs=1e-9)
             assert val == pytest.approx(
                 oracles.best_pure_reduced_value(dag, w), abs=1e-9
@@ -117,18 +116,18 @@ def test_best_reduced_strategy_dominates_random_policies(two_stage):
                 choices = {
                     s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states
                 }
-                q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
+                q = forward_flow(dag, oracles.policy_from_choices(dag, choices)).terminal_vector()
                 assert float(q @ w) <= val + 1e-9
 
 
 def test_forward_flow_validates(two_stage):
     dag = interleave(two_stage, 1)
     lists = oracles.dag_lists(dag)
-    forward_flow(dag, dag.graph.uniform_share).validate()
+    oracles.validate_flow(forward_flow(dag, dag.graph.uniform_share))
     rng = np.random.default_rng(14)
     for _ in range(5):
         choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
-        forward_flow(dag, policy_from_choices(dag, choices)).validate()
+        oracles.validate_flow(forward_flow(dag, oracles.policy_from_choices(dag, choices)))
 
 
 def test_mediator_deviations_have_bounded_degree(two_stage):
@@ -137,11 +136,11 @@ def test_mediator_deviations_have_bounded_degree(two_stage):
         dag = interleave(two_stage, k)
         lists = oracles.dag_lists(dag)
         choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
-        q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
+        q = forward_flow(dag, oracles.policy_from_choices(dag, choices)).terminal_vector()
         poly = deviation_polynomial(dag, q)
         assert poly.degree <= k
         x = two_stage.random_point(rng)
-        assert np.allclose(poly.eval_point(x), evaluate_deviation(dag, q, x), atol=1e-12)
+        assert np.allclose(oracles.eval_point(poly, x), evaluate_deviation(dag, q, x), atol=1e-12)
 
 
 def test_mediator_deviations_map_pure_into_polytope(two_stage):
@@ -151,7 +150,7 @@ def test_mediator_deviations_map_pure_into_polytope(two_stage):
     lists = oracles.dag_lists(dag)
     for _ in range(10):
         choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
-        q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
+        q = forward_flow(dag, oracles.policy_from_choices(dag, choices)).terminal_vector()
         for y in two_stage.enumerate_pure_strategies():
             two_stage.require_membership(evaluate_deviation(dag, q, y))
 
@@ -184,10 +183,10 @@ def test_query_tree_matches_point_evaluation():
     pairs = hypercube_structure(dag.base)
     for _ in range(5):
         choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
-        q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
+        q = forward_flow(dag, oracles.policy_from_choices(dag, choices)).terminal_vector()
         bits = rng.integers(0, 2, size=3)
         via_bits = eval_dt_deviation(dag, q, bits)
-        via_point = evaluate_deviation(dag, q, bits_to_point(pairs, bits))
+        via_point = evaluate_deviation(dag, q, oracles.bits_to_point(pairs, bits))
         assert np.allclose(via_bits, via_point[1::2], atol=1e-12)
 
 
@@ -200,7 +199,7 @@ def test_terminal_weights_charging_identity(two_stage):
     pure = two_stage.enumerate_pure_strategies()
     for _ in range(8):
         choices = {s: int(rng.integers(len(lists.edges[s]))) for s in lists.decision_states}
-        q = forward_flow(dag, policy_from_choices(dag, choices)).terminal_vector()
+        q = forward_flow(dag, oracles.policy_from_choices(dag, choices)).terminal_vector()
         picks = rng.integers(0, len(pure), size=3)
         alphas = rng.dirichlet(np.ones(3))
         pi = SupportMix([(a, pure[i]) for a, i in zip(alphas, picks)])
@@ -243,7 +242,7 @@ def test_tree_and_interleave_zero_compile_alike(two_stage):
 def test_validate_rejects_broken_flows(two_stage):
     dag = interleave(two_stage, 1)
     lists = oracles.dag_lists(dag)
-    good = forward_flow(dag, dag.graph.uniform_share).validate()
+    good = oracles.validate_flow(forward_flow(dag, dag.graph.uniform_share))
     g = dag.graph
     into_terminal = np.isin(g.dst, dag.terminal_states) & (good.edge_mass > 0)
 
@@ -268,8 +267,8 @@ def test_validate_rejects_broken_flows(two_stage):
     ]
     for shifts, fault in cases:
         with pytest.raises(StructureError, match=fault):
-            broken(shifts).validate()
+            oracles.validate_flow(broken(shifts))
     bad = ReducedStrategy(dag, good.state_mass.copy(), good.edge_mass)
     bad.state_mass[dag.terminal_states[0]] += 0.1
     with pytest.raises(StructureError, match="incoming"):
-        bad.validate()
+        oracles.validate_flow(bad)

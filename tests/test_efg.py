@@ -1,13 +1,18 @@
 """Two-player games: payoff plumbing, self-play, and profile audits."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import oracles
 from phiregret import (
     EFGame,
     FixedPointConfig,
     MembershipError,
     ParseError,
+    PhiRegretMinimizer,
     deviation_dag,
     dump_efg,
     efg_self_play,
@@ -20,6 +25,7 @@ from phiregret import (
 
 from conftest import TWO_STAGE_TEXT
 from oracles import enumerate_pure
+from phiregret.profile import uniform_mean
 
 
 def small_game(rng=None, normalize=True):
@@ -76,10 +82,10 @@ def test_value_matches_utility_vector():
     for _ in range(10):
         x = game.problems[0].random_point(rng)
         y = game.problems[1].random_point(rng)
-        assert game.value(x, y, 0) == pytest.approx(
+        assert oracles.game_value(game, x, y, 0) == pytest.approx(
             float(x @ game.utility_vector(0, y)), abs=1e-12
         )
-        assert game.value(x, y, 1) == pytest.approx(
+        assert oracles.game_value(game, x, y, 1) == pytest.approx(
             float(y @ game.utility_vector(1, x)), abs=1e-12
         )
 
@@ -267,3 +273,38 @@ def test_unbounded_payoff_file_is_a_parse_error():
     text = GAME_TEXT.replace("2 2 0.5\n", "2 2 1.5\n")
     with pytest.raises(ParseError, match="normalize"):
         parse_efg(text)
+
+
+def test_self_play_shares_one_learner_and_plays_as_separate_learners():
+    game = small_game()
+    dags = [deviation_dag(game.problems[0], "med:1"), deviation_dag(game.problems[1], "dt:2")]
+    res = efg_self_play(game, dags, rounds=40, L=20, checkpoints=(10, 25))
+    seats = [agent.minimizer.learner for agent in res.agents]
+    assert seats[0].learner is seats[1].learner
+    alone = [PhiRegretMinimizer(dag, FixedPointConfig(L=20)) for dag in dags]
+    for t in range(1, 41):
+        comps = [[c for _, c in m.next_mixture()[1].pi.components] for m in alone]
+        means = [uniform_mean(c) for c in comps]
+        for i, m in enumerate(alone):
+            m.observe_utility(game.utility_vector(i, means[1 - i]))
+        if t in (10, 25, 40):
+            for m in alone:
+                m.run.checkpoint()
+    for agent, m in zip(res.agents, alone):
+        got, want = agent.run, m.run
+        assert got.weight_sum.tobytes() == want.weight_sum.tobytes()
+        assert got.records == want.records
+        assert (got.realized, got.baseline) == (want.realized, want.baseline)
+
+
+def test_a_shared_learner_is_freed_with_its_run():
+    # a reference cycle would keep the joined DAG's learner, and the DAGs
+    # its seats hold, alive until the cycle collector runs
+    gc.disable()
+    try:
+        res = efg_self_play(small_game(), ["med:1", "dt:1"], rounds=3, L=5)
+        learner = weakref.ref(res.agents[0].minimizer.learner.learner)
+        del res
+        assert learner() is None
+    finally:
+        gc.enable()

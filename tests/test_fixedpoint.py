@@ -1,22 +1,34 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import counterexample_deviation
+from conftest import TWO_STAGE_TEXT, counterexample_deviation
 from phiregret import (
+    EFGame,
     FixedPointConfig,
+    MembershipError,
     MonomialTable,
     PhiRegretMinimizer,
     PolynomialDeviation,
+    SupportMix,
+    build_dt_problem,
+    efg_self_play,
     expected_fixed_point,
     extract_expected_fixed_point,
+    forward_flow,
+    hypercube_problem,
     interleave,
     parse_problem,
     random_low_degree_deviation,
 )
 from phiregret import fixedpoint
+from phiregret.dags import deviation_image
 from phiregret.errors import InvalidDeviationError
 from phiregret.learners import RegretMeter
+from phiregret.maps import caratheodory
+from phiregret.tfsdp import CODE, DECISION
 
 
 def simplex3():
@@ -24,8 +36,8 @@ def simplex3():
 
 
 def test_from_eps_budget():
-    assert FixedPointConfig.from_eps(0.1).L == 20
-    assert FixedPointConfig.from_eps(2.0).L == 1
+    assert oracles.fixed_point_config_from_eps(0.1).L == 20
+    assert oracles.fixed_point_config_from_eps(2.0).L == 1
 
 
 def test_identity_stalls_immediately(two_stage):
@@ -193,3 +205,157 @@ def test_checkpoint_solves_the_hindsight_problem_once(hypercube2, monkeypatch):
         best = oracles.best_pure_reduced_value(dag, total_w)
         assert rec.phi_regret == pytest.approx((best - baseline) / t, abs=1e-9)
     assert [r.round for r in run.records] == [10, 20, 30]
+
+
+@pytest.mark.parametrize("L", [2.5, "3", None, 0.0])
+def test_config_needs_an_integer_iterate_count(L):
+    with pytest.raises(ValueError, match=re.escape(f"integer L >= 1, got {L!r}")):
+        FixedPointConfig(L=L)
+
+
+def test_config_rejects_an_unknown_consistent_map():
+    with pytest.raises(ValueError, match="unknown consistent map 'nope'"):
+        FixedPointConfig(delta="nope")
+
+
+def _kernel_dags():
+    two_stage = parse_problem(TWO_STAGE_TEXT)
+    cube2, cube3 = hypercube_problem(2), hypercube_problem(3)
+    return {
+        "two_stage med:1": interleave(two_stage, 1),
+        "two_stage med:2": interleave(two_stage, 2),
+        "cube2 med:1": interleave(cube2, 1),
+        "cube2 med:2": interleave(cube2, 2),
+        "cube3 med:1": interleave(cube3, 1),
+        "cube3 med:2": interleave(cube3, 2),
+        "cube3 dt:2": build_dt_problem(3, 2),
+    }
+
+
+def _random_reduced_strategies(dag, rng):
+    """Terminal masses of two interior reduced strategies and one pure one."""
+    g = dag.graph
+    out = []
+    for _ in range(2):
+        raw = rng.random(g.n_edges) + 0.1
+        total = np.bincount(g.src, raw, minlength=g.n)
+        out.append(np.where(g.decision_edge, raw / total[g.src], 1.0))
+    pick = np.zeros(g.n_edges)
+    for s in np.flatnonzero(g.code == CODE[DECISION]):
+        pick[g.ptr[s] + rng.integers(g.ptr[s + 1] - g.ptr[s])] = 1.0
+    out.append(np.where(g.decision_edge, pick, 1.0))
+    return [forward_flow(dag, share).terminal_vector() for share in out]
+
+
+def _same_fixed_point(got, want):
+    assert got.stalled == want.stalled and got.L == want.L
+    assert len(got.iterates) == len(want.iterates)
+    for a, b in zip(got.iterates, want.iterates):
+        assert a.tobytes() == b.tobytes()
+    assert got.error_vector.tobytes() == want.error_vector.tobytes()
+    pairs = zip(got.pi.components, want.pi.components, strict=True)
+    for (wa, a), (wb, b) in pairs:
+        assert wa == wb and type(a) is type(b)
+        if isinstance(a, SupportMix):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+        else:
+            assert a.base.tobytes() == b.base.tobytes()
+            assert a.vals.tobytes() == b.vals.tobytes()
+
+
+@pytest.mark.parametrize("delta", ["beta", "cara"])
+@pytest.mark.parametrize("name", list(_kernel_dags()))
+def test_compiled_fixed_point_matches_the_former_loop_bit_for_bit(name, delta):
+    dag = _kernel_dags()[name]
+    problem = dag.base
+    rng = np.random.default_rng([sorted(_kernel_dags()).index(name), delta == "cara"])
+    vertex = caratheodory(problem, problem.random_point(rng)).matrix[0]
+    stalled = set()
+    for qv in _random_reduced_strategies(dag, rng):
+        image = lambda pi, qv=qv: deviation_image(dag, qv, pi)  # noqa: E731
+        for L in (5, 50):
+            for init in (None, vertex):
+                cfg = FixedPointConfig(L=L, delta=delta, init=init)
+                got = expected_fixed_point(problem, image, cfg)
+                _same_fixed_point(got, oracles.expected_fixed_point_loop(problem, image, cfg))
+                stalled.add(got.stalled)
+    if delta == "beta":
+        assert stalled == {True, False}
+
+
+def test_compiled_fixed_point_fails_as_the_former_loop(two_stage):
+    shifted = PolynomialDeviation(5, [
+        [(1.0, (0,)), (0.5, ())], [(1.0, (1,))], [(1.0, (2,))],
+        [(1.0, (3,))], [(1.0, (4,))],
+    ])
+    short = lambda pi: pi.mean()[:4]  # noqa: E731
+    # each point breaks one flow rule only: an observation point's children
+    # disagree, or a terminal is negative
+    unequal = PolynomialDeviation.constant(5, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+    negative = PolynomialDeviation.constant(5, np.array([-0.5, 0.75, 0.75, 0.75, 0.75]))
+    cases = [
+        (shifted, FixedPointConfig(L=10), InvalidDeviationError),
+        (unequal, FixedPointConfig(L=10), InvalidDeviationError),
+        (negative, FixedPointConfig(L=10), InvalidDeviationError),
+        (short, FixedPointConfig(L=10), InvalidDeviationError),
+        (PolynomialDeviation.identity(5), FixedPointConfig(L=10, init=np.ones(4)), MembershipError),
+    ]
+    for phi, cfg, error in cases:
+        with pytest.raises(error) as want:
+            oracles.expected_fixed_point_loop(two_stage, phi, cfg)
+        with pytest.raises(error) as got:
+            expected_fixed_point(two_stage, phi, cfg)
+        assert str(got.value) == str(want.value)
+    assert "wrong length" in str(got.value)
+
+
+def _learner_state(minimizer):
+    learner = minimizer.learner  # a CfrLearner, or a seat of a SharedCfr
+    regrets = getattr(learner, "learner", learner).regrets.tobytes()
+    waiting = [w is None for w in getattr(learner, "waiting", [])]
+    run = minimizer.run
+    return regrets, waiting, run.rounds, run.weight_sum.tobytes(), run.realized, run.baseline
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(5), [0.0, np.nan, 0.0, 0.0],
+                                 [0.0, 0.0, np.inf, 0.0]], ids=["short", "long", "nan", "inf"])
+def test_a_bad_utility_is_rejected_before_anything_changes(bad):
+    minimizer = PhiRegretMinimizer(interleave(hypercube_problem(2), 1), FixedPointConfig(L=10))
+    minimizer.next_mixture()
+    minimizer.observe_utility(np.full(4, 0.25))
+    minimizer.next_mixture()
+    before, pending = _learner_state(minimizer), minimizer._pending
+    message = "expected length 4" if len(bad) != 4 else "finite"
+    with pytest.raises(ValueError, match=message):
+        minimizer.observe_utility(bad)
+    assert _learner_state(minimizer) == before and minimizer._pending is pending
+    minimizer.observe_utility(np.full(4, -0.5))
+    assert minimizer.run.rounds == 2
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(5), [0.0, np.nan, 0.0, 0.0]],
+                         ids=["short", "long", "nan"])
+@pytest.mark.parametrize("seat", [0, 1])
+def test_a_bad_utility_leaves_no_weights_for_the_joint_update(seat, bad):
+    cube = hypercube_problem(2)
+    game = EFGame.zero_sum(cube, cube, np.eye(4) * 0.5)
+    agents = efg_self_play(game, ["med:1", "dt:1"], rounds=3, L=10).agents
+    minimizers = [agent.minimizer for agent in agents]
+    seats = [m.learner for m in minimizers]
+    assert seats[0].learner is seats[1].learner and seats[0].waiting is seats[1].waiting
+    for m in minimizers:
+        m.next_mixture()
+    if seat == 1:
+        minimizers[0].observe_utility(np.full(4, 0.25))
+    before = [_learner_state(m) for m in minimizers]
+    pending = [m._pending for m in minimizers]
+    with pytest.raises(ValueError):
+        minimizers[seat].observe_utility(bad)
+    assert [_learner_state(m) for m in minimizers] == before
+    assert [m._pending for m in minimizers] == pending
+    assert seats[0].waiting[seat] is None
+    for m in minimizers[seat:]:
+        m.observe_utility(np.full(4, -0.5))
+    assert seats[0].waiting == [None, None]
+    assert [m.run.rounds for m in minimizers] == [4, 4]

