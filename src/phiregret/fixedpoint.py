@@ -286,6 +286,8 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
     observe_utility(u). diameter defaults to the max pairwise distance
     between the problem's pure strategies. Returns (mixture, rounds, error).
     """
+    if not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ValueError(f"the round budget must be an integer >= 1, got {budget!r}")
     if diameter is None:
         problem = getattr(minimizer, "problem", None)
         if problem is None:

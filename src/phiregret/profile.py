@@ -19,11 +19,9 @@ with one ``SupportMix.split`` per player when ``components`` is first read.
 Export gathers every component's rows into columns, a descriptor's through
 its explicit support, and writes them ROW_BLOCK rows at a time as an array
 of code units: the index digits, commas and bits by array arithmetic, the
-alphas by one "%.17g" pass. Import reads the text's code units: masks find
-the lines and commas and the indices are decoded from their digits; only
-the alphas go through ``float()``, and only an index that is not 1 to 18
-ASCII digits through ``int()``. Each player's columns go to
-``from_columns``.
+alphas by one "%.17g" pass. Import reads export's text as code units,
+decoding the indices from their digits and only the alphas by ``float()``;
+it declines any other text, which is read one row at a time.
 """
 
 from __future__ import annotations
@@ -227,57 +225,11 @@ class CorrelatedProfile:
         and each component's alphas must sum to 1 within 1e-9. Last, each
         component's j must count 1, 2, ... in file order.
 
-        The text is read as code units (``_lines``), ROW_BLOCK rows at a
-        time (``_read_block``). One stable sort groups the rows by (player,
-        t, ell) with file order kept within a component, and each player's
-        columns go to ``from_columns``.
+        ``_read_columns`` reads the text as arrays of code units, declining
+        any text that fails a check; ``_read_rows`` reads a declined text one
+        row at a time, and only it applies the rules above and names errors.
         """
-        text, chars, ends, numbers = _lines(text)
-        if text[:ends[0]] != HEADER:
-            raise ParseError("missing profile header row")
-        dims = {}
-        blocks = [_read_block(text, chars, ends[k - 1:k + ROW_BLOCK], numbers[k:k + ROW_BLOCK], dims)
-                  for k in range(1, len(ends), ROW_BLOCK)]
-        del text, chars, ends, numbers
-        if not sum(len(block[0]) for block in blocks):
-            return cls(0, dims=[])
-        t, player, ell, j, alpha, lens, lineno, chars = map(np.concatenate, zip(*blocks))
-        del blocks
-        # past int64 the parser keeps Python ints: a round or player that
-        # large always leaves an earlier one missing, and only ell's order counts
-        t, player = (np.minimum(col, 2**62).astype(np.int64) for col in (t, player))
-        if ell.dtype == object:
-            ell = np.unique(ell, return_inverse=True)[1]
-        first_byte = np.cumsum(lens) - lens
-        order = np.lexsort((ell, t, player))
-        t, player, ell, j, alpha, lineno, first_byte = (
-            col[order] for col in (t, player, ell, j, alpha, lineno, first_byte)
-        )
-        new = np.ones(len(t), dtype=bool)
-        new[1:] = (player[1:] != player[:-1]) | (t[1:] != t[:-1]) | (ell[1:] != ell[:-1])
-        starts = new.nonzero()[0]
-        sizes = np.concatenate((starts[1:], [len(t)])) - starts
-        ct, cp = t[starts], player[starts]
-        n_rounds, n_players = int(t.max()), int(player[-1])
-        _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, lineno[starts])
-        position = np.arange(len(j)) - np.repeat(starts, sizes) + 1
-        wrong = (j != position).nonzero()[0]
-        if len(wrong):
-            w = wrong[np.argmin(lineno[wrong])]
-            raise ParseError(
-                f"line {lineno[w]}: j is {j[w]}, expected {position[w]} "
-                "(a component's atoms count 1, 2, ... in file order)"
-            )
-
-        row_bounds = np.searchsorted(player, np.arange(1, n_players + 2))
-        comp_bounds = np.searchsorted(cp, np.arange(1, n_players + 2))
-        columns = []
-        for i in range(n_players):
-            rows = slice(row_bounds[i], row_bounds[i + 1])
-            comps = slice(comp_bounds[i], comp_bounds[i + 1])
-            bits = chars[first_byte[rows, None] + np.arange(dims[i + 1])]
-            columns.append((alpha[rows], bits - 48.0, sizes[comps], ct[comps] - 1))
-        return cls.from_columns([dims[i + 1] for i in range(n_players)], columns, n_rounds)
+        return cls.from_columns(*(_read_columns(text) or _read_rows(text)))
 
     @classmethod
     def from_columns(cls, dims, columns, rounds):
@@ -349,150 +301,162 @@ def _write_block(keys, alpha, bits):
     return text[text != BLANK].tobytes().decode("ascii")
 
 
-def _lines(text):
-    """The text with its code units, the end of each line and each line's
-    number, the first line the header.
+def _read_rows(text):
+    """``_read_columns``' result for any text, read one row at a time by the
+    rules of ``CorrelatedProfile.from_csv``; raise the ParseError of the
+    first rule the text breaks."""
+    lines = [line.strip() for line in text.strip().splitlines()]
+    if not lines or lines[0] != HEADER:
+        raise ParseError("missing profile header row")
+    dims, pairs = {}, {}  # player -> strategy length; (t, player) -> {ell: rows}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise ParseError(f"line {lineno}: expected 6 fields, got {len(fields)}")
+        try:
+            t, player, ell, j = map(int, fields[:4])
+            alpha = float(fields[4])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        bits = fields[5]
+        if min(t, player, ell, j) < 1:
+            raise ParseError(f"line {lineno}: indices are 1-based")
+        if not math.isfinite(alpha):
+            raise ParseError(f"line {lineno}: atom weight {alpha} is not finite")
+        if alpha < 0:
+            raise ParseError(f"line {lineno}: negative atom weight {alpha}")
+        if not bits or bits.strip("01"):
+            raise ParseError(f"line {lineno}: pure-strategy bits {bits!r} are not 0s and 1s")
+        if dims.setdefault(player, len(bits)) != len(bits):
+            raise ParseError(f"line {lineno}: inconsistent strategy length")
+        pairs.setdefault((t, player), {}).setdefault(ell, []).append((lineno, j, alpha, bits))
 
-    The lines are those of ``text.strip().splitlines()``, each stripped, the
-    blank ones dropped and joined by newlines. Text with nothing to strip or
-    split but its newlines, and no blank line, is kept as it is.
+    n_rounds = max((t for t, _ in pairs), default=0)
+    n_players = max((player for _, player in pairs), default=0)
+    gathered, wrong = {}, []  # player -> alphas, bits, sizes, rounds; bad j rows
+    for t in range(1, n_rounds + 1):
+        for player in range(1, n_players + 1):
+            if (t, player) not in pairs:
+                raise ParseError(f"round {t}: no atoms for player {player}")
+            alphas, bits, sizes, rounds = gathered.setdefault(player, ([], [], [], []))
+            for _, rows in sorted(pairs[t, player].items()):
+                total = math.fsum(row[2] for row in rows)
+                if abs(total - 1.0) > 1e-9:
+                    raise ParseError(
+                        f"line {rows[0][0]}: component weights sum to {total}, expected 1")
+                wrong += [(row[0], row[1], k) for k, row in enumerate(rows, 1) if row[1] != k]
+                alphas += [row[2] for row in rows]
+                bits += [row[3] for row in rows]
+                sizes.append(len(rows))
+                rounds.append(t - 1)
+    if wrong:
+        lineno, j, k = min(wrong)
+        raise ParseError(f"line {lineno}: j is {j}, expected {k} "
+                         "(a component's atoms count 1, 2, ... in file order)")
+    dims = [dims[player] for player in gathered]
+    columns = [(np.array(alphas, dtype=float),
+                np.frombuffer("".join(bits).encode(), np.uint8).reshape(-1, d) - 48.0,
+                np.array(sizes), np.array(rounds))
+               for d, (alphas, bits, sizes, rounds) in zip(dims, gathered.values())]
+    return dims, columns, n_rounds
+
+
+def _read_columns(text):
+    """``(dims, columns, rounds)`` for ``from_columns`` from the profile CSV
+    ``text`` read as arrays of code units, ROW_BLOCK rows at a time; None
+    unless every check passes as a boolean, ``_read_block``'s and these:
+    the text is ASCII with no blank line and no code unit up to the blank
+    but its newlines; every round has every player; each player has one
+    strategy length; each component's j counts 1, 2, ... in file order and
+    its running weight sum is within 1e-9 of 1 by more than its rounding
+    error (n weights: n * 2**-52 of the larger of the sum and 1).
     """
-    if text.isascii():
-        chars = np.frombuffer(text.encode("ascii"), np.uint8)
-        ends = np.flatnonzero(chars == 10)
-        plain = np.count_nonzero(chars <= 32) == len(ends)  # no blank or control but newlines
-        if plain and not (len(ends) and (ends[0] == 0 or (np.diff(ends) == 1).any())):
-            if not len(ends) or ends[-1] != len(chars) - 1:
-                ends = np.append(ends, len(chars))
-            return text, chars, ends, np.arange(1, len(ends) + 1)
-    lines = list(map(str.strip, text.strip().splitlines()))
-    numbers = np.array([k for k, line in enumerate(lines, start=1) if line], dtype=np.int64)
-    text = "\n".join(filter(None, lines))
-    chars = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
-             else np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32))
-    return text, chars, np.append(np.flatnonzero(chars == 10), len(chars)), numbers
-
-
-def _check_rounds(n_rounds, n_players, ct, cp, alpha, starts, sizes, first_line):
-    """Raise the error the round-by-round scan meets first: a player
-    without atoms in a round, or a component whose weights do not sum to 1
-    within 1e-9.
-
-    Components come in (player, round, ell) order, given by their round
-    ``ct``, player ``cp``, first row ``starts`` into ``alpha``, atom count
-    and first line. A running sum of n nonnegative weights is within
-    n * 2**-53 of the exact sum, so only the components whose running sum is
-    that close to the bound or past it are summed again with math.fsum.
-    """
-    pair = np.ones(len(ct), dtype=bool)
-    pair[1:] = (cp[1:] != cp[:-1]) | (ct[1:] != ct[:-1])
-    lex = np.lexsort((cp[pair], ct[pair]))
-    pt, pp = ct[pair][lex], cp[pair][lex]
-    # in (round, player) order the k-th pair is (k // P + 1, k % P + 1) up
-    # to the first missing one
-    k = np.arange(len(pt))
-    off = ((pt != k // n_players + 1) | (pp != k % n_players + 1)).nonzero()[0]
-    g = int(off[0]) if len(off) else len(pt)
-    gap = divmod(g, n_players) if g < n_rounds * n_players else None
+    if not text.isascii():
+        return None
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(chars == 10)
+    if np.count_nonzero(chars <= 32) != len(ends) or (np.diff(ends) == 1).any():
+        return None
+    if not len(ends) or ends[-1] != len(chars) - 1:
+        ends = np.append(ends, len(chars))
+    if text[:ends[0]] != HEADER:
+        return None
+    blocks = []
+    for k in range(1, len(ends), ROW_BLOCK):
+        blocks.append(_read_block(text, chars, ends[k - 1:k + ROW_BLOCK]))
+        if blocks[-1] is None:
+            return None
+    del chars, ends
+    if not blocks:
+        return [], [], 0
+    t, player, ell, j, alpha, lens, chars = map(np.concatenate, zip(*blocks))
+    del blocks
+    first_byte = np.cumsum(lens) - lens
+    order = np.lexsort((ell, t, player))
+    t, player, ell, j, alpha, lens, first_byte = (
+        col[order] for col in (t, player, ell, j, alpha, lens, first_byte))
+    same_player = player[1:] == player[:-1]
+    same_pair = same_player & (t[1:] == t[:-1])
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = ~same_pair | (ell[1:] != ell[:-1])
+    starts = new.nonzero()[0]
+    sizes = np.diff(starts, append=len(t))
     sums = np.add.reduceat(alpha, starts)
-    slack = sizes * 2.0**-52 * np.maximum(sums, 1.0)
-    doubt = (np.abs(sums - 1.0) > 1e-9 - slack).nonzero()[0]
-    for c in doubt[np.lexsort((doubt, cp[doubt], ct[doubt]))].tolist():
-        if gap is not None and (int(ct[c]) - 1, int(cp[c]) - 1) > gap:
-            break
-        total = math.fsum(alpha[starts[c]:starts[c] + sizes[c]].tolist())
-        if abs(total - 1.0) > 1e-9:
-            raise ParseError(f"line {first_line[c]}: component weights sum to {total}, expected 1")
-    if gap is not None:
-        raise ParseError(f"round {gap[0] + 1}: no atoms for player {gap[1] + 1}")
+    position = np.arange(len(j)) - np.repeat(starts, sizes) + 1
+    # every (round, player) pair is present when there are rounds x players of them
+    n_rounds, n_players = t.max().item(), player[-1].item()
+    if (len(same_pair) + 1 - np.count_nonzero(same_pair) != n_rounds * n_players
+            or ((lens[1:] != lens[:-1]) & same_player).any()
+            or (abs(sums - 1.0) > 1e-9 - sizes * 2.0**-52 * np.maximum(sums, 1.0)).any()
+            or (j != position).any()):
+        return None
+    row_bounds = np.searchsorted(player, np.arange(1, n_players + 2))
+    comp_bounds = np.searchsorted(player[starts], np.arange(1, n_players + 2))
+    dims = lens[row_bounds[:-1]].tolist()
+    columns = []
+    for i, d in enumerate(dims):
+        rows = slice(row_bounds[i], row_bounds[i + 1])
+        comps = slice(comp_bounds[i], comp_bounds[i + 1])
+        bits = chars[first_byte[rows, None] + np.arange(d)]
+        columns.append((alpha[rows], bits - 48.0, sizes[comps], t[starts[comps]] - 1))
+    return dims, columns, n_rounds
 
 
-def _read_block(text, chars, edges, numbers, dims):
-    """Parse and check the rows numbered ``numbers``, the lines of ``text``
-    (code units ``chars``) that end at ``edges[1:]``, one past ``edges[0]``.
-
-    Returns the columns t, player, ell and j (int64, or Python ints past
-    int64), alpha, each row's bit count and line number, and the rows' bits
-    as one code-unit buffer. Raises the ParseError of the block's first bad
-    row. ``dims`` maps each player seen so far to its strategy length.
-    An index of 1 to 18 ASCII digits is decoded from its digits, any other
-    by ``int()``; alpha is read by ``float()``.
+def _read_block(text, chars, edges):
+    """The columns t, player, ell, j, alpha and bit count of the rows of
+    ``text`` (code units ``chars``) that end at ``edges[1:]``, one past
+    ``edges[0]``, and their bits as one run of code units; None unless each
+    row has six fields, indices of 1 to 18 ASCII digits worth at least 1, an
+    alpha ``float()`` reads as finite and nonnegative and nonempty 0/1 bits.
     """
+    n = len(edges) - 1
     commas = np.flatnonzero(chars[edges[0] + 1:edges[-1]] == 44) + edges[0] + 1
-    # rows from `stop` on are not read; row `stop` raises `late` unless an
-    # earlier row has an error
-    stop, late = len(edges) - 1, None
-    if (len(commas) != 5 * stop or (commas[::5] < edges[:-1]).any()
+    if (len(commas) != 5 * n or (commas[::5] < edges[:-1]).any()
             or (commas[4::5] > edges[1:]).any()):
-        fields = np.diff(np.searchsorted(commas, edges)) + 1
-        stop = int(np.argmax(fields != 6))
-        late = f"expected 6 fields, got {fields[stop]}"
+        return None
     # field f of each row runs from one past bounds[f] up to bounds[f + 1]
-    bounds = np.empty((7, stop), dtype=np.int64)
-    bounds[0], bounds[6] = edges[:stop], edges[1:stop + 1]
-    bounds[1:6] = commas[:5 * stop].reshape(stop, 5).T
+    bounds = np.empty((7, n), dtype=np.int64)
+    bounds[0], bounds[6] = edges[:-1], edges[1:]
+    bounds[1:6] = commas.reshape(n, 5).T
     size = np.diff(bounds, axis=0) - 1
-
+    width = size[:4].max()
+    if size[:4].min() < 1 or width > 18:
+        return None
     # the k-th digit from the right of each index; the header line keeps
     # every position in range
-    width = min(int(size[:4].max(initial=1)), 18)
     digit = chars[bounds[1:5] - np.arange(1, width + 1)[:, None, None]] - 48
     digit *= np.arange(width)[:, None, None] < size[:4]
     keys = (digit * POW10[:width, None, None]).sum(axis=0)
-    slow = ()  # (row, field) of each index int() reads, in file order
-    if digit.max(initial=0) > 9 or not 1 <= size[:4].min(initial=1) <= size[:4].max(initial=1) <= 18:
-        slow = zip(*((digit.max(axis=0) > 9) | (size[:4] < 1) | (size[:4] > 18)).T.nonzero())
-    for r, f in slow:
-        if r >= stop:
-            break
-        try:
-            value = int(text[bounds[f, r] + 1:bounds[f + 1, r]])
-        except ValueError as exc:
-            stop, late = r, str(exc)
-            break
-        if not -2**63 <= value < 2**63 and keys.dtype != object:
-            keys = keys.astype(object)
-        keys[f, r] = value
-    # a row's fields 1-4 each make one piece, its bits and the next row's t one
-    fields = text[edges[0] + 1:bounds[6, stop - 1]].split(",")[4::5] if stop else []
-    try:
-        alpha = np.fromiter(map(float, fields), float, stop)
-    except ValueError:
-        for k in range(stop):  # the first row float() rejects
-            try:
-                float(fields[k])
-            except ValueError as exc:
-                stop, late = k, str(exc)
-                break
-        alpha = np.fromiter(map(float, fields), float, stop)
-    # a copy: a view would keep the whole size array alive with the block
-    keys, bounds, lens = keys[:, :stop], bounds[:, :stop], size[5, :stop].copy()
-
-    # each row's bits, one run of code units after another
+    lens = size[5].copy()  # a copy: a view would keep all of size alive
     bits = chars[np.arange(lens.sum()) + np.repeat(bounds[5] + 1 - np.cumsum(lens) + lens, lens)]
-    bad_bits = lens == 0
-    nonbit = np.flatnonzero(bits - 48 > 1)  # unsigned: all but '0' and '1'
-    if len(nonbit):
-        bad_bits[np.searchsorted(np.cumsum(lens), nonbit, side="right")] = True
-    seen, once, inverse = np.unique(keys[1], return_index=True, return_inverse=True)
-    want = np.array([dims.setdefault(p, int(lens[f]))
-                     for p, f in zip(seen.tolist(), once.tolist())], dtype=np.intp)
-    small = keys.min(axis=0, initial=1) < 1
-    bad = small | ~(alpha >= 0) | (alpha == math.inf) | bad_bits | (lens != want[inverse])
-    if bad.any():
-        k = int(np.argmax(bad))
-        a = float(alpha[k])
-        if small[k]:
-            message = "indices are 1-based"
-        elif not math.isfinite(a):
-            message = f"atom weight {a} is not finite"
-        elif a < 0:
-            message = f"negative atom weight {a}"
-        elif bad_bits[k]:
-            message = f"pure-strategy bits {text[bounds[5, k] + 1:bounds[6, k]]!r} are not 0s and 1s"
-        else:
-            message = "inconsistent strategy length"
-        raise ParseError(f"line {numbers[k]}: {message}")
-    if late is not None:
-        raise ParseError(f"line {numbers[stop]}: {late}")
-    return *keys, alpha, lens, numbers[:stop], bits
+    if digit.max() > 9 or keys.min() < 1 or lens.min() < 1 or (bits - 48 > 1).any():
+        return None  # unsigned: every code unit but '0' and '1' is past 1
+    try:
+        alpha = np.fromiter(map(float, text[edges[0] + 1:edges[-1]].split(",")[4::5]), float, n)
+    except ValueError:
+        return None
+    if not ((alpha >= 0) & (alpha < math.inf)).all():
+        return None
+    return *keys, alpha, lens, bits

@@ -343,29 +343,32 @@ class DecisionProblem:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_terminals,):
             return f"wrong length {x.shape} (expected {self.n_terminals})"
+        if vals is None:
+            vals = self.node_values(x)
+        if self.in_polytope(x, vals, tol):
+            return None
+        z = int(np.argmin(np.isfinite(x)))  # the first value that is not finite, else 0
+        if not np.isfinite(x[z]):
+            return f"terminal {self.node_ids[self.terminals[z]]!r}: {x[z]} is not a finite number"
         if np.min(x) < -tol:
             z = int(np.argmin(x))
             return f"negative value {x[z]:.3g} at terminal {self.node_ids[self.terminals[z]]!r}"
-        if vals is None:
-            vals = self.node_values(x)
         if abs(vals[self.root] - 1.0) > tol:
             return f"root value {vals[self.root]:.12g} != 1"
         dst, src = self.observation_edges
-        bad = np.abs(vals[dst] - vals[src]) > tol
-        if bad.any():
-            e = int(np.argmax(bad))
-            node, c = src[e], dst[e]
-            return (
-                f"observation point {self.node_ids[node]!r}: child "
-                f"{self.node_ids[c]!r} carries {vals[c]:.12g} != {vals[node]:.12g}"
-            )
-        return None
+        e = int(np.argmax(np.abs(vals[dst] - vals[src]) > tol))
+        node, c = src[e], dst[e]
+        return (
+            f"observation point {self.node_ids[node]!r}: child "
+            f"{self.node_ids[c]!r} carries {vals[c]:.12g} != {vals[node]:.12g}"
+        )
 
     def in_polytope(self, x, vals, tol=FLOW_TOL):
-        """Whether ``membership_violation(x, tol, vals)`` is None, for a float x of n terminals."""
+        """Whether the float x of n terminals, with node values ``vals``,
+        satisfies the flow equations within tol; NaN fails every test."""
         child, parent = vals[self.observation_edges]
-        return not (x.min() < -tol or abs(vals[self.root] - 1.0) > tol
-                    or np.fmax.reduce(abs(child - parent), initial=0.0) > tol)
+        return bool(x.min() >= -tol and abs(vals[self.root] - 1.0) <= tol
+                    and np.max(abs(child - parent), initial=0.0) <= tol)
 
     def membership(self, x, tol=FLOW_TOL):
         return self.membership_violation(x, tol) is None
@@ -436,7 +439,10 @@ class DecisionProblem:
                 matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
             return weights, matrix
 
-        return walk(0)
+        try:
+            return walk(0)
+        finally:
+            del walk  # walk's closure holds walk, a cycle that would keep self alive
 
     def uniform_point(self):
         """Tree-form point of the uniform behavioral strategy."""

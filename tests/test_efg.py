@@ -126,6 +126,13 @@ def test_fixed_agent_requires_a_member():
         efg_self_play(game, ["med:1", bad], rounds=2, L=5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_fixed_agent_that_is_not_finite_is_rejected(bad):
+    game = skew_game()
+    with pytest.raises(MembershipError, match="fixed agent strategy: .* is not a finite number"):
+        efg_self_play(game, ["med:1", np.full(2, bad)], rounds=2, L=5)
+
+
 def test_self_play_records_profile_and_checkpoints():
     game = small_game()
     res = efg_self_play(

@@ -99,6 +99,13 @@ def test_invalid_deviation_is_caught(two_stage):
         expected_fixed_point(two_stage, shifted, FixedPointConfig(L=10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_an_image_that_is_not_finite_leaves_the_polytope(bad):
+    cube = hypercube_problem(1)
+    with pytest.raises(InvalidDeviationError, match="is not a finite number"):
+        expected_fixed_point(cube, lambda pi: np.full(2, bad), FixedPointConfig(L=5))
+
+
 def test_minimizer_composite_bound_and_decay(two_stage):
     rng = np.random.default_rng(25)
     for delta in ("beta", "cara"):
@@ -162,6 +169,15 @@ def test_extractor_budget_exhaustion(two_stage):
     away = PolynomialDeviation.constant(5, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(RuntimeError, match="fixed point"):
         extract_expected_fixed_point(Stubborn(), away, eps=0.01, budget=5)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, None])
+def test_extractor_needs_a_positive_integer_budget(budget):
+    cube = hypercube_problem(1)
+    minimizer = PhiRegretMinimizer(interleave(cube, 1))
+    with pytest.raises(ValueError, match=re.escape(f"integer >= 1, got {budget!r}")):
+        extract_expected_fixed_point(minimizer, PolynomialDeviation.identity(2), eps=0.1,
+                                     budget=budget)
 
 
 @pytest.mark.parametrize("L", [0, -3])

@@ -15,6 +15,7 @@ from phiregret import (
     hypercube_problem,
     parse_problem,
 )
+from phiregret import profile as profile_module
 
 from conftest import TWO_STAGE_TEXT
 
@@ -115,18 +116,18 @@ def test_header_is_required():
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 
 
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("1,1,1,1,1.0", "expected 6 fields"),
-        ("0,1,1,1,1.0,10", "1-based"),
-        ("1,0,1,1,1.0,10", "1-based"),
-        ("1,1,0,1,1.0,10", "1-based"),
-        ("1,1,1,1,-0.5,10", "negative atom weight"),
-        ("1,1,1,1,0.5,10\n1,1,1,2,0.5,100", "inconsistent strategy length"),
-        ("x,1,1,1,1.0,10", "line 2"),
-    ],
-)
+BAD_ROWS = [
+    ("1,1,1,1,1.0", "expected 6 fields"),
+    ("0,1,1,1,1.0,10", "1-based"),
+    ("1,0,1,1,1.0,10", "1-based"),
+    ("1,1,0,1,1.0,10", "1-based"),
+    ("1,1,1,1,-0.5,10", "negative atom weight"),
+    ("1,1,1,1,0.5,10\n1,1,1,2,0.5,100", "inconsistent strategy length"),
+    ("x,1,1,1,1.0,10", "line 2"),
+]
+
+
+@pytest.mark.parametrize("row, message", BAD_ROWS)
 def test_bad_rows_are_rejected(row, message):
     with pytest.raises(ParseError, match=message):
         CorrelatedProfile.from_csv(HEADER + "\n" + row + "\n")
@@ -155,22 +156,22 @@ def test_hypercube_round_trip_preserves_monomials():
             assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        ("1,1,1,1,1.0,12", "line 2: pure-strategy bits '12'"),
-        ("1,1,1,1,1.0,1x", "line 2: pure-strategy bits"),
-        ("1,1,1,1,1.0,", "line 2: pure-strategy bits ''"),
-        ("1,1,1,0,1.0,10", "line 2: indices are 1-based"),
-        ("1,1,1,x,1.0,10", "line 2: invalid literal"),
-        ("1,1,1,1.0,1.0,10", "line 2: invalid literal"),
-        ("1,1,1,1,nan,10", "line 2: atom weight nan is not finite"),
-        ("1,1,1,1,inf,10", "line 2: atom weight inf is not finite"),
-        ("1,1,1,1,0.25,10\n1,1,1,2,0.25,01", "line 2: component weights sum to 0.5"),
-        ("1,1,1,1,1.0,10\n1,1,2,1,0.5,01\n1,1,2,2,0.5000001,10",
-         r"line 3: component weights sum to 1\.00000"),
-    ],
-)
+UNWRITTEN_ROWS = [
+    ("1,1,1,1,1.0,12", "line 2: pure-strategy bits '12'"),
+    ("1,1,1,1,1.0,1x", "line 2: pure-strategy bits"),
+    ("1,1,1,1,1.0,", "line 2: pure-strategy bits ''"),
+    ("1,1,1,0,1.0,10", "line 2: indices are 1-based"),
+    ("1,1,1,x,1.0,10", "line 2: invalid literal"),
+    ("1,1,1,1.0,1.0,10", "line 2: invalid literal"),
+    ("1,1,1,1,nan,10", "line 2: atom weight nan is not finite"),
+    ("1,1,1,1,inf,10", "line 2: atom weight inf is not finite"),
+    ("1,1,1,1,0.25,10\n1,1,1,2,0.25,01", "line 2: component weights sum to 0.5"),
+    ("1,1,1,1,1.0,10\n1,1,2,1,0.5,01\n1,1,2,2,0.5000001,10",
+     r"line 3: component weights sum to 1\.00000"),
+]
+
+
+@pytest.mark.parametrize("rows, message", UNWRITTEN_ROWS)
 def test_rows_export_never_writes_are_rejected(rows, message):
     with pytest.raises(ParseError, match=message):
         CorrelatedProfile.from_csv(HEADER + "\n" + rows + "\n")
@@ -182,15 +183,15 @@ def test_weights_within_tolerance_of_one_are_accepted():
     assert profile.components(0, 0)[0].weights.tolist() == [0.3, 0.7000000001]
 
 
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        ("1,1,1,7,0.5,10\n1,1,1,7,0.5,01", "line 2: j is 7, expected 1"),
-        ("1,1,1,1,0.5,10\n1,1,1,1,0.5,01", "line 3: j is 1, expected 2"),
-        ("1,1,1,2,0.5,10\n1,1,1,1,0.5,01", "line 2: j is 2, expected 1"),
-        ("1,1,1,1,0.5,10\n1,1,1,3,0.5,01", "line 3: j is 3, expected 2"),
-    ],
-)
+J_ROWS = [
+    ("1,1,1,7,0.5,10\n1,1,1,7,0.5,01", "line 2: j is 7, expected 1"),
+    ("1,1,1,1,0.5,10\n1,1,1,1,0.5,01", "line 3: j is 1, expected 2"),
+    ("1,1,1,2,0.5,10\n1,1,1,1,0.5,01", "line 2: j is 2, expected 1"),
+    ("1,1,1,1,0.5,10\n1,1,1,3,0.5,01", "line 3: j is 3, expected 2"),
+]
+
+
+@pytest.mark.parametrize("rows, message", J_ROWS)
 def test_j_must_count_the_atoms_of_a_component_in_file_order(rows, message):
     with pytest.raises(ParseError, match=message):
         CorrelatedProfile.from_csv(HEADER + "\n" + rows + "\n")
@@ -202,6 +203,36 @@ def test_j_counts_within_its_own_component_when_components_interleave():
     assert [c.n_atoms for c in profile.components(0, 0)] == [1, 2]
     with pytest.raises(ParseError, match="line 4: j is 1, expected 2"):
         CorrelatedProfile.from_csv(text.replace("1,1,2,2,", "1,1,2,1,"))
+
+
+@pytest.mark.parametrize(
+    "rows", [rows for rows, _ in BAD_ROWS + UNWRITTEN_ROWS + J_ROWS]
+    + ["1,1,2,1,0.5,10\n1,1,1,1,1.0,11\n1,1,2,1,0.5,01"])
+def test_only_the_row_reader_names_an_error(rows):
+    text = HEADER + "\n" + rows + "\n"
+    assert profile_module._read_columns(text) is None
+    with pytest.raises(ParseError) as want:
+        profile_module._read_rows(text)
+    with pytest.raises(ParseError) as got:
+        CorrelatedProfile.from_csv(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1,1,1,1,1.0000000009999999,10",  # too near the bound for a running sum
+        "+1,1,1,1,1.0,10",
+        f"1,1,{10**18},1,1.0,10",
+        "1,1,1,1,1.0,\u0661",
+        "1,1,1,1,0.5,10\n\n1,1,1,2,0.5,01",
+        "1,1,1,1,0.5,10\r\n1,1,1,2,0.5,01",
+    ],
+)
+def test_a_text_the_array_reader_declines_is_read_row_by_row(rows):
+    text = HEADER + "\n" + rows + "\n"
+    assert profile_module._read_columns(text) is None
+    _assert_same(_outcome(CorrelatedProfile.from_csv, text), _outcome(oracles.from_csv_rows, text))
 
 
 def test_the_first_bad_line_is_named_whatever_the_kind():

@@ -21,6 +21,7 @@ from phiregret import (
     parse_efg,
 )
 from phiregret import profile as profile_module
+from phiregret.maps import caratheodory
 from phiregret.profile import ROW_BLOCK, uniform_mean
 
 
@@ -222,6 +223,40 @@ def test_a_column_profile_takes_later_rounds_as_objects():
     assert profile.columns is None and profile.rounds == 7
     assert profile.export_csv() == oracles.export_rows(twin) == twin.export_csv()
     assert_means_match(profile, twin)
+
+
+def cara_profile(rng, rounds):
+    """add_round profile of one 3-bit hypercube player whose rounds hold two
+    Caratheodory supports of random points each."""
+    problem = hypercube_problem(3)
+    profile = CorrelatedProfile(1, dims=[problem.n_terminals])
+    for _ in range(rounds):
+        profile.add_round([[caratheodory(problem, problem.random_point(rng)) for _ in range(2)]])
+    return profile
+
+
+EXPORTS = {
+    "columns": lambda rng: CorrelatedProfile.from_columns(
+        [3, 7, 1], random_columns(rng, [3, 7, 1], 120), 120),
+    "objects": lambda rng: objects_of(random_columns(rng, [2, 5], 40), 40),
+    "descriptors": lambda rng: mixed_profile(rng, 130),
+    "rollover": lambda rng: CorrelatedProfile.from_columns([1, 12], *rollover_columns(rng)),
+    "cara": lambda rng: cara_profile(rng, 60),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, ROW_BLOCK])
+@pytest.mark.parametrize("kind", sorted(EXPORTS))
+def test_exported_text_is_taken_by_the_array_reader(kind, block, monkeypatch):
+    monkeypatch.setattr(profile_module, "ROW_BLOCK", block)
+    text = EXPORTS[kind](np.random.default_rng(78)).export_csv()
+    assert profile_module._read_columns(text) is not None
+    again = CorrelatedProfile.from_csv(text).export_csv()
+    assert again == text and profile_module._read_columns(again) is not None
+
+
+def test_the_wide_cube_export_is_taken_by_the_array_reader():
+    assert profile_module._read_columns(wide_cube_profile().export_csv()) is not None
 
 
 BAD_COLUMNS = {

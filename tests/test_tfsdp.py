@@ -1,11 +1,13 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_problem
-from phiregret import DecisionProblem, hypercube_problem, parse_problem
+from phiregret import BehavioralDescriptor, DecisionProblem, hypercube_problem, parse_problem
 from phiregret.errors import CapacityError, MembershipError, ParseError, StructureError
 from phiregret.tfsdp import hypercube_structure, l2_diameter
 
@@ -41,6 +43,19 @@ def test_membership_rejects_bad_points(two_stage):
     assert not two_stage.membership(np.array([1.5, -0.5, 0.0, 0.0, 0.0]))
     with pytest.raises(MembershipError, match="root value"):
         two_stage.require_membership(np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_rejects_values_that_are_not_finite(bad):
+    cube = hypercube_problem(1)  # terminals b0:0 and b0:1
+    for x, z in (([bad, bad], 0), ([1.0, bad], 1), ([bad, 0.0], 0)):
+        x = np.array(x)
+        assert not cube.in_polytope(x, cube.node_values(x))
+        assert not cube.membership(x)
+        message = f"terminal 'b0:{z}': {x[z]} is not a finite number"
+        assert cube.membership_violation(x) == message
+        with pytest.raises(MembershipError, match=f"^probe: {re.escape(message)}$"):
+            cube.require_membership(x, context="probe")
 
 
 def test_membership_agrees_with_oracle(two_stage):
@@ -233,3 +248,15 @@ def test_enumeration_cap_is_checked_before_the_walk(two_stage):
         )
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
             p.enumerate_pure_strategies(cap=count - 1)
+
+
+def test_a_problem_is_freed_without_the_cycle_collector_after_a_support():
+    gc.disable()
+    try:
+        problem = hypercube_problem(3)
+        assert BehavioralDescriptor(problem, problem.uniform_point()).support().n_atoms == 8
+        ref = weakref.ref(problem)
+        del problem
+        assert ref() is None
+    finally:
+        gc.enable()
