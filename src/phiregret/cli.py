@@ -70,6 +70,7 @@ def _run_efg(args):
         delta=args.delta,
         L=args.fixed_point_iters,
         checkpoints=checkpoints,
+        record_profile=args.out is not None,
     )
     print(f"game={game.name} rounds={res.rounds} dev={args.dev} "
           f"delta={args.delta} elapsed={res.elapsed:.2f}s")
@@ -182,7 +183,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapacityError, ParseError, FileNotFoundError, ValueError) as exc:
+    except (CapacityError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from .errors import ParseError
 from .fixedpoint import FixedPointConfig, PhiRegretMinimizer, SharedCfr
 from .maps import BehavioralDescriptor, MixtureStrategy
 from .profile import CorrelatedProfile, uniform_mean
-from .tfsdp import hypercube_structure, parse_problem
+from .tfsdp import hypercube_structure, problem_from_lines
 
 PAYOFF_TOL = 1e-9
 
@@ -252,32 +252,33 @@ def parse_efg(text):
     `z1 z2 u1 [u2]` naming terminal node ids; u2 defaults to -u1. Missing
     terminal pairs pay zero.
     """
-    lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
-    rows = [(no + 1, ln.strip()) for no, ln in enumerate(lines) if ln.strip()]
-    if not rows or not rows[0][1].startswith("efg"):
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    rows = [(no, ln) for no, ln in enumerate(lines, start=1) if ln]
+    if not rows:
         raise ParseError("expected header 'efg <name>'")
-    parts = rows[0][1].split()
-    if len(parts) != 2:
-        raise ParseError(f"line {rows[0][0]}: expected 'efg <name>'")
+    no, header = rows[0]
+    parts = header.split()
+    if parts[0] != "efg" or len(parts) != 2:
+        raise ParseError(f"line {no}: expected header 'efg <name>'")
     name = parts[1]
-    sections = {"player 1": [], "player 2": [], "payoffs": []}
+    sections = {"player 1": None, "player 2": None, "payoffs": None}
     current = None
     for no, ln in rows[1:]:
         key = ln.lower()
         if key in sections:
-            current = key
+            if sections[key] is not None:
+                raise ParseError(f"line {no}: repeated section '{key}'")
+            current = sections[key] = []
             continue
         if current is None:
             raise ParseError(f"line {no}: content before any section header")
-        sections[current].append((no, ln))
+        current.append((no, ln))
     problems = []
-    for player in ("player 1", "player 2"):
-        if not sections[player]:
-            raise ParseError(f"missing section '{player}'")
-        body = "\n".join(ln for _, ln in sections[player])
-        problems.append(parse_problem(f"tfsdp {name}-p{player[-1]}\n{body}"))
-    if not sections["payoffs"]:
-        raise ParseError("missing section 'payoffs'")
+    for key, body in sections.items():
+        if not body:
+            raise ParseError(f"missing section '{key}'")
+        if key != "payoffs":
+            problems.append(problem_from_lines(f"{name}-p{key[-1]}", body))
     shape = (problems[0].n_terminals, problems[1].n_terminals)
     mats = [np.zeros(shape), np.zeros(shape)]
     index = []

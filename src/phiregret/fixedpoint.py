@@ -11,17 +11,17 @@ learner over the deviation DAG then drives the full deviation regret down.
 ``PhiRegretRun`` measures both regrets of such a run exactly, from one
 hindsight best response per checkpoint.
 
-An iterate reuses what is built once per problem and per DAG: the tree
-pass's ones, the start point, a boolean membership test (a failure alone
-is worded) and the monomial paths with their flow buffer. Its behavioral
-component keeps the iterate and node values uncopied. ``SharedCfr`` runs
-the learners of several minimizers as one, over their joined DAGs.
+An iterate reuses what the problem and DAG build once: the tree pass's
+ones, the start point and its node values, a boolean membership test (a
+failure alone is worded) and the monomial paths with their flow buffer. Its
+behavioral component keeps the iterate and node values uncopied.
+``SharedCfr`` runs the learners of several minimizers as one, over their
+joined DAGs.
 """
 
 from __future__ import annotations
 
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +79,7 @@ def expected_fixed_point(problem, phi, cfg):
     image = phi if callable(phi) else (lambda comp: comp.expected_image(phi))
     shape = (problem.n_terminals,)
     if cfg.init is None:
-        x, vals = _uniform_start(problem)
+        x, vals = problem.start, problem.start_values
     else:
         x = np.array(cfg.init, dtype=float)
         vals = problem.node_values(x) if x.shape == shape else None
@@ -109,21 +109,6 @@ def expected_fixed_point(problem, phi, cfg):
     pi = MixtureStrategy([(1.0 / cfg.L, c) for c in components])
     error = (iterates[-1] - iterates[0]) / cfg.L
     return FixedPointResult(iterates[:-1], pi, error, cfg.L, False)
-
-
-_STARTS = weakref.WeakKeyDictionary()
-
-
-def _uniform_start(problem):
-    """The problem's uniform point, read-only, and its node values: built
-    and checked on the first call for the problem, then kept."""
-    if problem not in _STARTS:
-        x = problem.uniform_point()
-        vals = problem.node_values(x)
-        problem.require_membership(x, context="fixed-point init", vals=vals)
-        x.flags.writeable = vals.flags.writeable = False
-        _STARTS[problem] = (x, vals)
-    return _STARTS[problem]
 
 
 @dataclass

@@ -443,6 +443,8 @@ def parse_nfg(text):
         raise ParseError(f"line {no}: {exc}") from None
     if len(counts) != n or n < 1:
         raise ParseError(f"line {no}: header lists {len(counts)} action counts for {n} players")
+    if min(counts) < 1:
+        raise ParseError(f"line {no}: every player needs at least 1 action, got {min(counts)}")
     body = rows[1:]
     if any(ln.startswith("edge ") for _, ln in body):
         return _parse_polymatrix(n, counts, body)

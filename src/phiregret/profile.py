@@ -368,13 +368,16 @@ def _read_columns(text):
     ``text`` read as arrays of code units, ROW_BLOCK rows at a time; None
     unless every check passes as a boolean, ``_read_block``'s and these:
     the text is ASCII with no blank line and no code unit up to the blank
-    but its newlines; every round has every player; each player has one
-    strategy length; each component's j counts 1, 2, ... in file order and
-    its running weight sum is within 1e-9 of 1 by more than its rounding
-    error (n weights: n * 2**-52 of the larger of the sum and 1).
+    but its newlines (a CR-LF reads as a newline, a lone CR declines);
+    every round has every player; each player has one strategy length; each
+    component's j counts 1, 2, ... in file order and its running weight sum
+    is within 1e-9 of 1 by more than its rounding error (n weights:
+    n * 2**-52 of the larger of the sum and 1).
     """
     if not text.isascii():
         return None
+    if "\r" in text:  # a test for CR scans an LF text ten times faster than replace
+        text = text.replace("\r\n", "\n")
     chars = np.frombuffer(text.encode("ascii"), np.uint8)
     ends = np.flatnonzero(chars == 10)
     if np.count_nonzero(chars <= 32) != len(ends) or (np.diff(ends) == 1).any():

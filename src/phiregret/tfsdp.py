@@ -74,7 +74,6 @@ class Graph:
         # Fraction of a state's mass each edge carries under uniform play.
         self.uniform_share = np.where(self.decision_edge, 1.0 / deg[self.src], 1.0)
         self.uniform_share.flags.writeable = False
-        self.sum_pass = None  # tree_values' blocks, compiled on its first call
 
         order = np.argsort(edge_level, kind="stable")
         cuts = np.flatnonzero(np.diff(edge_level[order])) + 1
@@ -91,6 +90,12 @@ class Graph:
                 self.blocks.append(
                     (int(self.code[states[0]]), states, edges, self.dst[edges])
                 )
+        # tree_values' blocks: the ones of decision states, first children of the rest
+        self.sum_pass = [
+            (states, children, np.ones(children.shape)) if code == CODE[DECISION]
+            else (states, children[:, 0].copy(), None)
+            for code, states, _, children in self.blocks
+        ]
 
 
 def graph_arrays(kind, children):
@@ -171,18 +176,19 @@ def count_pure(graph):
 def tree_values(graph, leaf):
     """Node values of a terminal vector: decision states sum their children,
     each one dot with a row of ones, observation states copy their first
-    child. The ones and first children are compiled on the first call."""
-    if graph.sum_pass is None:
-        graph.sum_pass = [
-            (states, children, np.ones(children.shape)) if code == CODE[DECISION]
-            else (states, children[:, 0].copy(), None)
-            for code, states, _, children in graph.blocks
-        ]
+    child (``graph.sum_pass``)."""
     value = np.zeros(graph.n)
     value[graph.terminals] = leaf
     for states, children, ones in graph.sum_pass:
         value[states] = value[children] if ones is None else _row_dots(ones, value[children])
     return value
+
+
+def _check_atoms(n_atoms, cap):
+    if n_atoms > cap:
+        raise CapacityError(
+            f"behavioral support exceeds {cap} atoms; use the implicit descriptor instead"
+        )
 
 
 @dataclass(frozen=True)
@@ -304,6 +310,12 @@ class DecisionProblem:
         self.decision_edges = paths
         self.depth = max((len(p) for p in paths), default=0)
 
+        # The fixed point's start: the uniform point and its node values, read-only.
+        self.start = self.uniform_point()
+        self.start_values = self.node_values(self.start)
+        self.require_membership(self.start, context="fixed-point init", vals=self.start_values)
+        self.start.flags.writeable = self.start_values.flags.writeable = False
+
     @staticmethod
     def _repair_alternation(rows):
         kind_of = {r.node_id: r.kind for r in rows}
@@ -406,43 +418,33 @@ class DecisionProblem:
         significant. A block over ``cap`` rows raises CapacityError before it
         is allocated.
         """
-        ptr, share = self.graph.ptr.tolist(), share.tolist()
-        one, rows = np.ones(1), np.eye(self.n_terminals)
+        return self._support(0, share.tolist(), self.graph.ptr.tolist(),
+                             np.eye(self.n_terminals), cap)
 
-        def check(n_atoms):
-            if n_atoms > cap:
-                raise CapacityError(
-                    f"behavioral support exceeds {cap} atoms; "
-                    "use the implicit descriptor instead"
-                )
-
-        def walk(s):
-            kind = self.kind[s]
-            if kind == TERMINAL:
-                z = self.terminal_index[s]
-                return one, rows[z : z + 1]
-            if kind == DECISION:
-                weights, blocks = [], []
-                for e, c in zip(range(ptr[s], ptr[s + 1]), self.children[s]):
-                    if share[e] > 0.0:
-                        w, m = walk(c)
-                        weights.append(share[e] * w)
-                        blocks.append(m)
-                check(sum(map(len, weights)))
-                return np.concatenate(weights), np.concatenate(blocks)
-            first, *rest = self.children[s]
-            weights, matrix = walk(first)
-            for c in rest:
-                w, m = walk(c)
-                check(len(weights) * len(w))
-                weights = (weights[:, None] * w).ravel()
-                matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
-            return weights, matrix
-
-        try:
-            return walk(0)
-        finally:
-            del walk  # walk's closure holds walk, a cycle that would keep self alive
+    def _support(self, s, share, ptr, rows, cap):
+        """``pure_support``'s block of the subtree at state s (``rows``: the
+        identity, one row per terminal)."""
+        kind = self.kind[s]
+        if kind == TERMINAL:
+            z = self.terminal_index[s]
+            return np.ones(1), rows[z : z + 1]
+        if kind == DECISION:
+            weights, blocks = [], []
+            for e, c in zip(range(ptr[s], ptr[s + 1]), self.children[s]):
+                if share[e] > 0.0:
+                    w, m = self._support(c, share, ptr, rows, cap)
+                    weights.append(share[e] * w)
+                    blocks.append(m)
+            _check_atoms(sum(map(len, weights)), cap)
+            return np.concatenate(weights), np.concatenate(blocks)
+        first, *rest = self.children[s]
+        weights, matrix = self._support(first, share, ptr, rows, cap)
+        for c in rest:
+            w, m = self._support(c, share, ptr, rows, cap)
+            _check_atoms(len(weights) * len(w), cap)
+            weights = (weights[:, None] * w).ravel()
+            matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
+        return weights, matrix
 
     def uniform_point(self):
         """Tree-form point of the uniform behavioral strategy."""
@@ -541,34 +543,30 @@ def parse_problem(text):
     Children are ordered by appearance; parents must precede children.
     Lines starting with ``#`` and blank lines are skipped.
     """
-    rows = []
-    name = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if name is None:
-            if tokens[0] != "tfsdp" or len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected header 'tfsdp <name>'")
-            name = tokens[1]
-            continue
-        if len(tokens) != 4:
-            raise ParseError(
-                f"line {lineno}: expected '<id> <kind> <parent|-> <label|->', "
-                f"got {len(tokens)} tokens"
-            )
-        node_id, kind, parent, label = tokens
-        rows.append(
-            NodeRow(
-                node_id,
-                kind,
-                None if parent == "-" else parent,
-                None if label == "-" else label,
-            )
-        )
-    if name is None:
+    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    if not lines:
         raise ParseError("empty file: missing 'tfsdp <name>' header")
+    lineno, header = lines[0]
+    tokens = header.split()
+    if tokens[0] != "tfsdp" or len(tokens) != 2:
+        raise ParseError(f"line {lineno}: expected header 'tfsdp <name>'")
+    return problem_from_lines(tokens[1], lines[1:])
+
+
+def problem_from_lines(name, lines):
+    """The problem of numbered node lines ``(line number, text)``, each
+    ``<id> <kind> <parent|-> <label|->``; a ParseError names a bad line's
+    number."""
+    rows = []
+    for lineno, line in lines:
+        tokens = line.split()
+        if len(tokens) != 4:
+            raise ParseError(f"line {lineno}: expected '<id> <kind> <parent|-> <label|->', "
+                             f"got {len(tokens)} tokens")
+        node_id, kind, parent, label = tokens
+        rows.append(NodeRow(node_id, kind, None if parent == "-" else parent,
+                            None if label == "-" else label))
     try:
         return DecisionProblem(rows, name=name)
     except StructureError as exc:

@@ -117,3 +117,12 @@ def random_problem(rng, max_pure=64, max_depth=3):
     if problem.count_pure_strategies() > max_pure:
         return random_problem(rng, max_pure, max_depth)
     return problem
+
+
+def assert_same_columns(got, want):
+    """Two ``(dims, columns, rounds)`` results of the profile CSV readers are
+    equal, their arrays bit for bit."""
+    assert got[0] == want[0] and got[2] == want[2]
+    for got_col, want_col in zip(got[1], want[1], strict=True):
+        for a, b in zip(got_col, want_col, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

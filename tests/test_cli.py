@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phiregret import (
+    CorrelatedProfile,
     EFGame,
     NormalFormGame,
     dump_efg,
@@ -146,6 +147,11 @@ def test_parse_failure_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["nfg-ce", "--game", str(tmp_path / "nope.nfg"), "--eps", "0.3"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_a_directory_for_a_file_exits_2(tmp_path, capsys):
+    assert main(["efg-run", "--game", str(tmp_path), "--dev", "external", "--rounds", "1"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -310,3 +316,23 @@ def test_efg_run_prints_the_last_checkpoint_without_solving_again(efg_file, caps
         f"player {i}: phi-regret=0.000000 external=0.000000 fp-bound=0.000000"
         for i in (1, 2)
     ]
+
+
+def test_efg_run_records_a_profile_only_when_it_writes_one(tmp_path, efg_file, capsys,
+                                                           monkeypatch):
+    calls = []
+    add_round = CorrelatedProfile.add_round
+
+    def counted(self, components):
+        calls.append(1)
+        return add_round(self, components)
+
+    monkeypatch.setattr(CorrelatedProfile, "add_round", counted)
+    argv = ["efg-run", "--game", efg_file, "--dev", "med:1", "--rounds", "20"]
+    printed = []
+    for extra in (["--out", str(tmp_path / "p.csv")], []):
+        assert main(argv + extra) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed.append([lines[0].rsplit(" elapsed=", 1)[0], *lines[1:3]])
+        assert len(calls) == 20
+    assert printed[0] == printed[1]

@@ -268,6 +268,12 @@ def test_game_round_trip():
         (lambda s: s.replace("2 2 0.5", "2 2 half"), "could not convert"),
         ("efg tiny\n0 D - -\n", "content before any section"),
         ("efg tiny\n", "missing section 'player 1'"),
+        (lambda s: s.replace("efg tiny", "efgfoo tiny"), r"^line 1: expected header 'efg <name>'$"),
+        # read as one section, the second block would give player 1 three terminals
+        (lambda s: s + "player 1\n4 T 1 two\n", r"^line 17: repeated section 'player 1'$"),
+        # a node line is named by its line in the game file
+        (lambda s: s.replace("zero\n3 T 1 one\npayoffs", "\n3 T 1 one\npayoffs"),
+         r"^line 10: expected '<id> <kind> <parent\|-> <label\|->', got 3 tokens$"),
     ],
 )
 def test_parse_game_errors(mangle, message):

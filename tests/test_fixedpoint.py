@@ -375,3 +375,13 @@ def test_a_bad_utility_leaves_no_weights_for_the_joint_update(seat, bad):
         m.observe_utility(np.full(4, -0.5))
     assert seats[0].waiting == [None, None]
     assert [m.run.rounds for m in minimizers] == [4, 4]
+
+
+def test_the_start_is_built_with_the_problem():
+    problem = hypercube_problem(2)
+    x, vals = problem.start, problem.start_values
+    assert not x.flags.writeable and not vals.flags.writeable
+    assert x.tobytes() == problem.uniform_point().tobytes()
+    assert vals.tobytes() == problem.node_values(problem.uniform_point()).tobytes()
+    fp = expected_fixed_point(problem, lambda pi: pi.mean(), FixedPointConfig(L=3))
+    assert fp.stalled and fp.iterates[0] is x

@@ -231,6 +231,11 @@ def test_nfg_parse_errors():
         parse_nfg("nfg 2 2 2\nedge 0 1\n0 0\n")
 
 
+def test_nfg_action_counts_below_one_are_rejected():
+    with pytest.raises(ParseError, match=r"^line 2: every player needs at least 1 action, got -2$"):
+        parse_nfg("# one player\nnfg 1 -2\n")
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_horizon_needs_positive_eps(eps):
     with pytest.raises(ValueError, match="eps must be positive"):

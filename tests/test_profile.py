@@ -17,7 +17,7 @@ from phiregret import (
 )
 from phiregret import profile as profile_module
 
-from conftest import TWO_STAGE_TEXT
+from conftest import TWO_STAGE_TEXT, assert_same_columns
 
 
 def one_hot(n, i):
@@ -226,13 +226,20 @@ def test_only_the_row_reader_names_an_error(rows):
         f"1,1,{10**18},1,1.0,10",
         "1,1,1,1,1.0,\u0661",
         "1,1,1,1,0.5,10\n\n1,1,1,2,0.5,01",
-        "1,1,1,1,0.5,10\r\n1,1,1,2,0.5,01",
+        "1,1,1,1,0.5,10\r1,1,1,2,0.5,01",
     ],
 )
 def test_a_text_the_array_reader_declines_is_read_row_by_row(rows):
     text = HEADER + "\n" + rows + "\n"
     assert profile_module._read_columns(text) is None
     _assert_same(_outcome(CorrelatedProfile.from_csv, text), _outcome(oracles.from_csv_rows, text))
+
+
+def test_the_array_reader_takes_cr_lf_line_ends_as_the_row_reader_does():
+    text = HEADER + "\r\n1,1,1,1,0.5,10\r\n1,1,1,2,0.5,01\n1,2,1,1,1.0,1\r\n"
+    got, want = profile_module._read_columns(text), profile_module._read_rows(text)
+    assert got is not None
+    assert_same_columns(got, want)
 
 
 def test_the_first_bad_line_is_named_whatever_the_kind():

@@ -24,6 +24,8 @@ from phiregret import profile as profile_module
 from phiregret.maps import caratheodory
 from phiregret.profile import ROW_BLOCK, uniform_mean
 
+from conftest import assert_same_columns
+
 
 def random_columns(rng, widths, rounds, most=3):
     """Per player (weights, matrix, sizes, comp_rounds): 1 to ``most``
@@ -251,6 +253,10 @@ def test_exported_text_is_taken_by_the_array_reader(kind, block, monkeypatch):
     monkeypatch.setattr(profile_module, "ROW_BLOCK", block)
     text = EXPORTS[kind](np.random.default_rng(78)).export_csv()
     assert profile_module._read_columns(text) is not None
+    # with CR-LF line ends too, and into the same columns
+    got = profile_module._read_columns(text.replace("\n", "\r\n"))
+    assert got is not None
+    assert_same_columns(got, profile_module._read_columns(text))
 
 
 def test_the_wide_cube_export_is_taken_by_the_array_reader():
