@@ -352,10 +352,13 @@ def terminal_weights(dag, u, pi):
     """Utility over reduced strategies induced by utility u and mixture pi.
 
     w[t] = u[out(t)] * E_pi[prod_{i in mono(t)} x[i]], so that <w, q> equals
-    <u, E_pi[phi_q(x)]> for every reduced strategy q.
+    <u, E_pi[phi_q(x)]> for every reduced strategy q. A leading round axis,
+    u (T, N) against a ``RoundMixtures`` pi, gives each round's row.
     """
     u = np.asarray(u, dtype=float)
-    return u[dag.terminal_out] * pi.monomial_expectation(dag.monomials)[dag.mono_row]
+    values = pi.monomial_expectation(dag.monomials)
+    # transposed, one gather serves a single round and a leading round axis
+    return (u.T[dag.terminal_out] * values.T[dag.mono_row]).T
 
 
 def follow_identity_policy(dag):

@@ -18,9 +18,9 @@ import numpy as np
 from .dags import STATE_CAP, best_reduced_strategy, build_dt_problem, interleave, terminal_weights
 from .errors import ParseError
 from .fixedpoint import FixedPointConfig, PhiRegretMinimizer, SharedCfr
-from .maps import BehavioralDescriptor, MixtureStrategy
+from .maps import BehavioralDescriptor
 from .profile import CorrelatedProfile, uniform_mean
-from .tfsdp import hypercube_structure, problem_from_lines
+from .tfsdp import _row_dots, content_lines, hypercube_structure, problem_from_lines
 
 PAYOFF_TOL = 1e-9
 
@@ -228,18 +228,20 @@ def phi_equilibrium_gap(profile, game, player, dag):
     and subtracts the realized baseline. This is the same expression the
     learning run tracks, so auditing a self-play profile with the same
     deviation set reproduces the measured regret.
+
+    All rounds are charged at once: one ``terminal_weights`` call over the
+    player's ``RoundMixtures``, then the weights summed down the rounds by
+    one cumsum and the baseline's row dots, one per round, by another, each
+    in round order. A running total from 0.0 adds them the same way, except
+    that it never ends at -0.0; adding 0.0 at the end matches that too.
     """
     if profile.rounds == 0:
         return 0.0
     profile.require_shape([p.n_terminals for p in game.problems])
-    total_w = np.zeros(dag.n_terminal_states)
-    baseline = 0.0
-    for t in range(profile.rounds):
-        comps = profile.components(t, player)
-        mixture = MixtureStrategy([(1.0 / len(comps), c) for c in comps])
-        u = game.utility_vector(player, profile.round_mean(t, 1 - player))
-        total_w += terminal_weights(dag, u, mixture)
-        baseline += float(u @ mixture.mean())
+    utils = np.array([game.utility_vector(player, m) for m in profile.stacked_means(1 - player)])
+    rounds = profile.mixtures(player)
+    total_w = terminal_weights(dag, utils, rounds).cumsum(axis=0)[-1] + 0.0
+    baseline = float(_row_dots(utils, rounds.mean()).cumsum()[-1] + 0.0)
     best, _ = best_reduced_strategy(dag, total_w)
     return (best - baseline) / profile.rounds
 
@@ -250,10 +252,10 @@ def parse_efg(text):
     Sections: `efg <name>`, then `player 1` and `player 2` each followed by
     tree node lines (id kind parent label), then `payoffs` with lines
     `z1 z2 u1 [u2]` naming terminal node ids; u2 defaults to -u1. Missing
-    terminal pairs pay zero.
+    terminal pairs pay zero. Comments and blank lines are skipped as in a
+    problem file (``content_lines``).
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    rows = [(no, ln) for no, ln in enumerate(lines, start=1) if ln]
+    rows = content_lines(text)
     if not rows:
         raise ParseError("expected header 'efg <name>'")
     no, header = rows[0]

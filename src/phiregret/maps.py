@@ -8,7 +8,8 @@ peeling map repeatedly subtracts the largest feasible multiple of a greedy
 pure strategy, producing at most one atom per terminal.
 
 Monomials are compiled once into a ``MonomialTable``; every mixture's
-``monomial_expectation`` evaluates a whole table in one call.
+``monomial_expectation`` evaluates a whole table in one call, and
+``RoundMixtures`` evaluates a profile's rounds of mixtures together.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .tfsdp import flow_down, pure_share
 
 SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
+STACK_ATOMS = 1024  # atoms a SupportMix stack of RoundMixtures reads at a time
 
 
 def padded(rows):
@@ -101,11 +103,19 @@ class MonomialTable:
 def _conditional_flow(graph, vals, flow):
     """Each edge's share vals[dst] / vals[src] of its source's node value (1
     below a state of value 0), then a trailing 1 for a -1 pad to read,
-    written into ``flow`` (n_edges + 1,)."""
+    written into ``flow`` (n_edges + 1,); node values (n, K) give (n_edges +
+    1, K), a column per point."""
     flow.fill(1.0)
     above = vals[graph.src]
     np.divide(vals[graph.dst], above, out=flow[:-1], where=above > 0.0)
     return flow
+
+
+def _beta_share(problem, vals):
+    """The behavioral map's per-edge shares (K, E) at points of node values
+    ``vals`` (K, n)."""
+    g = problem.graph
+    return _conditional_flow(g, vals.T, np.empty((g.n_edges + 1, len(vals)))).T[:, :-1]
 
 
 def monomial_expectation_beta(problem, vals, table):
@@ -135,6 +145,8 @@ class SupportMix:
     reductions run over the atoms in row order, so they round exactly as a
     left-to-right sum of weighted atoms would. ``SupportMix(atoms)`` takes
     (weight, vector) pairs; ``from_arrays`` takes the two arrays as they are.
+    Leading axes, weights (..., n) and matrix (..., n, d), make a stack of
+    mixtures of n atoms each, whose means and expectations are stacked too.
     """
 
     def __init__(self, atoms):
@@ -173,9 +185,10 @@ class SupportMix:
         return out
 
     def _set(self, weights, matrix):
-        if weights.ndim != 1 or matrix.ndim != 2 or len(weights) != len(matrix):
+        if matrix.ndim < 2 or weights.shape != matrix.shape[:-1]:
             raise ValueError(
-                f"need (n,) weights and (n, d) atoms, got {weights.shape} and {matrix.shape}"
+                f"need (..., n) weights and (..., n, d) atoms, got {weights.shape} and "
+                f"{matrix.shape}"
             )
         self.weights = weights
         self.matrix = matrix
@@ -187,19 +200,19 @@ class SupportMix:
 
     @property
     def n_atoms(self):
-        return len(self.weights)
+        return self.weights.shape[-1]
 
     def mean(self):
         if self._mean is None:
-            total = (self.weights[:, None] * self.matrix).cumsum(axis=0)[-1].copy()
+            total = (self.weights[..., None] * self.matrix).cumsum(axis=-2)[..., -1, :].copy()
             total.flags.writeable = False
             self._mean = total
         return self._mean
 
     def monomial_expectation(self, table):
         terms = table.at(self.matrix)
-        terms *= self.weights[:, None]
-        return np.cumsum(terms, axis=0, out=terms)[-1].copy()
+        terms *= self.weights[..., None]
+        return np.cumsum(terms, axis=-2, out=terms)[..., -1, :].copy()
 
     def expected_image(self, phi):
         return _expected_image(self, phi)
@@ -258,22 +271,68 @@ class BehavioralDescriptor:
         return _expected_image(self, phi)
 
     def support(self, cap=SUPPORT_CAP):
-        return beta_support(self.problem, self.base, cap)
+        return beta_support(self.problem, self.base, cap, self.vals)
 
     def __repr__(self):
         return f"BehavioralDescriptor(base={self.base.round(6).tolist()})"
 
 
-def beta_support(problem, x, cap=SUPPORT_CAP):
-    """Explicit support of the behavioral map at x (desk scale only): the
-    pure strategies that x's conditional flows reach, from
-    ``DecisionProblem.pure_support``. Pure strategies outside the positive
-    region have probability zero and are omitted; a block over ``cap``
-    atoms raises CapacityError before it is allocated.
+def beta_support(problem, x, cap=SUPPORT_CAP, vals=None):
+    """Explicit support of the behavioral map at x (desk scale only), or at
+    each row of a stack of points x (K, N), whose node values ``vals`` the
+    caller may pass: the pure strategies that each point's conditional flows
+    reach, from one ``DecisionProblem.pure_support`` walk, as one SupportMix
+    of every point's atoms, point after point. Pure strategies outside the
+    positive region have probability zero and are omitted; a point whose
+    support passes ``cap`` atoms raises CapacityError before anything is
+    allocated.
     """
-    vals = problem.node_values(np.asarray(x, dtype=float))
-    share = _conditional_flow(problem.graph, vals, np.empty(problem.graph.n_edges + 1))[:-1]
+    if vals is None:
+        vals = [problem.node_values(p) for p in np.atleast_2d(np.asarray(x, dtype=float))]
+    share = _beta_share(problem, np.atleast_2d(vals))
     return SupportMix.from_arrays(*problem.pure_support(share, cap))
+
+
+def _runs(components):
+    """The components in runs of one kind: (problem, descriptors) for
+    consecutive behavioral descriptors of one problem, (None, [component])
+    for any other component."""
+    runs = []
+    for comp in components:
+        problem = comp.problem if isinstance(comp, BehavioralDescriptor) else None
+        if problem is not None and runs and runs[-1][0] is problem:
+            runs[-1][1].append(comp)
+        else:
+            runs.append((problem, [comp]))
+    return runs
+
+
+def support_sizes(components):
+    """Each component's number of support atoms: a run of behavioral
+    descriptors sized by one count pass (``DecisionProblem.support_counts``),
+    any other component by its support()."""
+    sizes = []
+    for problem, run in _runs(components):
+        if problem is None:
+            sizes.append(run[0].support().n_atoms)
+        else:
+            share = _beta_share(problem, np.array([c.vals for c in run]))
+            sizes += problem.support_counts(share)[0].tolist()
+    return np.array(sizes, dtype=np.intp)
+
+
+def joint_support(components, cap=SUPPORT_CAP):
+    """One new SupportMix of the components' supports, in order: each run of
+    behavioral descriptors of one problem expanded by one ``beta_support``
+    call, any other component by its support()."""
+    mixes = [
+        run[0].support() if problem is None
+        else beta_support(problem, np.array([c.base for c in run]), cap,
+                          np.array([c.vals for c in run]))
+        for problem, run in _runs(components)
+    ]
+    return SupportMix.from_arrays(np.concatenate([m.weights for m in mixes]),
+                                  np.concatenate([m.matrix for m in mixes]))
 
 
 def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
@@ -372,3 +431,78 @@ class MixtureStrategy:
 
     def __repr__(self):
         return f"MixtureStrategy(components={len(self.components)})"
+
+
+class RoundMixtures:
+    """T rounds of uniform mixtures over their components, evaluated a stack
+    of components at a time.
+
+    ``counts`` (T,) holds each round's number of components. Row t of
+    ``mean()`` and of ``monomial_expectation(table)`` is what a
+    ``MixtureStrategy`` of round t's components, each weighted
+    1 / counts[t], gives, bit for bit: every component's value is scaled by
+    the weight and the scaled values are added in component order. Built
+    from per-round component lists, each component is read on its own;
+    built ``from_columns``, the components are read as ``SupportMix``
+    stacks of one atom count, at most STACK_ATOMS atoms a stack unless one
+    component has more.
+    """
+
+    def __init__(self, rounds):
+        self.counts = np.array([len(comps) for comps in rounds])
+        self._components = [comp for comps in rounds for comp in comps]
+
+    @classmethod
+    def from_columns(cls, weights, matrix, sizes, counts, means):
+        """The rounds of a column profile's player: atom weights (N,) and
+        0/1 rows (N, d) of all components in (round, component) order, each
+        component's atom count ``sizes``, each round's component count
+        ``counts`` and each component's mean ``means`` (C, d)."""
+        rounds = cls.__new__(cls)
+        rounds.counts = np.asarray(counts)
+        rounds._components = None
+        rounds._columns = (weights, matrix, np.asarray(sizes), means)
+        return rounds
+
+    def _combine(self, values):
+        """Row t: round t's rows of ``values`` (C, k), each scaled by
+        1 / counts[t] and added in order."""
+        first = self.counts.cumsum() - self.counts
+        if (self.counts == 1).all():  # a lone component, weighted 1, is its round
+            return values[first]
+        out = np.empty((len(self.counts), values.shape[1]))
+        for n in sorted(set(self.counts.tolist())):
+            pick = (self.counts == n).nonzero()[0]
+            terms = values[first[pick, None] + np.arange(n)]
+            terms *= 1.0 / n
+            out[pick] = np.add.accumulate(terms, axis=1)[:, -1]
+        return out
+
+    def mean(self):
+        if self._components is None:
+            return self._combine(self._columns[3])
+        return self._combine(np.array([comp.mean() for comp in self._components]))
+
+    def monomial_expectation(self, table):
+        if self._components is not None:
+            return self._combine(np.array([comp.monomial_expectation(table)
+                                           for comp in self._components]))
+        weights, matrix, sizes, _ = self._columns
+        values = np.empty((len(sizes), table.n))
+        starts = sizes.cumsum() - sizes
+        for n in sorted(set(sizes.tolist())):
+            pick = (sizes == n).nonzero()[0]
+            step = max(1, STACK_ATOMS // n)
+            for k in range(0, len(pick), step):
+                at = pick[k : k + step]
+                rows = starts[at, None] + np.arange(n)
+                if at[-1] - at[0] == len(at) - 1:  # consecutive components: views
+                    rows = slice(rows[0, 0], rows[-1, -1] + 1)
+                shape = (len(at), n)
+                stack = SupportMix.from_arrays(weights[rows].reshape(shape),
+                                               matrix[rows].reshape(shape + (-1,)))
+                values[at] = stack.monomial_expectation(table)
+        return self._combine(values)
+
+    def __repr__(self):
+        return f"RoundMixtures(rounds={len(self.counts)})"

@@ -16,9 +16,10 @@ of expanding its support. Means are computed when first read: a column
 profile's round means in one pass per player, and its ``SupportMix`` views
 with one ``SupportMix.split`` per player when ``components`` is first read.
 
-Export gathers every component's rows into columns, a descriptor's through
-its explicit support, and writes them ROW_BLOCK rows at a time as an array
-of code units: the index digits, commas and bits by array arithmetic, the
+Export gathers every component's rows into columns, behavioral
+descriptors through their explicit supports, a block of them at a time in
+one support walk, and writes them ROW_BLOCK rows at a time as an array of
+code units: the index digits, commas and bits by array arithmetic, the
 alphas by one "%.17g" pass. Import reads export's text as code units,
 decoding the indices from their digits and only the alphas by ``float()``;
 it declines any other text, which is read one row at a time.
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .maps import SupportMix, segment_means
+from .maps import RoundMixtures, SupportMix, joint_support, segment_means, support_sizes
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 ROW_BLOCK = 1024  # CSV rows parsed or written at a time; bounds the transient arrays
@@ -127,6 +128,15 @@ class CorrelatedProfile:
         """T x dim matrix of the player's per-round mean strategies."""
         return np.array([self.round_mean(t, player) for t in range(self.rounds)])
 
+    def mixtures(self, player):
+        """The player's rounds as one ``RoundMixtures``; a column profile's
+        components are read from its columns, with their means."""
+        if self.columns is None:
+            return RoundMixtures(self._lists[player])
+        weights, matrix, sizes, comp_rounds = self.columns[player]
+        counts = np.diff(np.searchsorted(comp_rounds, np.arange(self.rounds + 1)))
+        return RoundMixtures.from_columns(weights, matrix, sizes, counts, self._means(player)[0])
+
     def _means(self, player):
         """A column profile's component means and round means of the player,
         computed on the first call. A round's mean adds its component means in
@@ -191,23 +201,25 @@ class CorrelatedProfile:
     def _gather(self, player):
         """The player's columns, its 0/1 atom rows as '0'/'1' codes, gathered
         from the components of a profile built by ``add_round``; a
-        descriptor's atoms are those of its support(). Supports are made a
-        block of rounds at a time, at least ROW_BLOCK atoms, and coded before
-        the next block is made."""
+        descriptor's atoms are those of its behavioral support. The count
+        pass (``support_sizes``) sizes every support first; supports are then
+        made a block of rounds at a time, at least ROW_BLOCK atoms, each
+        block's in one ``joint_support`` call, and coded before the next
+        block is made."""
         lists = self._lists[player]
-        weights, codes, sizes, block, atoms = [], [], [], [], 0
-        for t, comps in enumerate(lists, start=1):
-            for comp in comps:
-                block.append(comp.support())
-                atoms += block[-1].n_atoms
-            if atoms >= ROW_BLOCK or t == len(lists):
-                weights.append(np.concatenate([m.weights for m in block]))
-                matrix = np.concatenate([m.matrix for m in block])
-                codes.append(np.rint(matrix, out=matrix).astype(np.uint8) + 48)
-                sizes += [m.n_atoms for m in block]
-                block, atoms = [], 0
+        comps = [comp for comps in lists for comp in comps]
+        sizes = support_sizes(comps)
+        atoms = sizes.tolist()
+        weights, codes, lo, hi = [], [], 0, 0
+        for t, round_comps in enumerate(lists, start=1):
+            hi += len(round_comps)
+            if sum(atoms[lo:hi]) >= ROW_BLOCK or t == len(lists):
+                mix = joint_support(comps[lo:hi])
+                weights.append(mix.weights)
+                codes.append(np.rint(mix.matrix, out=mix.matrix).astype(np.uint8) + 48)
+                lo = hi
         comp_rounds = np.repeat(np.arange(self.rounds), [len(c) for c in lists])
-        return np.concatenate(weights), np.concatenate(codes), np.array(sizes), comp_rounds
+        return np.concatenate(weights), np.concatenate(codes), sizes, comp_rounds
 
     @classmethod
     def from_csv(cls, text):

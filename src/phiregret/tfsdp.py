@@ -13,8 +13,10 @@ Trees and the deviation DAGs of ``dags`` compile to one ``Graph``: per-state
 kind codes, CSR edges, and the edges and states grouped by level. Every
 per-state pass is written once, on that form, as a few array operations per
 level: the top-down flow (``flow_down``), the bottom-up backup
-(``back_up``), the pure-strategy count (``count_pure``) and the tree node
-values (``tree_values``).
+(``back_up``), the pure-strategy count (``count_pure``), the tree node
+values (``tree_values``) and the pure-strategy supports of a stack of
+per-edge share arrays (``DecisionProblem.pure_support``), which also
+enumerate the pure strategies.
 """
 
 from __future__ import annotations
@@ -90,12 +92,6 @@ class Graph:
                 self.blocks.append(
                     (int(self.code[states[0]]), states, edges, self.dst[edges])
                 )
-        # tree_values' blocks: the ones of decision states, first children of the rest
-        self.sum_pass = [
-            (states, children, np.ones(children.shape)) if code == CODE[DECISION]
-            else (states, children[:, 0].copy(), None)
-            for code, states, _, children in self.blocks
-        ]
 
 
 def graph_arrays(kind, children):
@@ -173,10 +169,21 @@ def count_pure(graph):
     return int(count[0])
 
 
+def sum_pass(graph):
+    """``tree_values``' blocks of a tree's graph: the ones of decision
+    states, the first children of the rest."""
+    return [
+        (states, children, np.ones(children.shape)) if code == CODE[DECISION]
+        else (states, children[:, 0].copy(), None)
+        for code, states, _, children in graph.blocks
+    ]
+
+
 def tree_values(graph, leaf):
-    """Node values of a terminal vector: decision states sum their children,
-    each one dot with a row of ones, observation states copy their first
-    child (``graph.sum_pass``)."""
+    """Node values of a terminal vector on a tree's graph: decision states
+    sum their children, each one dot with a row of ones, observation states
+    copy their first child (``graph.sum_pass``, which ``DecisionProblem``
+    sets)."""
     value = np.zeros(graph.n)
     value[graph.terminals] = leaf
     for states, children, ones in graph.sum_pass:
@@ -184,11 +191,20 @@ def tree_values(graph, leaf):
     return value
 
 
-def _check_atoms(n_atoms, cap):
-    if n_atoms > cap:
-        raise CapacityError(
-            f"behavioral support exceeds {cap} atoms; use the implicit descriptor instead"
-        )
+def _products(weights, bits, base, counts):
+    """The row-major products, first child most significant, of children's
+    atoms in the pool (``weights``, ``bits``): child j of row q has
+    counts[j] atoms from base[q, j]. Weights multiply in child order, and
+    bits add, which sets the union of children's disjoint terminal sets;
+    returns (Q, P) weights and (Q, P, words) bits."""
+    counts = counts.tolist()
+    pick = base[..., None] + np.arange(max(counts))  # a short child's tail is cut below
+    child_w, child_b = weights.take(pick, mode="clip"), bits.take(pick, axis=0, mode="clip")
+    w, b = child_w[:, 0, : counts[0]], child_b[:, 0, : counts[0]]
+    for j, c in enumerate(counts[1:], start=1):
+        w = (w[:, :, None] * child_w[:, j, None, :c]).reshape(len(w), -1)
+        b = (b[:, :, None] + child_b[:, j, None, :c]).reshape(len(b), -1, b.shape[-1])
+    return w, b
 
 
 @dataclass(frozen=True)
@@ -288,11 +304,17 @@ class DecisionProblem:
         self.edge_label = [by_id[i].label for i in order]
         self.children = [tuple(index[c] for c in children_ids[i]) for i in order]
         self.graph = Graph(*graph_arrays(self.kind, self.children), depth)
+        self.graph.sum_pass = sum_pass(self.graph)
 
         self.terminals = self.graph.terminals
         self.n_terminals = len(self.terminals)
         self.terminal_index = np.full(n, -1, dtype=int)
         self.terminal_index[self.terminals] = np.arange(self.n_terminals)
+        # terminal z as a bit set: bit z % 64 of little-endian word z // 64
+        words = -(-self.n_terminals // 64)
+        eye = np.eye(self.n_terminals, 64 * words, dtype=bool)
+        self.terminal_bits = np.packbits(eye, axis=1, bitorder="little").view("<i8")
+        self.terminal_bits.flags.writeable = False
         observed = ~self.graph.decision_edge
         self.observation_edges = np.stack([self.graph.dst[observed], self.graph.src[observed]])
 
@@ -399,52 +421,102 @@ class DecisionProblem:
     def enumerate_pure_strategies(self, cap=ENUM_CAP):
         """All distinct tree-form pure strategies as a (P, N) 0/1 array, in
         ``pure_support`` order."""
-        total = self.count_pure_strategies()
-        if total > cap:
+        try:
+            return self.pure_support(self.graph.uniform_share, cap)[1]
+        except CapacityError:
             raise CapacityError(
-                f"{total} pure strategies exceeds the cap of {cap}; "
+                f"{self.count_pure_strategies()} pure strategies exceeds the cap of {cap}; "
                 "raise the cap only for desk-scale work"
-            )
-        return self.pure_support(self.graph.uniform_share, cap)[1]
+            ) from None
+
+    def support_counts(self, share):
+        """The count pass of ``pure_support``: for a stack of share arrays
+        (K, E), each state's number of atoms (n, K) for each point, 0 where
+        the state is not reached. A state is reached when every decision edge
+        above it has positive share. Counts are floats, so a huge one
+        overflows to inf, never wraps."""
+        g = self.graph
+        passes = share > 0.0
+        if passes.all():  # every state is reached
+            count = np.ones((g.n, len(share)))
+        else:
+            passes = passes.T | ~g.decision_edge[:, None]
+            reach = np.zeros((g.n, len(share)), dtype=bool)
+            reach[0] = True
+            for e, s, d in g.levels:
+                reach[d] = reach[s] & passes[e]
+            count = reach.astype(float)
+        for code, states, _, children in g.blocks:
+            reduce = np.add.reduce if code == CODE[DECISION] else np.multiply.reduce
+            count[states] = reduce(count[children], 1)
+        return count
 
     def pure_support(self, share, cap):
-        """The pure strategies that randomizing by a per-edge share array
-        reaches: (weights (P,), 0/1 matrix (P, N)).
+        """The pure strategies that randomizing by each of a stack of per-edge
+        share arrays (K, E), or by one (E,), reaches: weights (A,) and 0/1
+        matrix (A, N) of every point's atoms, point after point.
 
-        Walks down from the root, each subtree giving a block of weights and
-        rows: decision points stack the blocks of their children over edges
-        of positive share, scaled by that share; observation points take the
-        row-major product of their children's blocks, first child most
-        significant. A block over ``cap`` rows raises CapacityError before it
-        is allocated.
+        The count pass (``support_counts``) sizes every reached state's atoms
+        for every point, and a point whose support passes ``cap`` atoms
+        raises CapacityError before anything is allocated. The walk then
+        goes over the graph's blocks, deepest first, keeping the atoms of
+        every reached state and point in one pool (a weight, and the atom's
+        terminals as bits): a decision state stacks its children's atoms
+        over the edges of positive share, each scaled by that share; an
+        observation state takes the row-major product of its children's
+        atoms, first child most significant, multiplying their weights in
+        child order. These are the products of a recursive walk down from
+        the root, in its order.
         """
-        return self._support(0, share.tolist(), self.graph.ptr.tolist(),
-                             np.eye(self.n_terminals), cap)
-
-    def _support(self, s, share, ptr, rows, cap):
-        """``pure_support``'s block of the subtree at state s (``rows``: the
-        identity, one row per terminal)."""
-        kind = self.kind[s]
-        if kind == TERMINAL:
-            z = self.terminal_index[s]
-            return np.ones(1), rows[z : z + 1]
-        if kind == DECISION:
-            weights, blocks = [], []
-            for e, c in zip(range(ptr[s], ptr[s + 1]), self.children[s]):
-                if share[e] > 0.0:
-                    w, m = self._support(c, share, ptr, rows, cap)
-                    weights.append(share[e] * w)
-                    blocks.append(m)
-            _check_atoms(sum(map(len, weights)), cap)
-            return np.concatenate(weights), np.concatenate(blocks)
-        first, *rest = self.children[s]
-        weights, matrix = self._support(first, share, ptr, rows, cap)
-        for c in rest:
-            w, m = self._support(c, share, ptr, rows, cap)
-            _check_atoms(len(weights) * len(w), cap)
-            weights = (weights[:, None] * w).ravel()
-            matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
-        return weights, matrix
+        share = share[None] if share.ndim == 1 else share
+        count = self.support_counts(share)
+        if (count > cap).any():
+            raise CapacityError(
+                f"behavioral support exceeds {cap} atoms; use the implicit descriptor instead"
+            )
+        g, points, n = self.graph, len(share), self.n_terminals
+        size = count.astype(np.intp)
+        # The pool holds one atom per terminal, which every point shares,
+        # then each block's atoms, (state, point) after (state, point).
+        inner = np.concatenate([g.terminals[:0]] + [states for _, states, _, _ in g.blocks])
+        flat = size[inner].ravel()
+        ends = flat.cumsum() + n
+        start = np.empty_like(size)
+        start[g.terminals] = np.arange(n)[:, None]
+        start[inner] = (ends - flat).reshape(-1, points)
+        weights = np.empty(ends[-1] if len(ends) else n)
+        weights[:n] = 1.0
+        bits = np.empty((len(weights), self.terminal_bits.shape[1]), self.terminal_bits.dtype)
+        bits[:n] = self.terminal_bits
+        at = n
+        for code, _, edges, children in g.blocks:
+            # (state, point) rows of each child's atom count and pool start
+            lens = size[children].transpose(0, 2, 1).reshape(-1, children.shape[1])
+            base = start[children].transpose(0, 2, 1).reshape(lens.shape)
+            if code == CODE[DECISION]:
+                lens, ends = lens.ravel(), lens.cumsum()
+                pick = (base.ravel() - ends + lens).repeat(lens) + np.arange(ends[-1])
+                w = weights[pick] * share.T[edges].transpose(0, 2, 1).ravel().repeat(lens)
+                b = bits[pick]
+            elif len(lens) == 1 or (lens == lens[0]).all():
+                w, b = _products(weights, bits, base, lens[0])
+                w, b = w.ravel(), b.reshape(-1, bits.shape[1])
+            else:  # rows of different child counts: each atom's child atoms by its digits
+                total = lens.prod(1)
+                stride = np.ones_like(lens)
+                stride[:, :-1] = lens[:, :0:-1].cumprod(1)[:, ::-1]
+                row = np.arange(len(total)).repeat(total)
+                digit = np.arange(len(row)) - (total.cumsum() - total).repeat(total)
+                pick = digit[:, None] // stride[row] % lens[row] + base[row]
+                w = np.multiply.accumulate(weights[pick], axis=1)[:, -1]
+                b = np.add.reduce(bits[pick], axis=1)
+            weights[at : at + len(w)] = w
+            bits[at : at + len(w)] = b
+            at += len(w)
+        # the root is walked last; a lone terminal is every point's one atom
+        root = slice(start[0, 0], None) if g.blocks else np.zeros(points, dtype=np.intp)
+        matrix = np.unpackbits(bits[root].view(np.uint8), axis=1, count=n, bitorder="little")
+        return weights[root].copy(), matrix.astype(float)
 
     def uniform_point(self):
         """Tree-form point of the uniform behavioral strategy."""
@@ -535,16 +607,24 @@ class DecisionProblem:
         )
 
 
+def content_lines(text):
+    """The numbered lines ``(line number, text)`` of a problem or game file:
+    each line cut at its first ``#``, which starts a comment, and stripped;
+    lines left blank are dropped."""
+    lines = ((lineno, raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in lines if line]
+
+
 def parse_problem(text):
     """Parse the node-list game format.
 
     Header line ``tfsdp <name>``, then one line per node:
     ``<id> <kind:D|O|T> <parent-id|-> <action-label-from-parent|->``.
     Children are ordered by appearance; parents must precede children.
-    Lines starting with ``#`` and blank lines are skipped.
+    Comments and blank lines are skipped (``content_lines``).
     """
-    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty file: missing 'tfsdp <name>' header")
     lineno, header = lines[0]

@@ -18,6 +18,7 @@ import types
 import numpy as np
 import scipy.optimize
 
+from phiregret.dags import best_reduced_strategy, terminal_weights
 from phiregret.errors import CapacityError, InvalidDeviationError, StructureError
 from phiregret.fixedpoint import STALL_TOL, FixedPointConfig, FixedPointResult
 from phiregret.maps import (
@@ -146,6 +147,68 @@ def behavioral_support(problem, x):
         if prob > 0.0:
             atoms.append((prob, y))
     return atoms
+
+
+def pure_support_recursive(problem, share, cap):
+    """The library's former ``DecisionProblem.pure_support``, kept verbatim:
+    the pure strategies that randomizing by one per-edge share array
+    reaches, (weights (P,), 0/1 matrix (P, N)), by a recursion down from the
+    root (``_support``)."""
+    return _support(problem, 0, share.tolist(), problem.graph.ptr.tolist(),
+                    np.eye(problem.n_terminals), cap)
+
+
+def _check_atoms(n_atoms, cap):
+    if n_atoms > cap:
+        raise CapacityError(
+            f"behavioral support exceeds {cap} atoms; use the implicit descriptor instead"
+        )
+
+
+def _support(self, s, share, ptr, rows, cap):
+    """``pure_support``'s block of the subtree at state s (``rows``: the
+    identity, one row per terminal); ``self`` is the problem, the former
+    method's body unchanged."""
+    kind = self.kind[s]
+    if kind == TERMINAL:
+        z = self.terminal_index[s]
+        return np.ones(1), rows[z : z + 1]
+    if kind == DECISION:
+        weights, blocks = [], []
+        for e, c in zip(range(ptr[s], ptr[s + 1]), self.children[s]):
+            if share[e] > 0.0:
+                w, m = _support(self, c, share, ptr, rows, cap)
+                weights.append(share[e] * w)
+                blocks.append(m)
+        _check_atoms(sum(map(len, weights)), cap)
+        return np.concatenate(weights), np.concatenate(blocks)
+    first, *rest = self.children[s]
+    weights, matrix = _support(self, first, share, ptr, rows, cap)
+    for c in rest:
+        w, m = _support(self, c, share, ptr, rows, cap)
+        _check_atoms(len(weights) * len(w), cap)
+        weights = (weights[:, None] * w).ravel()
+        matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
+    return weights, matrix
+
+
+def phi_equilibrium_gap_loop(profile, game, player, dag):
+    """The library's former ``efg.phi_equilibrium_gap``, kept verbatim: one
+    ``MixtureStrategy`` and one ``terminal_weights`` call per round, the
+    weights and baseline added up round by round."""
+    if profile.rounds == 0:
+        return 0.0
+    profile.require_shape([p.n_terminals for p in game.problems])
+    total_w = np.zeros(dag.n_terminal_states)
+    baseline = 0.0
+    for t in range(profile.rounds):
+        comps = profile.components(t, player)
+        mixture = MixtureStrategy([(1.0 / len(comps), c) for c in comps])
+        u = game.utility_vector(player, profile.round_mean(t, 1 - player))
+        total_w += terminal_weights(dag, u, mixture)
+        baseline += float(u @ mixture.mean())
+    best, _ = best_reduced_strategy(dag, total_w)
+    return (best - baseline) / profile.rounds
 
 
 def monomial_expectation(problem, x, terminal_set):

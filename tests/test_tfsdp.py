@@ -7,7 +7,13 @@ import pytest
 
 import oracles
 from conftest import random_problem
-from phiregret import BehavioralDescriptor, DecisionProblem, hypercube_problem, parse_problem
+from phiregret import (
+    BehavioralDescriptor,
+    DecisionProblem,
+    hypercube_problem,
+    parse_efg,
+    parse_problem,
+)
 from phiregret.errors import CapacityError, MembershipError, ParseError, StructureError
 from phiregret.tfsdp import hypercube_structure, l2_diameter
 
@@ -260,3 +266,18 @@ def test_a_problem_is_freed_without_the_cycle_collector_after_a_support():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_trailing_comment_reads_in_both_file_formats():
+    """Problem and game files share one comment rule, and an error still
+    names the line's number in the file."""
+    node_lines = ["r D - -  # root", "a T r x", "b T r y  # the second action"]
+    problem = parse_problem("\n".join(["tfsdp p  # header", "# a full-line comment", ""]
+                                      + node_lines))
+    assert problem.node_ids == ["r", "a", "b"]
+    game = parse_efg("\n".join(["efg g", "player 1"] + node_lines + ["player 2"]
+                               + node_lines + ["payoffs", "a a 0.5  # u2 is -u1"]))
+    assert [p.node_ids for p in game.problems] == [["r", "a", "b"]] * 2
+    assert game.payoffs[0][0, 0] == 0.5
+    with pytest.raises(ParseError, match="line 4: expected"):
+        parse_problem("tfsdp p\n# note\nr D - -\na T r x extra  # comment\n")
