@@ -20,7 +20,7 @@ from .errors import ParseError
 from .fixedpoint import FixedPointConfig, PhiRegretMinimizer, SharedCfr
 from .maps import BehavioralDescriptor
 from .profile import CorrelatedProfile, uniform_mean
-from .tfsdp import _row_dots, content_lines, hypercube_structure, problem_from_lines
+from .tfsdp import content_lines, hypercube_structure, problem_from_lines, row_dots
 
 PAYOFF_TOL = 1e-9
 
@@ -241,7 +241,7 @@ def phi_equilibrium_gap(profile, game, player, dag):
     utils = np.array([game.utility_vector(player, m) for m in profile.stacked_means(1 - player)])
     rounds = profile.mixtures(player)
     total_w = terminal_weights(dag, utils, rounds).cumsum(axis=0)[-1] + 0.0
-    baseline = float(_row_dots(utils, rounds.mean()).cumsum()[-1] + 0.0)
+    baseline = float(row_dots(utils, rounds.mean()).cumsum()[-1] + 0.0)
     best, _ = best_reduced_strategy(dag, total_w)
     return (best - baseline) / profile.rounds
 

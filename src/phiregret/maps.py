@@ -321,13 +321,13 @@ def support_sizes(components):
     return np.array(sizes, dtype=np.intp)
 
 
-def joint_support(components, cap=SUPPORT_CAP):
+def joint_support(components):
     """One new SupportMix of the components' supports, in order: each run of
     behavioral descriptors of one problem expanded by one ``beta_support``
     call, any other component by its support()."""
     mixes = [
         run[0].support() if problem is None
-        else beta_support(problem, np.array([c.base for c in run]), cap,
+        else beta_support(problem, np.array([c.base for c in run]), SUPPORT_CAP,
                           np.array([c.vals for c in run]))
         for problem, run in _runs(components)
     ]
@@ -468,14 +468,11 @@ class RoundMixtures:
         """Row t: round t's rows of ``values`` (C, k), each scaled by
         1 / counts[t] and added in order."""
         first = self.counts.cumsum() - self.counts
-        if (self.counts == 1).all():  # a lone component, weighted 1, is its round
-            return values[first]
-        out = np.empty((len(self.counts), values.shape[1]))
-        for n in sorted(set(self.counts.tolist())):
-            pick = (self.counts == n).nonzero()[0]
-            terms = values[first[pick, None] + np.arange(n)]
-            terms *= 1.0 / n
-            out[pick] = np.add.accumulate(terms, axis=1)[:, -1]
+        weight = (1.0 / self.counts)[:, None]
+        out = values[first] * weight
+        for j in range(1, self.counts.max(initial=1)):
+            more = self.counts > j  # the rounds of more than j components
+            out[more] += values[first[more] + j] * weight[more]
         return out
 
     def mean(self):

@@ -209,11 +209,11 @@ class CorrelatedProfile:
         lists = self._lists[player]
         comps = [comp for comps in lists for comp in comps]
         sizes = support_sizes(comps)
-        atoms = sizes.tolist()
+        atoms = [0] + sizes.cumsum().tolist()  # atoms[k]: the first k components' atoms
         weights, codes, lo, hi = [], [], 0, 0
         for t, round_comps in enumerate(lists, start=1):
             hi += len(round_comps)
-            if sum(atoms[lo:hi]) >= ROW_BLOCK or t == len(lists):
+            if atoms[hi] - atoms[lo] >= ROW_BLOCK or t == len(lists):
                 mix = joint_support(comps[lo:hi])
                 weights.append(mix.weights)
                 codes.append(np.rint(mix.matrix, out=mix.matrix).astype(np.uint8) + 48)

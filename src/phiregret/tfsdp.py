@@ -102,7 +102,7 @@ def graph_arrays(kind, children):
     return code, ptr, np.fromiter(itertools.chain.from_iterable(children), dtype=np.intp)
 
 
-def _row_dots(w, v):
+def row_dots(w, v):
     """Row-wise dot products w[i] @ v[i]. Each row is one vector dot product,
     so it rounds exactly as a per-state ``np.dot`` does."""
     return np.matmul(w[:, None, :], v[:, :, None])[:, 0, 0]
@@ -141,7 +141,7 @@ def back_up(graph, leaf, rule):
         if pick and code == CODE[DECISION]:
             value[states] = below.max(1) if rule == "max" else below.min(1)
         else:
-            value[states] = _row_dots(share[edges], below)
+            value[states] = row_dots(share[edges], below)
     if pick:
         share = pure_share(graph, value[graph.dst], maximize=rule == "max")
     return value, share
@@ -187,7 +187,7 @@ def tree_values(graph, leaf):
     value = np.zeros(graph.n)
     value[graph.terminals] = leaf
     for states, children, ones in graph.sum_pass:
-        value[states] = value[children] if ones is None else _row_dots(ones, value[children])
+        value[states] = value[children] if ones is None else row_dots(ones, value[children])
     return value
 
 
@@ -436,16 +436,12 @@ class DecisionProblem:
         above it has positive share. Counts are floats, so a huge one
         overflows to inf, never wraps."""
         g = self.graph
-        passes = share > 0.0
-        if passes.all():  # every state is reached
-            count = np.ones((g.n, len(share)))
-        else:
-            passes = passes.T | ~g.decision_edge[:, None]
-            reach = np.zeros((g.n, len(share)), dtype=bool)
-            reach[0] = True
-            for e, s, d in g.levels:
-                reach[d] = reach[s] & passes[e]
-            count = reach.astype(float)
+        passes = (share > 0.0).T | ~g.decision_edge[:, None]
+        reach = np.zeros((g.n, len(share)), dtype=bool)
+        reach[0] = True
+        for e, s, d in g.levels:
+            reach[d] = reach[s] & passes[e]
+        count = reach.astype(float)
         for code, states, _, children in g.blocks:
             reduce = np.add.reduce if code == CODE[DECISION] else np.multiply.reduce
             count[states] = reduce(count[children], 1)
@@ -498,7 +494,7 @@ class DecisionProblem:
                 pick = (base.ravel() - ends + lens).repeat(lens) + np.arange(ends[-1])
                 w = weights[pick] * share.T[edges].transpose(0, 2, 1).ravel().repeat(lens)
                 b = bits[pick]
-            elif len(lens) == 1 or (lens == lens[0]).all():
+            elif (lens == lens[0]).all():  # rows of the same child counts: broadcast
                 w, b = _products(weights, bits, base, lens[0])
                 w, b = w.ravel(), b.reshape(-1, bits.shape[1])
             else:  # rows of different child counts: each atom's child atoms by its digits
