@@ -100,13 +100,13 @@ class Mwu:
             self.eta = math.sqrt(math.log(max(n_arms, 2)))
 
     def next_distribution(self):
-        shifted = self.log_weights - self.log_weights.max(axis=-1, keepdims=True)
+        shifted = self.log_weights - np.maximum.reduce(self.log_weights, axis=-1, keepdims=True)
         w = np.exp(shifted)
-        return w / w.sum(axis=-1, keepdims=True)
+        return w / np.add.reduce(w, axis=-1, keepdims=True)
 
     def observe(self, utilities):
         utilities = np.asarray(utilities, dtype=float)
-        if not np.all(np.isfinite(utilities)):
+        if not np.isfinite(utilities).all():
             raise ValueError("arm utilities must be finite")
         self.log_weights = self.log_weights + self.eta * utilities
         if self.horizon is None:

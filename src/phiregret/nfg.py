@@ -8,10 +8,13 @@ same telescoping argument as the general template, and squaring over the
 bits of L makes a round O(log L) small matrix products, not an eigensolve.
 Self-play stacks the players that have the same action count into one
 learner, so a round takes one batched step per action count, not one per
-player. A round of run_ce only plays: it writes its play pi_t, utilities
-u_t and rerouted play Q_t^T pi_t into ROUND_BLOCK-row buffers. The regret
-sums are updated once per block, by one cumsum down the block in round
-order, and the profile is built from the play log after the last round.
+player. What a round reuses is built once: bm_next's block template and
+start vector (per SwapLearner), and each player's contraction (per
+NormalFormGame, shared by expectation_oracle and run_ce). A round of run_ce
+plays into fixed buffers and copies pi_t, u_t and the rerouted play
+Q_t^T pi_t into ROUND_BLOCK-row logs. The regret sums are updated once per
+block, by one cumsum down the block in round order, and the profile is
+built from the play log after the last round.
 """
 
 from __future__ import annotations
@@ -92,6 +95,21 @@ class NormalFormGame:
                         f"player {i} polymatrix payoffs can reach {hi:.3g}, "
                         "outside [-1, 1]"
                     )
+        # each player's contraction: (einsum spec, tensor, other players), or
+        # the (edge matrix, neighbour) pairs in edge order
+        if self.tensors is not None:
+            letters = string.ascii_lowercase[: self.n_players]
+            self._plan = []
+            for i, t in enumerate(self.tensors):
+                others = [j for j in range(self.n_players) if j != i]
+                spec = letters + "," + ",".join("..." + letters[j] for j in others)
+                self._plan.append((spec + "->..." + letters[i], t, others))
+        else:
+            self._plan = [
+                [(m_a, b) if i == a else (m_b, a)
+                 for (a, b), (m_a, m_b) in self.edges.items() if i in (a, b)]
+                for i in range(self.n_players)
+            ]
 
     @staticmethod
     def _check_range(values):
@@ -128,6 +146,17 @@ class NormalFormGame:
                 total += m_j[joint[j], joint[i]]
         return float(total)
 
+    def _contract(self, dists, out):
+        """Write every u_i(., pi_{-i}) into out[i]; ``_check_dists`` checks dists."""
+        if self.tensors is None:
+            for u, pairs in zip(out, self._plan):
+                u[...] = 0.0
+                for m, j in pairs:
+                    u += (m @ dists[j][..., None])[..., 0]
+        else:
+            for u, (spec, tensor, others) in zip(out, self._plan):
+                np.einsum(spec, tensor, *[dists[j] for j in others], out=u)
+
     def __repr__(self):
         layout = "polymatrix" if self.is_polymatrix else "dense"
         return f"NormalFormGame({self.name!r}, actions={self.action_counts}, {layout})"
@@ -141,6 +170,14 @@ def expectation_oracle(game, dists):
     polymatrix games sum edge-matrix products. The distributions may share
     leading axes (rounds, say), which the outputs keep.
     """
+    dists = _check_dists(game, dists)
+    out = [np.empty(dists[0].shape[:-1] + (a,)) for a in game.action_counts]
+    game._contract(dists, out)
+    return out
+
+
+def _check_dists(game, dists):
+    """Float arrays, one per player, with the same leading axes; or a ValueError."""
     if len(dists) != game.n_players:
         raise ValueError(f"need {game.n_players} distributions, got {len(dists)}")
     dists = [np.asarray(d, dtype=float) for d in dists]
@@ -151,24 +188,7 @@ def expectation_oracle(game, dists):
                 f"player {i} distribution has shape {d.shape}, "
                 f"expected {lead + (game.action_counts[i],)}"
             )
-    out = []
-    if game.is_polymatrix:
-        for i in range(game.n_players):
-            u = np.zeros(lead + (game.action_counts[i],))
-            for (a, b), (m_a, m_b) in game.edges.items():
-                if i == a:
-                    u += (m_a @ dists[b][..., None])[..., 0]
-                elif i == b:
-                    u += (m_b @ dists[a][..., None])[..., 0]
-            out.append(u)
-        return out
-    letters = string.ascii_lowercase[: game.n_players]
-    for i in range(game.n_players):
-        others = ["..." + letters[j] for j in range(game.n_players) if j != i]
-        spec = letters + "," + ",".join(others) + "->..." + letters[i]
-        args = [dists[j] for j in range(game.n_players) if j != i]
-        out.append(np.einsum(spec, game.tensors[i], *args))
-    return out
+    return dists
 
 
 class SwapLearner:
@@ -186,6 +206,15 @@ class SwapLearner:
         self.stack = stack
         rows = self.n_actions if stack is None else (int(stack), self.n_actions)
         self.mwu = Mwu(self.n_actions, horizon=horizon, rows=rows)
+        # bm_next's template [[0, 0], [I, I]] and start vector [1/A, 0]
+        n, lead = self.n_actions, self.mwu.log_weights.shape[:-2]
+        self.block = np.zeros(lead + (2 * n, 2 * n))
+        # the bottom block row [I, I]: flattened, both diagonals step 2n + 1
+        bottom = self.block[..., n:, :].reshape(lead + (2 * n * n,))
+        bottom[..., :: 2 * n + 1] = bottom[..., n :: 2 * n + 1] = 1.0
+        self.start = np.zeros(lead + (2 * n, 1))
+        self.start[..., :n, :] = 1.0 / n
+        self.block.flags.writeable = self.start.flags.writeable = False
 
     def q_matrix(self):
         return self.mwu.next_distribution()
@@ -211,14 +240,9 @@ def bm_next(learner, L, q=None):
         raise ValueError("need at least one iterate")
     n = learner.n_actions
     q = learner.q_matrix() if q is None else q
-    lead = q.shape[:-2]
-    block = np.zeros(lead + (2 * n, 2 * n))
-    block[..., :n, :n] = np.swapaxes(q, -1, -2)
-    # the bottom block row [I, I]: flattened, both diagonals step 2n + 1
-    bottom = block[..., n:, :].reshape(lead + (2 * n * n,))
-    bottom[..., :: 2 * n + 1] = bottom[..., n :: 2 * n + 1] = 1.0
-    v = np.zeros(lead + (2 * n, 1))
-    v[..., :n, :] = 1.0 / n
+    block = learner.block.copy()
+    block[..., :n, :n] = q.swapaxes(-1, -2)
+    v = learner.start
     # the leading bit of L is always 1, and the block it would square next
     # is never read
     for bit in reversed(bin(L)[3:]):
@@ -291,6 +315,8 @@ def ce_horizon(game, eps, c=8.0):
     """Rounds T = ceil(c * A ln A / eps^2), with A the largest action count."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     A = game.max_actions
     rounds = c * A * math.log(max(A, 2)) / eps**2 if eps**2 > 0 else math.inf
     if rounds == math.inf:
@@ -308,15 +334,18 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     returned profile is the uniform mixture over rounds of the product play
     distributions; when audit is set its exact swap gap is computed.
 
-    A round only plays: it writes pi_t, u_t and Q_t^T pi_t into ROUND_BLOCK-row
-    buffers, one set per action count. When a block fills, and at the
-    horizon, one pass accounts for it: the moments sum_t outer(pi_t, u_t),
-    the rerouted utilities u_t . Q_t^T pi_t and the fixed-point errors are
-    carried into the block's first row and summed down it by cumsum, the same
-    sequential sums as a per-round update, and the curve rows of the
-    checkpoints in the block are read off those sums. Without record_profile
-    memory stays O(ROUND_BLOCK); with it each player's log of pi_t becomes
-    the profile after play, in one ``CorrelatedProfile.from_columns`` call.
+    L must be a positive integer and c positive and finite. A round only
+    plays, into buffers allocated and shape-checked once: bm_next writes
+    pi_t, the game's contraction writes u_t from each player's row of pi_t,
+    and pi_t, u_t and Q_t^T pi_t are copied into ROUND_BLOCK-row logs, one
+    set per action count. When a block fills, and at the horizon, one pass
+    accounts for it: the moments sum_t outer(pi_t, u_t), the rerouted
+    utilities u_t . Q_t^T pi_t and the fixed-point errors are carried into
+    the block's first row and summed down it by cumsum, the same sequential
+    sums as a per-round update, and the curve rows of the checkpoints in the
+    block are read off those sums. Without record_profile memory stays
+    O(ROUND_BLOCK); with it each player's log of pi_t becomes the profile
+    after play, in one ``CorrelatedProfile.from_columns`` call.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -328,7 +357,9 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
         if 4.0 / eps == math.inf:
             raise ValueError(f"eps {eps} is too small: 4 / eps power iterates is not finite")
         L = max(1, math.ceil(4.0 / eps))
-    horizon = int(horizon)
+    elif not isinstance(L, numbers.Integral) or L < 1:
+        raise ValueError(f"L must be a positive integer, got {L!r}")
+    horizon, L = int(horizon), int(L)
     start = time.monotonic()
     by_count = {}
     for i, a in enumerate(game.action_counts):
@@ -343,10 +374,17 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     sums = [[np.zeros((len(p), a, a)), np.zeros(len(p)), np.zeros(len(p))]
             for a, p in by_count.items()]
     logs = [[] for _ in groups]  # each group's pi_t blocks, when recording
+    # this round's pi_t and u_t per group, and each player's row of them
+    pi_now = [np.empty((len(p), a)) for a, p in by_count.items()]
+    u_now = [np.empty_like(pi) for pi in pi_now]
+    pi_rows, u_rows = [None] * game.n_players, [None] * game.n_players
+    for g, players in enumerate(groups):
+        for k, i in enumerate(players):
+            pi_rows[i], u_rows[i] = pi_now[g][k], u_now[g][k]
+    _check_dists(game, pi_rows)
     wanted = set(checkpoints)
     marks = np.array([t for t in range(1, horizon) if t in wanted] + [horizon])
     curve_rows = []
-    pis = [None] * game.n_players
 
     def account(done, n):
         """Fold rounds done+1 .. done+n into the sums; write their curve rows."""
@@ -383,18 +421,13 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
         n = min(rows, horizon - done)
         for b in range(n):
             qs = [learner.q_matrix() for learner in learners]
-            for g, players in enumerate(groups):
-                pi = played[g][b]
-                pi[...] = bm_next(learners[g], L, q=qs[g])
-                for k, i in enumerate(players):
-                    pis[i] = pi[k]
-            payoff = expectation_oracle(game, pis)
-            for g, players in enumerate(groups):
-                u, pi = utils[g][b], played[g][b]
-                for k, i in enumerate(players):
-                    u[k] = payoff[i]
-                np.matmul(np.swapaxes(qs[g], 1, 2), pi[:, :, None], out=shifted[g][b])
-                bm_observe(learners[g], u, pi)
+            for g, learner in enumerate(learners):
+                pi_now[g][...] = bm_next(learner, L, q=qs[g])
+            game._contract(pi_rows, u_rows)
+            for g, learner in enumerate(learners):
+                played[g][b], utils[g][b] = pi_now[g], u_now[g]
+                np.matmul(qs[g].swapaxes(1, 2), pi_now[g][:, :, None], out=shifted[g][b])
+                bm_observe(learner, u_now[g], pi_now[g])
         account(done, n)
     profile = gaps = None
     if record_profile:
