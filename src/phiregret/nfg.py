@@ -359,7 +359,7 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
         L = max(1, math.ceil(4.0 / eps))
     elif not isinstance(L, numbers.Integral) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
-    horizon, L = int(horizon), int(L)
+    horizon = int(horizon)
     start = time.monotonic()
     by_count = {}
     for i, a in enumerate(game.action_counts):

@@ -12,6 +12,7 @@ import collections
 import copy
 import itertools
 import math
+import string
 import time
 import types
 
@@ -125,28 +126,39 @@ def membership(problem, x, tol=1e-9):
     return True
 
 
-def behavioral_support(problem, x):
+def behavioral_support(problem, x, pure=None):
     """Support of the behavioral randomization of x, from the definition.
 
     The probability of a pure strategy y is the product, over decision points
     j that y reaches and that carry positive value under x, of
-    value(chosen child) / value(j).
+    value(chosen child) / value(j). x's node values are computed once, by
+    ``node_value``; pure is ``pure_node_values(problem)`` if the caller has
+    it already.
     """
+    ys, y_vals = pure_node_values(problem) if pure is None else pure
+    x_vals = [node_value(problem, x, j) for j in range(problem.n_nodes)]
     atoms = []
-    for y in enumerate_pure(problem):
+    for y, y_val in zip(ys, y_vals):
         prob = 1.0
         for j in range(problem.n_nodes):
             if problem.kind[j] != "D":
                 continue
-            vj = node_value(problem, x, j)
-            if vj <= 0.0 or node_value(problem, y, j) != 1.0:
+            vj = x_vals[j]
+            if vj <= 0.0 or y_val[j] != 1.0:
                 continue
-            chosen = [c for c in problem.children[j] if node_value(problem, y, c) == 1.0]
+            chosen = [c for c in problem.children[j] if y_val[c] == 1.0]
             assert len(chosen) == 1
-            prob *= node_value(problem, x, chosen[0]) / vj
+            prob *= x_vals[chosen[0]] / vj
         if prob > 0.0:
             atoms.append((prob, y))
     return atoms
+
+
+def pure_node_values(problem):
+    """Every pure strategy (``enumerate_pure``) and, per strategy, the
+    ``node_value`` of every node."""
+    ys = enumerate_pure(problem)
+    return ys, [[node_value(problem, y, j) for j in range(problem.n_nodes)] for y in ys]
 
 
 def pure_support_recursive(problem, share, cap):
@@ -437,22 +449,31 @@ def support_monomial(atoms, terminal_set):
     return total
 
 
-def component_atoms(component):
+def component_atoms(component, pure=None):
     """(weight, vector) atoms of a profile component: a behavioral
     descriptor's by enumeration from the definition, an explicit mixture's
-    as listed."""
-    if hasattr(component, "base"):
-        return behavioral_support(component.problem, component.base)
-    return component.atoms
+    as listed. pure, a dict, keeps each problem's ``pure_node_values``
+    across calls."""
+    if not hasattr(component, "base"):
+        return component.atoms
+    problem = component.problem
+    if pure is None:
+        return behavioral_support(problem, component.base)
+    if problem not in pure:
+        pure[problem] = pure_node_values(problem)
+    return behavioral_support(problem, component.base, pure[problem])
 
 
 def export_rows(profile):
-    """Profile CSV text written one atom at a time, one f-string per row."""
+    """Profile CSV text written one atom at a time, one f-string per row.
+    Each problem's pure strategies and their node values are enumerated once
+    per call."""
     lines = ["t,player,ell,j,alpha,pure-strategy-bits"]
+    pure = {}
     for t in range(profile.rounds):
         for i in range(profile.n_players):
             for ell, comp in enumerate(profile.components(t, i), start=1):
-                for j, (alpha, y) in enumerate(component_atoms(comp), start=1):
+                for j, (alpha, y) in enumerate(component_atoms(comp, pure), start=1):
                     bits = "".join(str(int(round(b))) for b in y)
                     lines.append(f"{t + 1},{i + 1},{ell},{j},{float(alpha):.17g},{bits}")
     return "\n".join(lines) + "\n"
@@ -882,6 +903,65 @@ def bm_next_single(learner, L, q=None):
 def bm_observe_single(learner, u, pi):
     """The library's former one-player ``nfg.bm_observe``, kept verbatim."""
     learner.mwu.observe(np.outer(pi, np.asarray(u, dtype=float)))
+
+
+def bm_next_per_call(learner, L, q=None):
+    """The library's former stacked ``nfg.bm_next``, kept verbatim: it builds
+    its (G, 2A, 2A) block and its start vector anew on every call."""
+    L = int(L)
+    if L < 1:
+        raise ValueError("need at least one iterate")
+    n = learner.n_actions
+    q = learner.q_matrix() if q is None else q
+    lead = q.shape[:-2]
+    block = np.zeros(lead + (2 * n, 2 * n))
+    block[..., :n, :n] = np.swapaxes(q, -1, -2)
+    # the bottom block row [I, I]: flattened, both diagonals step 2n + 1
+    bottom = block[..., n:, :].reshape(lead + (2 * n * n,))
+    bottom[..., :: 2 * n + 1] = bottom[..., n :: 2 * n + 1] = 1.0
+    v = np.zeros(lead + (2 * n, 1))
+    v[..., :n, :] = 1.0 / n
+    # the leading bit of L is always 1, and the block it would square next
+    # is never read
+    for bit in reversed(bin(L)[3:]):
+        if bit == "1":
+            v = block @ v
+        block = block @ block
+    return (block @ v)[..., n:, 0] / L
+
+
+def expectation_oracle_per_call(game, dists):
+    """The library's former ``nfg.expectation_oracle``, kept verbatim: it
+    builds every player's einsum spec and argument list (or walks the
+    polymatrix edges) anew on every call."""
+    if len(dists) != game.n_players:
+        raise ValueError(f"need {game.n_players} distributions, got {len(dists)}")
+    dists = [np.asarray(d, dtype=float) for d in dists]
+    lead = dists[0].shape[:-1]
+    for i, d in enumerate(dists):
+        if d.shape != lead + (game.action_counts[i],):
+            raise ValueError(
+                f"player {i} distribution has shape {d.shape}, "
+                f"expected {lead + (game.action_counts[i],)}"
+            )
+    out = []
+    if game.is_polymatrix:
+        for i in range(game.n_players):
+            u = np.zeros(lead + (game.action_counts[i],))
+            for (a, b), (m_a, m_b) in game.edges.items():
+                if i == a:
+                    u += (m_a @ dists[b][..., None])[..., 0]
+                elif i == b:
+                    u += (m_b @ dists[a][..., None])[..., 0]
+            out.append(u)
+        return out
+    letters = string.ascii_lowercase[: game.n_players]
+    for i in range(game.n_players):
+        others = ["..." + letters[j] for j in range(game.n_players) if j != i]
+        spec = letters + "," + ",".join(others) + "->..." + letters[i]
+        args = [dists[j] for j in range(game.n_players) if j != i]
+        out.append(np.einsum(spec, game.tensors[i], *args))
+    return out
 
 
 def run_ce_per_player(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
