@@ -8,13 +8,12 @@ same telescoping argument as the general template, and squaring over the
 bits of L makes a round O(log L) small matrix products, not an eigensolve.
 Self-play stacks the players that have the same action count into one
 learner, so a round takes one batched step per action count, not one per
-player. What a round reuses is built once: bm_next's block template and
-start vector (per SwapLearner), and each player's contraction (per
-NormalFormGame, shared by expectation_oracle and run_ce). A round of run_ce
-plays into fixed buffers and copies pi_t, u_t and the rerouted play
-Q_t^T pi_t into ROUND_BLOCK-row logs. The regret sums are updated once per
-block, by one cumsum down the block in round order, and the profile is
-built from the play log after the last round.
+player. A SwapLearner keeps bm_next's block template, and a NormalFormGame
+its players' contractions, shared by expectation_oracle and run_ce. A round
+of run_ce plays into fixed buffers and copies pi_t, u_t and Q_t^T pi_t into
+ROUND_BLOCK-row logs. The regret sums are updated once per block, by one
+cumsum down the block in round order, and the profile is built from the
+play log after the last round.
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ from .errors import ParseError
 from .fixedpoint import curves_csv
 from .learners import Mwu
 from .profile import CorrelatedProfile
+
+try:  # what np.einsum runs unless asked to optimize, without its dispatch layers
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
 PAYOFF_TOL = 1e-9
 ROUND_BLOCK = 4096
@@ -105,11 +109,8 @@ class NormalFormGame:
                 spec = letters + "," + ",".join("..." + letters[j] for j in others)
                 self._plan.append((spec + "->..." + letters[i], t, others))
         else:
-            self._plan = [
-                [(m_a, b) if i == a else (m_b, a)
-                 for (a, b), (m_a, m_b) in self.edges.items() if i in (a, b)]
-                for i in range(self.n_players)
-            ]
+            self._plan = [[(m_a, b) if i == a else (m_b, a) for (a, b), (m_a, m_b)
+                           in self.edges.items() if i in (a, b)] for i in range(self.n_players)]
 
     @staticmethod
     def _check_range(values):
@@ -155,7 +156,7 @@ class NormalFormGame:
                     u += (m @ dists[j][..., None])[..., 0]
         else:
             for u, (spec, tensor, others) in zip(out, self._plan):
-                np.einsum(spec, tensor, *[dists[j] for j in others], out=u)
+                _einsum(spec, tensor, *[dists[j] for j in others], out=u)
 
     def __repr__(self):
         layout = "polymatrix" if self.is_polymatrix else "dense"
@@ -206,7 +207,6 @@ class SwapLearner:
         self.stack = stack
         rows = self.n_actions if stack is None else (int(stack), self.n_actions)
         self.mwu = Mwu(self.n_actions, horizon=horizon, rows=rows)
-        # bm_next's template [[0, 0], [I, I]] and start vector [1/A, 0]
         n, lead = self.n_actions, self.mwu.log_weights.shape[:-2]
         self.block = np.zeros(lead + (2 * n, 2 * n))
         # the bottom block row [I, I]: flattened, both diagonals step 2n + 1
@@ -334,18 +334,18 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
     returned profile is the uniform mixture over rounds of the product play
     distributions; when audit is set its exact swap gap is computed.
 
-    L must be a positive integer and c positive and finite. A round only
-    plays, into buffers allocated and shape-checked once: bm_next writes
-    pi_t, the game's contraction writes u_t from each player's row of pi_t,
-    and pi_t, u_t and Q_t^T pi_t are copied into ROUND_BLOCK-row logs, one
-    set per action count. When a block fills, and at the horizon, one pass
-    accounts for it: the moments sum_t outer(pi_t, u_t), the rerouted
-    utilities u_t . Q_t^T pi_t and the fixed-point errors are carried into
-    the block's first row and summed down it by cumsum, the same sequential
-    sums as a per-round update, and the curve rows of the checkpoints in the
-    block are read off those sums. Without record_profile memory stays
-    O(ROUND_BLOCK); with it each player's log of pi_t becomes the profile
-    after play, in one ``CorrelatedProfile.from_columns`` call.
+    A round only plays, into buffers allocated and shape-checked once:
+    bm_next writes pi_t, the game's contraction writes u_t from each
+    player's row of pi_t, and pi_t, u_t and Q_t^T pi_t are copied into
+    ROUND_BLOCK-row logs, one set per action count. When a block fills, and
+    at the horizon, one pass accounts for it: the moments
+    sum_t outer(pi_t, u_t), the rerouted utilities u_t . Q_t^T pi_t and the
+    fixed-point errors are carried into the block's first row and summed
+    down it by cumsum, the same sequential sums as a per-round update, and
+    the curve rows of the checkpoints in the block are read off those sums.
+    Without record_profile memory stays O(ROUND_BLOCK); with it each
+    player's log of pi_t becomes the profile after play, in one
+    ``CorrelatedProfile.from_columns`` call.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
