@@ -31,11 +31,6 @@ from .fixedpoint import curves_csv
 from .learners import Mwu
 from .profile import CorrelatedProfile
 
-try:  # what np.einsum runs unless asked to optimize, without its dispatch layers
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    _einsum = np.einsum
-
 PAYOFF_TOL = 1e-9
 ROUND_BLOCK = 4096
 
@@ -156,7 +151,7 @@ class NormalFormGame:
                     u += (m @ dists[j][..., None])[..., 0]
         else:
             for u, (spec, tensor, others) in zip(out, self._plan):
-                _einsum(spec, tensor, *[dists[j] for j in others], out=u)
+                np.einsum(spec, tensor, *[dists[j] for j in others], out=u)
 
     def __repr__(self):
         layout = "polymatrix" if self.is_polymatrix else "dense"

@@ -905,31 +905,6 @@ def bm_observe_single(learner, u, pi):
     learner.mwu.observe(np.outer(pi, np.asarray(u, dtype=float)))
 
 
-def bm_next_per_call(learner, L, q=None):
-    """The library's former stacked ``nfg.bm_next``, kept verbatim: it builds
-    its (G, 2A, 2A) block and its start vector anew on every call."""
-    L = int(L)
-    if L < 1:
-        raise ValueError("need at least one iterate")
-    n = learner.n_actions
-    q = learner.q_matrix() if q is None else q
-    lead = q.shape[:-2]
-    block = np.zeros(lead + (2 * n, 2 * n))
-    block[..., :n, :n] = np.swapaxes(q, -1, -2)
-    # the bottom block row [I, I]: flattened, both diagonals step 2n + 1
-    bottom = block[..., n:, :].reshape(lead + (2 * n * n,))
-    bottom[..., :: 2 * n + 1] = bottom[..., n :: 2 * n + 1] = 1.0
-    v = np.zeros(lead + (2 * n, 1))
-    v[..., :n, :] = 1.0 / n
-    # the leading bit of L is always 1, and the block it would square next
-    # is never read
-    for bit in reversed(bin(L)[3:]):
-        if bit == "1":
-            v = block @ v
-        block = block @ block
-    return (block @ v)[..., n:, 0] / L
-
-
 def expectation_oracle_per_call(game, dists):
     """The library's former ``nfg.expectation_oracle``, kept verbatim: it
     builds every player's einsum spec and argument list (or walks the

@@ -1,7 +1,8 @@
 """The normal-form round reuses what it can build once: each SwapLearner's
 block template and start vector, each game's compiled contraction, and
-run_ce's round buffers. These tests pin bm_next and expectation_oracle bit
-for bit to the per-call builds they replaced, and check run_ce's L and c."""
+run_ce's round buffers. These tests pin expectation_oracle bit for bit to
+the per-call build it replaced, and check run_ce's L and c. bm_next is
+pinned for L = 1..70 in test_round_buffers.py."""
 
 import math
 
@@ -11,9 +12,6 @@ import pytest
 import oracles
 from phiregret import (
     NormalFormGame,
-    SwapLearner,
-    bm_next,
-    bm_observe,
     expectation_oracle,
     matching_pennies,
     run_ce,
@@ -41,20 +39,6 @@ GAMES = {
     "polymatrix 3p": lambda: polymatrix_game([3, 4, 2], [(0, 1), (1, 2), (0, 2)], 114),
     "polymatrix 4p": lambda: polymatrix_game([3, 2, 3, 4], [(1, 3), (0, 2), (0, 1), (2, 3)], 115),
 }
-
-
-@pytest.mark.parametrize("stack", [None, 3])
-def test_bm_next_matches_the_per_call_build_for_every_L(stack):
-    rng = np.random.default_rng(116)
-    learner = SwapLearner(4, horizon=60, stack=stack)
-    lead = () if stack is None else (stack,)
-    for _ in range(3):
-        bm_observe(learner, rng.uniform(-1, 1, lead + (4,)), rng.dirichlet(np.ones(4), lead))
-        q = learner.q_matrix()
-        for L in range(1, 71):
-            want = oracles.bm_next_per_call(learner, L, q=q)
-            assert np.array_equal(bm_next(learner, L, q=q), want), L
-            assert np.array_equal(bm_next(learner, L), want), L
 
 
 @pytest.mark.parametrize("rounds", [None, 7])

@@ -38,9 +38,10 @@ def test_bm_next_matches_the_single_player_squaring_for_every_L():
         bm_observe(stack, u, play)
         for g, s in enumerate(single):
             oracles.bm_observe_single(s, u[g], play[g])
-        for L in range(1, 65):
+        for L in range(1, 71):
             want = np.stack([oracles.bm_next_single(s, L) for s in single])
             assert np.array_equal(bm_next(stack, L), want), L
+            assert np.array_equal(np.stack([bm_next(s, L) for s in single]), want), L
 
 
 @pytest.mark.parametrize("horizon", [0, -3, 2.5])
