@@ -18,6 +18,9 @@ of these is one batched table evaluation and one gather.
 Both builders work one level at a time on arrays and hand the DAG a
 ``tfsdp.Graph``, as a tree's is, leveled by summed component depth or
 history depth; ``interleave(problem, 0)`` compiles to the tree's own arrays.
+As points alternate on every tree path, only an interleaving's root state has
+several components at an observation point, and every path to a state makes
+the same number of moves, so each BFS layer holds new states only.
 The DAG keeps only arrays: the graph, the terminal outputs and monomials,
 and for an interleaving each state's node per component (``nodes``). A
 policy is a per-edge share array over that graph (1 on observation edges, a
@@ -27,6 +30,7 @@ and pure-strategy counts are the graph passes of ``tfsdp``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +108,7 @@ def join(dags):
 
 
 def _spread(count):
-    """Item i repeated count[i] times: (item of each repeat, its position
-    0..count[i]-1)."""
+    """(item, position) of each of the count[i] repeats of every item i."""
     item = np.repeat(np.arange(len(count)), count)
     return item, np.arange(len(item)) - (np.cumsum(count) - count)[item]
 
@@ -113,26 +116,25 @@ def _spread(count):
 def interleave(problem, k, cap=STATE_CAP):
     """Product DAG of the problem and k mediator copies of its dual.
 
-    A state is one node per component. It is terminal when every component
-    is; it is an observation state when any component sits at an observation
-    point of its own tree, and then every such component advances at once,
-    one child combination per edge (several can be at observation points only
-    in the root state); otherwise the player picks a single component at a
-    decision point and one of its children.
+    A state holds one node per component: the base tree, then k duals (the
+    same n nodes, decision and observation codes swapped). Its components at
+    an observation point of their own tree advance at once, one child
+    combination per edge, first component most significant; if there are
+    none, the player moves one component at a decision point to a child.
 
-    Built one BFS layer at a time on int64 keys sum_c node_c * n^c over the
-    components: the base tree, then k duals (the same n nodes, decision and
-    observation codes swapped). A layer expands decision states in (state,
-    component, child) order and observation states as the product over
-    their observing components, first component most significant, then
-    keeps the first occurrence of each unseen key: the per-state BFS
-    discovery order. The states are then sorted stably by summed component
-    depth. A layer taking the DAG past ``cap`` states raises CapacityError.
-    The DAG's ``nodes`` (n_states, k + 1) holds each state's node per
-    component.
+    Built one BFS layer at a time on int64 keys sum_c node_c * n^c, one move
+    pass per layer in (state, component, child) order, keeping each key's
+    first occurrence. Points alternate below every tree root (the problem
+    repairs D -> D and rejects O -> O), so only the root state has several
+    components at an observation point, every later move adds one to the
+    summed component depth, and every path to a state makes the same number
+    of moves: a layer meets no earlier state, and states come out in level
+    order, edges in source order. A layer taking the DAG past ``cap`` states
+    raises CapacityError. ``nodes`` holds each state's node per component.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = int(k)
     g = problem.graph
     n = g.n
     if n ** (k + 1) > np.iinfo(np.int64).max:
@@ -142,57 +144,35 @@ def interleave(problem, k, cap=STATE_CAP):
     components = np.arange(k + 1)
     out_deg = np.diff(g.ptr)
 
-    known = np.zeros(1, dtype=np.int64)  # every key met so far, sorted
-    frontier = known
-    layers = []
+    frontier = np.zeros(1, dtype=np.int64)
+    layers, total = [], 1
     while len(frontier):
         digits = frontier[:, None] // radix % n
         kinds = codes[components, digits]
-        observe = np.any(kinds == CODE[OBSERVATION], axis=1)
-        decide = (kinds == CODE[DECISION]) & ~observe[:, None]
-        code = np.select([observe, decide.any(1)],
-                         [CODE[OBSERVATION], CODE[DECISION]], CODE[TERMINAL])
-
-        rows, comps = np.nonzero(decide)
-        node = digits[rows, comps]
-        item, j = _spread(out_deg[node])
-        rows, comps, node = rows[item], comps[item], node[item]
-        dec_keys = frontier[rows] + (g.dst[g.ptr[node] + j] - node) * radix[comps]
-
-        obs_rows = np.flatnonzero(observe)
-        obs_keys = frontier[obs_rows]
-        for c in range(k + 1):
-            node = digits[obs_rows, c]
-            moves = kinds[obs_rows, c] == CODE[OBSERVATION]
-            if not moves.any():
-                continue
-            item, j = _spread(np.where(moves, out_deg[node], 1))
-            obs_rows, obs_keys, node, moves = (
-                a[item] for a in (obs_rows, obs_keys, node, moves))
-            obs_keys[moves] += (
-                g.dst[g.ptr[node[moves]] + j[moves]] - node[moves]
-            ) * radix[c]
-
-        parent = np.concatenate([rows, obs_rows])
-        keys = np.concatenate([dec_keys, obs_keys])[np.argsort(parent, kind="stable")]
-        seen = known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] == keys
-        fresh, first = np.unique(keys[~seen], return_index=True)
-        if len(known) + len(fresh) > cap:
+        code = kinds.max(axis=1)  # CODE orders terminal < decision < observation
+        active = kinds == code[:, None]
+        if layers:
+            rows, comps = np.nonzero(active)
+            node = digits[rows, comps]
+            item, j = _spread(out_deg[node])
+            rows, comps, node = rows[item], comps[item], node[item]
+            keys = frontier[rows] + (g.dst[g.ptr[node] + j] - node) * radix[comps]
+        else:  # the root: every combination of its active components' children
+            keys = np.zeros(1, dtype=np.int64)
+            for c in np.flatnonzero(active[0]):
+                keys = (keys[:, None] + g.dst[g.ptr[0]:g.ptr[1]] * radix[c]).ravel()
+            rows = np.zeros(len(keys), dtype=np.intp)
+        fresh, first = np.unique(keys, return_index=True)
+        total += len(fresh)
+        if total > cap:
             raise CapacityError(f"interleaving exceeds {cap} states; reduce k or the problem")
-        known = np.insert(known, np.searchsorted(known, fresh), fresh)
-        deg = np.bincount(parent, minlength=len(frontier))
-        layers.append((frontier, digits, code, deg, keys))
+        layers.append((frontier, digits, code, np.bincount(rows, minlength=len(frontier)), keys))
         frontier = fresh[np.argsort(first)]
 
-    found, digits, code, deg, keys = (np.concatenate(part) for part in zip(*layers))
-    level = g.level[digits].sum(1)
-    order = np.argsort(level, kind="stable")
-    rank = np.argsort(order)
-    dst = rank[np.argsort(found)[np.searchsorted(known, keys)]]
-    edges = np.argsort(np.repeat(rank, deg), kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(deg[order])])
-    graph = Graph(code[order], ptr, dst[edges], level[order])
-    nodes = digits[order]
+    found, nodes, code, deg, keys = (np.concatenate(part) for part in zip(*layers))
+    order = np.argsort(found)
+    dst = order[np.searchsorted(found[order], keys)]
+    graph = Graph(code, np.concatenate([[0], np.cumsum(deg)]), dst, g.level[nodes].sum(1))
     ends = problem.terminal_index[nodes[graph.terminals]]
     dag = DecisionDAG("mediator", problem, graph, ends[:, 0], ends[:, 1:])
     dag.k = k

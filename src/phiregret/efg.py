@@ -10,6 +10,7 @@ and its exact equilibrium gap equals the measured time-averaged regret.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -186,6 +187,8 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     """
     if len(devs) != 2:
         raise ValueError("two deviation configurations required")
+    if not isinstance(rounds, numbers.Integral):
+        raise ValueError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 0:
         raise ValueError(f"rounds must be nonnegative, got {rounds}")
     cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)

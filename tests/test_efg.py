@@ -152,6 +152,12 @@ def test_self_play_records_profile_and_checkpoints():
     game.problems[0].require_membership(mean0)
 
 
+@pytest.mark.parametrize("rounds", [2.5, "3"])
+def test_self_play_needs_an_integer_round_count(rounds):
+    with pytest.raises(ValueError, match=f"rounds must be an integer, got {rounds!r}"):
+        efg_self_play(skew_game(), ["med:1", "med:1"], rounds=rounds, L=5)
+
+
 def test_fixed_opponent_does_not_learn():
     game = small_game()
     pinned = game.problems[1].uniform_point()

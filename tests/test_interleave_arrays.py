@@ -45,6 +45,36 @@ def test_builder_matches_the_bfs_reference(name, k):
     assert lists.edges == ref.edges
 
 
+def _bfs_distances(g):
+    dist = np.full(g.n, -1)
+    frontier, d = np.array([0]), 0
+    while frontier.size:
+        dist[frontier] = d
+        reached = np.unique(g.dst[np.isin(g.src, frontier)])
+        frontier, d = reached[dist[reached] < 0], d + 1
+    return dist
+
+
+@pytest.mark.parametrize("name,k", CASES, ids=[f"{n}-k{k}" for n, k in CASES])
+def test_only_the_root_observes_twice_and_edges_join_consecutive_layers(name, k):
+    problem = _problem(name)
+    dag = interleave(problem, k)
+    dual = {"D": "O", "O": "D", "T": "T"}
+    kinds = np.array([problem.kind, [dual[x] for x in problem.kind]])
+    observing = kinds[np.minimum(np.arange(k + 1), 1), dag.nodes] == "O"
+    assert (observing[1:].sum(axis=1) <= 1).all()
+    g = dag.graph
+    dist = _bfs_distances(g)
+    assert (dist >= 0).all()
+    assert np.array_equal(dist[g.dst], dist[g.src] + 1)
+
+
+@pytest.mark.parametrize("k", [1.5, "1"])
+def test_k_must_be_a_nonnegative_integer(k):
+    with pytest.raises(ValueError, match=f"k must be a nonnegative integer, got {k!r}"):
+        interleave(hypercube_problem(2), k)
+
+
 @pytest.mark.parametrize("k", (2, 3))
 def test_cap_allows_exactly_cap_states(k):
     problem = hypercube_problem(3)
