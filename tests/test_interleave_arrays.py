@@ -1,6 +1,7 @@
 """The layer-at-a-time interleaving builder against the per-state BFS it
 replaced (``oracles.interleave_bfs``): same states in the same order, same
-compiled graph, same terminal payloads and monomial table, exactly."""
+compiled graph, same terminal payloads and monomial table, exactly; and the
+two invariants the builder rests on."""
 
 import numpy as np
 import pytest
@@ -88,3 +89,8 @@ def test_keys_that_overflow_int64_raise_before_building():
     # cube1 has 4 nodes, so 32 components need 4**32 = 2**64 keys
     with pytest.raises(CapacityError, match="overflow"):
         interleave(hypercube_problem(1), 31)
+
+
+def test_a_numpy_integer_k_overflows_like_an_int():
+    with pytest.raises(CapacityError, match="overflow"):
+        interleave(hypercube_problem(1), np.int64(31))
