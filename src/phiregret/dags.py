@@ -199,8 +199,9 @@ def build_dt_problem(n_bits, k, distinct=False, cap=STATE_CAP):
     coordinate j0 and committed bit a; its monomial holds 2 * j + a for each
     query j answered a.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = int(k)
     base = hypercube_problem(n_bits)
     depth = min(k, n_bits - 1) if distinct else k
     # Per level: size, kind and out-degree. The root observes j0, each query

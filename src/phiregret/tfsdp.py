@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,20 +192,12 @@ def tree_values(graph, leaf):
     return value
 
 
-def _products(weights, bits, base, counts):
-    """The row-major products, first child most significant, of children's
-    atoms in the pool (``weights``, ``bits``): child j of row q has
-    counts[j] atoms from base[q, j]. Weights multiply in child order, and
-    bits add, which sets the union of children's disjoint terminal sets;
-    returns (Q, P) weights and (Q, P, words) bits."""
-    counts = counts.tolist()
-    pick = base[..., None] + np.arange(max(counts))  # a short child's tail is cut below
-    child_w, child_b = weights.take(pick, mode="clip"), bits.take(pick, axis=0, mode="clip")
-    w, b = child_w[:, 0, : counts[0]], child_b[:, 0, : counts[0]]
-    for j, c in enumerate(counts[1:], start=1):
-        w = (w[:, :, None] * child_w[:, j, None, :c]).reshape(len(w), -1)
-        b = (b[:, :, None] + child_b[:, j, None, :c]).reshape(len(b), -1, b.shape[-1])
-    return w, b
+def _run_indices(base, lens):
+    """Pool indices of consecutive runs, run i being lens[i] atoms from
+    base[i]."""
+    first = (base - lens.cumsum() + lens).repeat(lens)
+    first += np.arange(len(first))
+    return first
 
 
 @dataclass(frozen=True)
@@ -460,9 +453,10 @@ class DecisionProblem:
         terminals as bits): a decision state stacks its children's atoms
         over the edges of positive share, each scaled by that share; an
         observation state takes the row-major product of its children's
-        atoms, first child most significant, multiplying their weights in
-        child order. These are the products of a recursive walk down from
-        the root, in its order.
+        atoms, first child most significant, grown one child at a time: each
+        atom so far is repeated once per atom of the next child and joined
+        with it, so weights multiply in child order. These are the products
+        of a recursive walk down from the root, in its order.
         """
         share = share[None] if share.ndim == 1 else share
         count = self.support_counts(share)
@@ -490,22 +484,20 @@ class DecisionProblem:
             lens = size[children].transpose(0, 2, 1).reshape(-1, children.shape[1])
             base = start[children].transpose(0, 2, 1).reshape(lens.shape)
             if code == CODE[DECISION]:
-                lens, ends = lens.ravel(), lens.cumsum()
-                pick = (base.ravel() - ends + lens).repeat(lens) + np.arange(ends[-1])
-                w = weights[pick] * share.T[edges].transpose(0, 2, 1).ravel().repeat(lens)
-                b = bits[pick]
-            elif (lens == lens[0]).all():  # rows of the same child counts: broadcast
-                w, b = _products(weights, bits, base, lens[0])
-                w, b = w.ravel(), b.reshape(-1, bits.shape[1])
-            else:  # rows of different child counts: each atom's child atoms by its digits
-                total = lens.prod(1)
-                stride = np.ones_like(lens)
-                stride[:, :-1] = lens[:, :0:-1].cumprod(1)[:, ::-1]
-                row = np.arange(len(total)).repeat(total)
-                digit = np.arange(len(row)) - (total.cumsum() - total).repeat(total)
-                pick = digit[:, None] // stride[row] % lens[row] + base[row]
-                w = np.multiply.accumulate(weights[pick], axis=1)[:, -1]
-                b = np.add.reduce(bits[pick], axis=1)
+                lens = lens.ravel()
+                pick = _run_indices(base.ravel(), lens)
+                w = weights.take(pick) * share.T[edges].transpose(0, 2, 1).ravel().repeat(lens)
+                b = bits.take(pick, axis=0)
+            else:  # the first child's atoms, then each later child's under every atom so far
+                have = lens[:, 0]  # each row's atoms so far
+                pick = _run_indices(base[:, 0], have)
+                w, b = weights.take(pick), bits.take(pick, axis=0)
+                for lens_j, base_j in zip(lens.T[1:], base.T[1:]):
+                    c = lens_j.repeat(have)
+                    pick = _run_indices(base_j.repeat(have), c)
+                    w = w.repeat(c) * weights.take(pick)
+                    b = b.repeat(c, axis=0) + bits.take(pick, axis=0)
+                    have = have * lens_j
             weights[at : at + len(w)] = w
             bits[at : at + len(w)] = b
             at += len(w)
@@ -655,6 +647,8 @@ def hypercube_problem(n_bits, name=None):
     One root observation point with n_bits children, each a decision point
     with two terminal children (clear first, set second).
     """
+    if not isinstance(n_bits, numbers.Integral):
+        raise ValueError(f"n_bits must be an integer, got {n_bits!r}")
     if n_bits < 1:
         raise StructureError("need at least one bit")
     rows = [NodeRow("root", OBSERVATION, None, None)]

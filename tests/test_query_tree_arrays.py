@@ -41,14 +41,24 @@ def test_cap_rejects_what_the_recursion_rejects(n_bits, k, distinct):
             build(n_bits, k, distinct=distinct, cap=n_states - 1)
 
 
-@pytest.mark.parametrize("n_bits,k,error", [(0, 1, StructureError), (2, -1, ValueError)])
-def test_bad_arguments_raise_as_the_recursion_did(n_bits, k, error):
+def test_bad_bits_raise_as_the_recursion_did():
     messages = []
     for build in (build_dt_problem, oracles.dt_problem_recursive):
-        with pytest.raises(error) as info:
-            build(n_bits, k)
+        with pytest.raises(StructureError) as info:
+            build(0, 1)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, "1"])
+def test_k_must_be_a_nonnegative_integer(k):
+    # the message of ``interleave``; the recursion's for -1 named no value
+    with pytest.raises(ValueError, match=f"^k must be a nonnegative integer, got {k!r}$"):
+        build_dt_problem(3, k)
+
+
+def test_an_integral_k_is_cast_to_int():
+    assert type(build_dt_problem(2, np.int64(1)).k) is int
 
 
 def test_over_cap_tree_raises_before_building():

@@ -10,9 +10,11 @@ from conftest import random_problem
 from phiregret import (
     BehavioralDescriptor,
     DecisionProblem,
+    build_dt_problem,
     hypercube_problem,
     parse_efg,
     parse_problem,
+    separation_game,
 )
 from phiregret.errors import CapacityError, MembershipError, ParseError, StructureError
 from phiregret.tfsdp import hypercube_structure, l2_diameter
@@ -112,6 +114,18 @@ def test_hypercube_problem_counts():
         assert p.count_pure_strategies() == 2**k
         pairs = hypercube_structure(p)
         assert pairs is not None and len(pairs) == k
+
+
+@pytest.mark.parametrize("build,n_bits,error,message", [
+    (hypercube_problem, 2.5, ValueError, "n_bits must be an integer, got 2.5"),
+    (hypercube_problem, "3", ValueError, "n_bits must be an integer, got '3'"),
+    (lambda n: build_dt_problem(n, 1), 2.5, ValueError, "n_bits must be an integer, got 2.5"),
+    (separation_game, 1.5, ValueError, "n_bits must be an integer, got 1.5"),
+    (hypercube_problem, 0, StructureError, "need at least one bit"),
+], ids=["float", "str", "query-tree", "separation", "zero"])
+def test_hypercube_bits_must_be_a_positive_integer(build, n_bits, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(n_bits)
 
 
 def test_two_stage_is_not_a_hypercube(two_stage):
