@@ -162,12 +162,16 @@ def interleave(problem, k, cap=STATE_CAP):
             for c in np.flatnonzero(active[0]):
                 keys = (keys[:, None] + g.dst[g.ptr[0]:g.ptr[1]] * radix[c]).ravel()
             rows = np.zeros(len(keys), dtype=np.intp)
-        fresh, first = np.unique(keys, return_index=True)
-        total += len(fresh)
+        # each key's first occurrence starts a run of equal keys in a stable sort
+        order = keys.argsort(kind="stable")
+        sorted_keys = keys[order]
+        first = np.concatenate([order[:1], order[1:][sorted_keys[1:] != sorted_keys[:-1]]])
+        first.sort()
+        total += len(first)
         if total > cap:
             raise CapacityError(f"interleaving exceeds {cap} states; reduce k or the problem")
         layers.append((frontier, digits, code, np.bincount(rows, minlength=len(frontier)), keys))
-        frontier = fresh[np.argsort(first)]
+        frontier = keys[first]
 
     found, nodes, code, deg, keys = (np.concatenate(part) for part in zip(*layers))
     order = np.argsort(found)

@@ -10,6 +10,7 @@ and its exact equilibrium gap equals the measured time-averaged regret.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .errors import ParseError
 from .fixedpoint import FixedPointConfig, PhiRegretMinimizer, SharedCfr
 from .maps import BehavioralDescriptor
 from .profile import CorrelatedProfile, uniform_mean
-from .tfsdp import content_lines, hypercube_structure, problem_from_lines, row_dots
+from .tfsdp import CODE, DECISION, content_lines, hypercube_structure, problem_from_lines, row_dots
 
 PAYOFF_TOL = 1e-9
 
@@ -31,8 +32,11 @@ class EFGame:
 
     payoffs[i][z1, z2] is player i's payoff when the players' pure
     strategies select terminals z1 and z2; mixed payoffs are the bilinear
-    extension. Pure-profile payoffs must lie in [-1, 1] (pass
-    normalize=True to rescale both matrices by the worst pure magnitude).
+    extension. Payoffs must be finite, and pure-profile payoffs must lie in
+    [-1, 1] (pass normalize=True to rescale both matrices by the worst pure
+    magnitude, kept as ``scale``). The worst pure magnitude is found by best
+    response: only the player with fewer pure strategies is enumerated, so
+    that side alone is bound by the enumeration cap.
     """
 
     def __init__(self, problems, payoffs, name="efg", normalize=False):
@@ -46,6 +50,8 @@ class EFGame:
             u = np.asarray(u, dtype=float)
             if u.shape != shape:
                 raise ValueError(f"player {i} payoff shape {u.shape} != {shape}")
+            if not np.isfinite(u).all():
+                raise ValueError(f"player {i} payoffs are not all finite")
             mats.append(u)
         worst = self._pure_bound(mats)
         if normalize and worst > 0:
@@ -60,14 +66,25 @@ class EFGame:
         self.scale = worst
 
     def _pure_bound(self, mats):
-        xs = self.problems[0].enumerate_pure_strategies()
-        ys = self.problems[1].enumerate_pure_strategies()
-        X = np.array(xs, dtype=float)
-        Y = np.array(ys, dtype=float)
-        worst = 0.0
-        for u in mats:
-            worst = max(worst, float(np.max(np.abs(X @ u @ Y.T))))
-        return worst
+        """Largest |x^T U y| over pure pairs (x, y) and both matrices U.
+
+        The player with fewer pure strategies (player 1 on a tie) is
+        enumerated. For each of its pure strategies, the columns U y and
+        -U y (or U^T x and -U^T x) are backed up the other player's tree:
+        observation states add their children and decision states take the
+        largest, so the root holds that column's best response value.
+        """
+        counts = [p.count_pure_strategies() for p in self.problems]
+        small = int(counts[1] < counts[0])
+        pure = self.problems[small].enumerate_pure_strategies().T
+        cols = [(u if small else u.T) @ pure for u in mats]
+        g = self.problems[1 - small].graph
+        value = np.empty((g.n, 2 * len(cols) * pure.shape[1]))
+        value[g.terminals] = np.hstack(cols + [-c for c in cols])
+        for code, states, _, children in g.blocks:
+            below = value[children]
+            value[states] = below.max(1) if code == CODE[DECISION] else below.sum(1)
+        return float(value[0].max())
 
     @classmethod
     def zero_sum(cls, problem1, problem2, u1, name="efg", normalize=False):
@@ -307,6 +324,8 @@ def parse_efg(text):
             u2 = float(parts[3]) if len(parts) == 4 else -u1
         except ValueError as exc:
             raise ParseError(f"line {no}: {exc}") from None
+        if not (math.isfinite(u1) and math.isfinite(u2)):
+            raise ParseError(f"line {no}: payoffs must be finite numbers")
         mats[0][index[0][z1], index[1][z2]] = u1
         mats[1][index[0][z1], index[1][z2]] = u2
     try:

@@ -81,6 +81,8 @@ class NormalFormGame:
                     raise ValueError(
                         f"edge ({i}, {j}) matrices must be {want_i} and {want_j}"
                     )
+                if not (np.isfinite(m_i).all() and np.isfinite(m_j).all()):
+                    raise ValueError(f"edge ({i}, {j}) payoffs are not all finite")
                 self.edges[(i, j)] = (m_i, m_j)
             # the [-1,1] invariant applies to total payoffs, i.e. edge sums
             for i in range(self.n_players):
@@ -109,6 +111,8 @@ class NormalFormGame:
 
     @staticmethod
     def _check_range(values):
+        if not np.isfinite(values).all():
+            raise ValueError("payoffs are not all finite")
         worst = float(np.max(np.abs(values))) if np.asarray(values).size else 0.0
         if worst > 1.0 + PAYOFF_TOL:
             raise ValueError(f"payoff magnitude {worst:.3g} outside [-1, 1]")
@@ -494,6 +498,8 @@ def _parse_dense(n, counts, body):
             payoffs = [float(p) for p in parts[n:]]
         except ValueError as exc:
             raise ParseError(f"line {no}: {exc}") from None
+        if not all(map(math.isfinite, payoffs)):
+            raise ParseError(f"line {no}: payoffs must be finite numbers")
         for i, a in enumerate(joint):
             if not 0 <= a < counts[i]:
                 raise ParseError(f"line {no}: action {a} out of range for player {i + 1}")
@@ -541,6 +547,8 @@ def _parse_polymatrix(n, counts, body):
                     mat.append([float(v) for v in vals])
                 except ValueError as exc:
                     raise ParseError(f"line {r_no}: {exc}") from None
+                if not all(map(math.isfinite, mat[-1])):
+                    raise ParseError(f"line {r_no}: payoffs must be finite numbers")
             return np.array(mat)
 
         m_i = matrix_rows(block, counts[i], counts[j])

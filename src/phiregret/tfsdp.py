@@ -67,32 +67,38 @@ class Graph:
         self.dst = np.asarray(dst, dtype=np.intp)
         self.level = np.asarray(level, dtype=np.intp)
         self.n_edges = int(self.ptr[-1])
-        deg = np.diff(self.ptr)
-        self.src = np.repeat(np.arange(n), deg)
+        deg = self.ptr[1:] - self.ptr[:-1]
+        self.src = np.arange(n).repeat(deg)
         edge_level = self.level[self.src]
-        if np.any(self.level[self.dst] <= edge_level):
+        if (self.level[self.dst] <= edge_level).any():
             raise StructureError("state order is not topological")
-        self.terminals = np.flatnonzero(self.code == CODE[TERMINAL])
+        self.terminals = (self.code == CODE[TERMINAL]).nonzero()[0]
         self.decision_edge = self.code[self.src] == CODE[DECISION]
         # Fraction of a state's mass each edge carries under uniform play.
         self.uniform_share = np.where(self.decision_edge, 1.0 / deg[self.src], 1.0)
         self.uniform_share.flags.writeable = False
 
-        order = np.argsort(edge_level, kind="stable")
-        cuts = np.flatnonzero(np.diff(edge_level[order])) + 1
-        self.levels = [(e, self.src[e], self.dst[e]) for e in np.split(order, cuts)]
+        order = edge_level.argsort(kind="stable")
+        self.levels = [(e, self.src[e], self.dst[e]) for e in _runs(order, edge_level[order])]
 
-        inner = np.flatnonzero(deg)
-        inner = inner[np.lexsort((deg[inner], self.code[inner], -self.level[inner]))]
-        key = np.stack([self.level[inner], self.code[inner], deg[inner]])
-        cuts = np.flatnonzero(np.any(np.diff(key), axis=0)) + 1
+        # one stable sort by (deepest level first, code, degree)
+        inner = deg.nonzero()[0]
+        key = (-3 * self.level[inner] + self.code[inner]) * (deg.max(initial=0) + 1) + deg[inner]
+        order = key.argsort(kind="stable")
         self.blocks = []
-        for states in np.split(inner, cuts):
+        for states in _runs(inner[order], key[order]):
             if states.size:
                 edges = self.ptr[states][:, None] + np.arange(deg[states[0]])
                 self.blocks.append(
                     (int(self.code[states[0]]), states, edges, self.dst[edges])
                 )
+
+
+def _runs(items, keys):
+    """``items`` cut where the sorted ``keys`` change: one run of items per
+    key; one empty run when there are no items."""
+    cuts = ((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist()
+    return [items[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(items)])]
 
 
 def graph_arrays(kind, children):
@@ -312,14 +318,15 @@ class DecisionProblem:
         self.observation_edges = np.stack([self.graph.dst[observed], self.graph.src[observed]])
 
         # Decision edges (decision node, chosen child) on the path to each terminal.
+        parent = self.parent.tolist()
         paths = []
-        for node in self.terminals:
+        for node in self.terminals.tolist():
             edges = []
             cur = node
-            while self.parent[cur] >= 0:
-                p = self.parent[cur]
+            while parent[cur] >= 0:
+                p = parent[cur]
                 if self.kind[p] == DECISION:
-                    edges.append((int(p), int(cur)))
+                    edges.append((p, cur))
                 cur = p
             paths.append(tuple(reversed(edges)))
         self.decision_edges = paths

@@ -1168,3 +1168,55 @@ def to_dense(game):
 def game_value(game, x1, x2, player):
     """The library's former ``EFGame.value``: the bilinear payoff x1^T U_i x2."""
     return float(np.asarray(x1) @ game.payoffs[player] @ np.asarray(x2))
+
+
+def pure_bound_enumerated(problems, mats):
+    """The library's former ``EFGame._pure_bound``: the largest |x^T U y|
+    over every pair of the two problems' pure strategies."""
+    xs = problems[0].enumerate_pure_strategies()
+    ys = problems[1].enumerate_pure_strategies()
+    X = np.array(xs, dtype=float)
+    Y = np.array(ys, dtype=float)
+    worst = 0.0
+    for u in mats:
+        worst = max(worst, float(np.max(np.abs(X @ u @ Y.T))))
+    return worst
+
+
+def graph_reference(code, ptr, dst, level):
+    """The library's former ``Graph`` constructor, on a namespace: levels cut
+    by ``np.split`` and blocks ordered by a three-key ``lexsort``."""
+    self = types.SimpleNamespace()
+    self.code = np.asarray(code, dtype=np.int8)
+    self.n = n = len(self.code)
+    self.ptr = np.asarray(ptr, dtype=np.intp)
+    self.dst = np.asarray(dst, dtype=np.intp)
+    self.level = np.asarray(level, dtype=np.intp)
+    self.n_edges = int(self.ptr[-1])
+    deg = np.diff(self.ptr)
+    self.src = np.repeat(np.arange(n), deg)
+    edge_level = self.level[self.src]
+    if np.any(self.level[self.dst] <= edge_level):
+        raise StructureError("state order is not topological")
+    self.terminals = np.flatnonzero(self.code == CODE[TERMINAL])
+    self.decision_edge = self.code[self.src] == CODE[DECISION]
+    # Fraction of a state's mass each edge carries under uniform play.
+    self.uniform_share = np.where(self.decision_edge, 1.0 / deg[self.src], 1.0)
+    self.uniform_share.flags.writeable = False
+
+    order = np.argsort(edge_level, kind="stable")
+    cuts = np.flatnonzero(np.diff(edge_level[order])) + 1
+    self.levels = [(e, self.src[e], self.dst[e]) for e in np.split(order, cuts)]
+
+    inner = np.flatnonzero(deg)
+    inner = inner[np.lexsort((deg[inner], self.code[inner], -self.level[inner]))]
+    key = np.stack([self.level[inner], self.code[inner], deg[inner]])
+    cuts = np.flatnonzero(np.any(np.diff(key), axis=0)) + 1
+    self.blocks = []
+    for states in np.split(inner, cuts):
+        if states.size:
+            edges = self.ptr[states][:, None] + np.arange(deg[states[0]])
+            self.blocks.append(
+                (int(self.code[states[0]]), states, edges, self.dst[edges])
+            )
+    return self

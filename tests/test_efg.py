@@ -1,6 +1,7 @@
 """Two-player games: payoff plumbing, self-play, and profile audits."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import oracles
 from phiregret import (
+    CapacityError,
     EFGame,
     FixedPointConfig,
     MembershipError,
@@ -23,8 +25,9 @@ from phiregret import (
     phi_equilibrium_gap,
 )
 
-from conftest import TWO_STAGE_TEXT
+from conftest import TWO_STAGE_TEXT, random_problem
 from oracles import enumerate_pure
+from phiregret.efg import PAYOFF_TOL
 from phiregret.profile import uniform_mean
 
 
@@ -69,6 +72,95 @@ def test_pure_profile_payoffs_must_be_bounded():
     ys = np.array(enumerate_pure(p2), dtype=float)
     worst = np.abs(xs @ game.payoffs[0] @ ys.T).max()
     assert worst == pytest.approx(1.0)
+
+
+def _bound_problems():
+    """Cubes of 1-4 bits, two_stage and random trees, each with its name."""
+    rng = np.random.default_rng(23)
+    named = [(f"cube{n}", hypercube_problem(n)) for n in range(1, 5)]
+    named.append(("two_stage", parse_problem(TWO_STAGE_TEXT)))
+    named += [(f"random{i}", random_problem(rng)) for i in range(5)]
+    return named
+
+
+def _bound_pairs():
+    """Problem pairs with player 1 smaller, player 2 smaller and tied."""
+    named = _bound_problems()
+    pairs = {"p1": [], "p2": [], "tie": []}
+    for (a, p), (b, q) in itertools.product(named, named):
+        c, d = p.count_pure_strategies(), q.count_pure_strategies()
+        pairs["p1" if c < d else "p2" if c > d else "tie"].append((f"{a}-{b}", [p, q]))
+    return pairs
+
+
+BOUND_PAIRS = _bound_pairs()
+
+
+@pytest.mark.parametrize("side", ["p1", "p2", "tie"])
+def test_pure_bound_matches_enumeration(side):
+    assert len(BOUND_PAIRS[side]) >= 5
+    rng = np.random.default_rng(29)
+    for label, problems in BOUND_PAIRS[side]:
+        shape = (problems[0].n_terminals, problems[1].n_terminals)
+        for scale in (1.0, 1e-3, 40.0):
+            mats = [scale * rng.uniform(-1, 1, size=shape) for _ in range(2)]
+            game = EFGame(problems, mats, normalize=True)
+            got = game._pure_bound(mats)
+            want = oracles.pure_bound_enumerated(problems, mats)
+            assert abs(got - want) <= 4 * np.spacing(max(1.0, want)), (label, got, want)
+
+
+@pytest.mark.parametrize("offset", [-1e-8, -1e-10, 1e-10, 1e-8])
+def test_payoff_range_check_accepts_and_rejects_as_enumeration(offset):
+    rng = np.random.default_rng(31)
+    for side in ("p1", "p2", "tie"):
+        for label, problems in BOUND_PAIRS[side]:
+            shape = (problems[0].n_terminals, problems[1].n_terminals)
+            mats = [rng.uniform(-1, 1, size=shape) for _ in range(2)]
+            ratio = (1.0 + offset) / oracles.pure_bound_enumerated(problems, mats)
+            mats = [u * ratio for u in mats]
+            accept = oracles.pure_bound_enumerated(problems, mats) <= 1.0 + PAYOFF_TOL
+            if accept:
+                EFGame(problems, mats)
+            else:
+                with pytest.raises(ValueError, match="normalize"):
+                    EFGame(problems, mats)
+            assert accept == (offset < 1e-9), label
+
+
+def test_a_game_too_wide_to_enumerate_builds_when_the_other_side_is_small():
+    # cube20 has 2**20 pure strategies, past the enumeration cap; only
+    # cube2's four are enumerated
+    big, small = hypercube_problem(20), hypercube_problem(2)
+    rng = np.random.default_rng(37)
+    u = rng.uniform(-1, 1, size=(big.n_terminals, small.n_terminals))
+    with pytest.raises(CapacityError, match="1048576 pure strategies"):
+        big.enumerate_pure_strategies()
+    game = EFGame.zero_sum(big, small, u, normalize=True)
+    want = max(
+        max(oracles.pure_response(big, m @ y)[0], -oracles.pure_response(big, m @ y, False)[0])
+        for m in (u, -u) for y in np.array(enumerate_pure(small), dtype=float)
+    )
+    assert abs(game.payoffs[0] * want - u).max() <= 1e-12
+    res = efg_self_play(game, ["med:1", "med:1"], rounds=3, L=5)
+    assert res.profile.rounds == 3 and res.run_for(0).rounds == 3
+
+
+def test_a_game_too_wide_on_both_sides_raises_capacity_error():
+    cube = hypercube_problem(21)
+    u = np.zeros((cube.n_terminals, cube.n_terminals))
+    with pytest.raises(CapacityError, match="2097152 pure strategies exceeds the cap"):
+        EFGame.zero_sum(cube, cube, u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("player", [0, 1])
+def test_payoffs_that_are_not_finite_are_rejected(bad, player):
+    p1, p2 = hypercube_problem(1, "a"), hypercube_problem(2, "b")
+    mats = [np.zeros((2, 4)), np.zeros((2, 4))]
+    mats[player][1, 2] = bad
+    with pytest.raises(ValueError, match=f"player {player} payoffs are not all finite"):
+        EFGame([p1, p2], mats, normalize=True)
 
 
 def test_zero_sum_builds_opposite_payoffs():
@@ -286,6 +378,22 @@ def test_parse_game_errors(mangle, message):
     text = mangle if isinstance(mangle, str) else mangle(GAME_TEXT)
     with pytest.raises(ParseError, match=message):
         parse_efg(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", [2, 3])
+def test_a_payoff_file_that_is_not_finite_is_a_parse_error(value, column):
+    fields = ["3", "3", "0.5", "-0.5"]
+    fields[column] = value
+    text = GAME_TEXT.replace("3 3 0.5 -0.5", " ".join(fields))
+    with pytest.raises(ParseError, match=r"^line 16: payoffs must be finite numbers$"):
+        parse_efg(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_a_three_field_payoff_line_that_is_not_finite_is_a_parse_error(value):
+    with pytest.raises(ParseError, match=r"^line 13: payoffs must be finite numbers$"):
+        parse_efg(GAME_TEXT.replace("2 2 0.5", f"2 2 {value}"))
 
 
 def test_unbounded_payoff_file_is_a_parse_error():

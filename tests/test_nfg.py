@@ -231,6 +231,26 @@ def test_nfg_parse_errors():
         parse_nfg("nfg 2 2 2\nedge 0 1\n0 0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nfg_payoffs_that_are_not_finite_are_a_parse_error(value):
+    with pytest.raises(ParseError, match=r"^line 3: payoffs must be finite numbers$"):
+        parse_nfg(f"nfg 2 2 2\n0 0 1 -1\n1 0 0.5 {value}\n")
+    with pytest.raises(ParseError, match=r"^line 5: payoffs must be finite numbers$"):
+        parse_nfg(f"nfg 2 2 2\nedge 0 1\n0 0\n0 0\n0 {value}\n0 0\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_games_with_payoffs_that_are_not_finite_are_rejected(bad):
+    dense = [np.zeros((2, 2)), np.zeros((2, 2))]
+    dense[1][0, 1] = bad
+    with pytest.raises(ValueError, match="^payoffs are not all finite$"):
+        NormalFormGame.dense(dense)
+    m = np.zeros((2, 2))
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) payoffs are not all finite$"):
+        NormalFormGame.polymatrix([2, 2], {(0, 1): (np.zeros((2, 2)), m)})
+
+
 def test_nfg_action_counts_below_one_are_rejected():
     with pytest.raises(ParseError, match=r"^line 2: every player needs at least 1 action, got -2$"):
         parse_nfg("# one player\nnfg 1 -2\n")
