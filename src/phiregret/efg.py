@@ -25,6 +25,7 @@ from .profile import CorrelatedProfile, uniform_mean
 from .tfsdp import CODE, DECISION, content_lines, hypercube_structure, problem_from_lines, row_dots
 
 PAYOFF_TOL = 1e-9
+PASS_CELLS = 1 << 16  # states x pure strategies in one best-response pass of _pure_bound
 
 
 class EFGame:
@@ -57,7 +58,7 @@ class EFGame:
         if normalize and worst > 0:
             mats = [u / worst for u in mats]
             worst = 1.0
-        if worst > 1.0 + PAYOFF_TOL:
+        if not worst <= 1.0 + PAYOFF_TOL:
             raise ValueError(
                 f"pure-profile payoff magnitude {worst:.3g} outside [-1, 1]; "
                 "pass normalize=True"
@@ -72,19 +73,26 @@ class EFGame:
         enumerated. For each of its pure strategies, the columns U y and
         -U y (or U^T x and -U^T x) are backed up the other player's tree:
         observation states add their children and decision states take the
-        largest, so the root holds that column's best response value.
+        largest, so the root holds that column's best response value. Each
+        pass takes at most PASS_CELLS // (the tree's states) pure strategies,
+        so memory stays bounded however many there are. A NaN, from sums
+        that overflow, is kept, and the caller rejects it.
         """
         counts = [p.count_pure_strategies() for p in self.problems]
         small = int(counts[1] < counts[0])
         pure = self.problems[small].enumerate_pure_strategies().T
-        cols = [(u if small else u.T) @ pure for u in mats]
         g = self.problems[1 - small].graph
-        value = np.empty((g.n, 2 * len(cols) * pure.shape[1]))
-        value[g.terminals] = np.hstack(cols + [-c for c in cols])
-        for code, states, _, children in g.blocks:
-            below = value[children]
-            value[states] = below.max(1) if code == CODE[DECISION] else below.sum(1)
-        return float(value[0].max())
+        step = max(1, PASS_CELLS // g.n)
+        tops = []
+        for lo in range(0, pure.shape[1], step):
+            cols = np.hstack([(u if small else u.T) @ pure[:, lo : lo + step] for u in mats])
+            value = np.empty((g.n, 2 * cols.shape[1]))
+            value[g.terminals] = np.hstack([cols, -cols])
+            for code, states, _, children in g.blocks:
+                below = value[children]
+                value[states] = below.max(1) if code == CODE[DECISION] else below.sum(1)
+            tops.append(value[0].max())
+        return float(np.max(tops))
 
     @classmethod
     def zero_sum(cls, problem1, problem2, u1, name="efg", normalize=False):

@@ -111,9 +111,9 @@ class NormalFormGame:
 
     @staticmethod
     def _check_range(values):
-        if not np.isfinite(values).all():
-            raise ValueError("payoffs are not all finite")
         worst = float(np.max(np.abs(values))) if np.asarray(values).size else 0.0
+        if not math.isfinite(worst):  # the max of a NaN is NaN
+            raise ValueError("payoffs are not all finite")
         if worst > 1.0 + PAYOFF_TOL:
             raise ValueError(f"payoff magnitude {worst:.3g} outside [-1, 1]")
 
@@ -486,7 +486,7 @@ def parse_nfg(text):
 def _parse_dense(n, counts, body):
     shape = tuple(counts)
     tensors = [np.zeros(shape) for _ in range(n)]
-    seen = set()
+    seen = {}  # joint action -> its line
     for no, ln in body:
         parts = ln.split()
         if len(parts) != 2 * n:
@@ -498,16 +498,18 @@ def _parse_dense(n, counts, body):
             payoffs = [float(p) for p in parts[n:]]
         except ValueError as exc:
             raise ParseError(f"line {no}: {exc}") from None
-        if not all(map(math.isfinite, payoffs)):
-            raise ParseError(f"line {no}: payoffs must be finite numbers")
         for i, a in enumerate(joint):
             if not 0 <= a < counts[i]:
                 raise ParseError(f"line {no}: action {a} out of range for player {i + 1}")
         if joint in seen:
             raise ParseError(f"line {no}: duplicate joint action {joint}")
-        seen.add(joint)
+        seen[joint] = no
         for i in range(n):
             tensors[i][joint] = payoffs[i]
+    bad = ~np.isfinite(tensors).all(axis=0)
+    if bad.any():
+        no = min(seen[joint] for joint in zip(*bad.nonzero()))
+        raise ParseError(f"line {no}: payoffs must be finite numbers")
     try:
         return NormalFormGame(counts, tensors=tensors)
     except ValueError as exc:

@@ -27,6 +27,7 @@ from phiregret import (
 
 from conftest import TWO_STAGE_TEXT, random_problem
 from oracles import enumerate_pure
+from phiregret import efg
 from phiregret.efg import PAYOFF_TOL
 from phiregret.profile import uniform_mean
 
@@ -75,10 +76,12 @@ def test_pure_profile_payoffs_must_be_bounded():
 
 
 def _bound_problems():
-    """Cubes of 1-4 bits, two_stage and random trees, each with its name."""
+    """Cubes of 1-4 bits, two_stage, the lone terminal and random trees,
+    each with its name."""
     rng = np.random.default_rng(23)
     named = [(f"cube{n}", hypercube_problem(n)) for n in range(1, 5)]
     named.append(("two_stage", parse_problem(TWO_STAGE_TEXT)))
+    named.append(("lone_terminal", parse_problem("tfsdp one\nr T - -")))
     named += [(f"random{i}", random_problem(rng)) for i in range(5)]
     return named
 
@@ -108,6 +111,34 @@ def test_pure_bound_matches_enumeration(side):
             got = game._pure_bound(mats)
             want = oracles.pure_bound_enumerated(problems, mats)
             assert abs(got - want) <= 4 * np.spacing(max(1.0, want)), (label, got, want)
+
+
+@pytest.mark.parametrize("cells", [1, 12, 40])
+def test_pure_bound_is_the_same_in_passes_of_any_size(cells, monkeypatch):
+    rng = np.random.default_rng(43)
+    for side in ("p1", "p2", "tie"):
+        for label, problems in BOUND_PAIRS[side]:
+            shape = (problems[0].n_terminals, problems[1].n_terminals)
+            mats = [rng.uniform(-1, 1, size=shape) for _ in range(2)]
+            game = EFGame(problems, mats, normalize=True)
+            whole = game._pure_bound(mats)
+            monkeypatch.setattr(efg, "PASS_CELLS", cells)
+            assert game._pure_bound(mats) == whole, label
+            monkeypatch.undo()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_bound_that_overflows_to_nan_is_rejected():
+    # two_stage (5 pure strategies) is enumerated against cube3 (8). Each of
+    # its strategies through "go" sums two huge payoffs, so bit 0 of the
+    # cube reads +inf and bit 1 -inf, and the cube's root inf - inf
+    p1, p2 = hypercube_problem(3), parse_problem(TWO_STAGE_TEXT)
+    u = np.zeros((p1.n_terminals, p2.n_terminals))
+    u[:2, 1:], u[2:4, 1:] = 1.7e308, -1.7e308
+    with pytest.raises(ValueError, match="magnitude nan"):
+        EFGame([p1, p2], [u, u])
+    with pytest.raises(ValueError, match="magnitude nan"):
+        EFGame([p1, p2], [u, u], normalize=True)
 
 
 @pytest.mark.parametrize("offset", [-1e-8, -1e-10, 1e-10, 1e-8])
