@@ -506,13 +506,13 @@ def _parse_dense(n, counts, body):
         seen[joint] = no
         for i in range(n):
             tensors[i][joint] = payoffs[i]
-    bad = ~np.isfinite(tensors).all(axis=0)
-    if bad.any():
-        no = min(seen[joint] for joint in zip(*bad.nonzero()))
-        raise ParseError(f"line {no}: payoffs must be finite numbers")
     try:
         return NormalFormGame(counts, tensors=tensors)
     except ValueError as exc:
+        bad = ~np.isfinite(tensors).all(axis=0)
+        if bad.any():
+            no = min(seen[joint] for joint in zip(*bad.nonzero()))
+            raise ParseError(f"line {no}: payoffs must be finite numbers") from None
         raise ParseError(str(exc)) from None
 
 
