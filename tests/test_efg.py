@@ -28,7 +28,6 @@ from phiregret import (
 from conftest import TWO_STAGE_TEXT, random_problem
 from oracles import enumerate_pure
 from phiregret import efg
-from phiregret.efg import PAYOFF_TOL
 from phiregret.profile import uniform_mean
 
 
@@ -150,7 +149,7 @@ def test_payoff_range_check_accepts_and_rejects_as_enumeration(offset):
             mats = [rng.uniform(-1, 1, size=shape) for _ in range(2)]
             ratio = (1.0 + offset) / oracles.pure_bound_enumerated(problems, mats)
             mats = [u * ratio for u in mats]
-            accept = oracles.pure_bound_enumerated(problems, mats) <= 1.0 + PAYOFF_TOL
+            accept = oracles.pure_bound_enumerated(problems, mats) <= 1.0 + efg.PAYOFF_TOL
             if accept:
                 EFGame(problems, mats)
             else:
