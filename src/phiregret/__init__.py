@@ -42,7 +42,7 @@ from .fixedpoint import (
 )
 from .gadget import gadget_iteration_cap, gadget_min_sum
 from .learners import CfrLearner, Mwu
-from .maps import BehavioralDescriptor, MixtureStrategy, MonomialTable, SupportMix
+from .maps import BehavioralDescriptor, MonomialTable, SupportMix
 from .nfg import (
     NormalFormGame,
     SwapLearner,
@@ -76,7 +76,6 @@ __all__ = [
     "FixedPointConfig",
     "InvalidDeviationError",
     "MembershipError",
-    "MixtureStrategy",
     "MonomialTable",
     "Mwu",
     "NormalFormGame",

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .maps import MonomialTable
+from .maps import MonomialTable, RoundMixtures
 from .polynomials import PolynomialDeviation
 from .tfsdp import (
     CODE,
@@ -337,10 +337,14 @@ def terminal_weights(dag, u, pi):
     """Utility over reduced strategies induced by utility u and mixture pi.
 
     w[t] = u[out(t)] * E_pi[prod_{i in mono(t)} x[i]], so that <w, q> equals
-    <u, E_pi[phi_q(x)]> for every reduced strategy q. A leading round axis,
-    u (T, N) against a ``RoundMixtures`` pi, gives each round's row.
+    <u, E_pi[phi_q(x)]> for every reduced strategy q. A ``RoundMixtures`` pi
+    of T rounds takes u (T, N) and gives each round's row.
     """
     u = np.asarray(u, dtype=float)
+    rounds = pi.counts.shape if isinstance(pi, RoundMixtures) else u.shape[:-1]
+    want = rounds + (dag.base.n_terminals,)
+    if u.shape != want:
+        raise ValueError(f"utility of shape {u.shape}; expected {want}")
     values = pi.monomial_expectation(dag.monomials)
     # transposed, one gather serves a single round and a leading round axis
     return (u.T[dag.terminal_out] * values.T[dag.mono_row]).T

@@ -21,7 +21,7 @@ from .dags import STATE_CAP, best_reduced_strategy, build_dt_problem, interleave
 from .errors import ParseError
 from .fixedpoint import FixedPointConfig, PhiRegretMinimizer, SharedCfr
 from .maps import BehavioralDescriptor
-from .profile import CorrelatedProfile, uniform_mean
+from .profile import CorrelatedProfile, uniform_means
 from .tfsdp import CODE, DECISION, content_lines, hypercube_structure, problem_from_lines, row_dots
 
 PAYOFF_TOL = 1e-9
@@ -175,7 +175,7 @@ class LearningAgent:
 
     def next_components(self):
         _, fp = self.minimizer.next_mixture()
-        return [c for _, c in fp.pi.components]
+        return fp.pi.components
 
     def observe_utility(self, u):
         self.minimizer.observe_utility(u)
@@ -229,7 +229,7 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     start = time.monotonic()
     for t in range(1, rounds + 1):
         comps = [agent.next_components() for agent in agents]
-        means = [uniform_mean(comp_list) for comp_list in comps]
+        means = [uniform_means(np.array([c.mean() for c in cs]), [len(cs)])[0] for cs in comps]
         for i, agent in enumerate(agents):
             agent.observe_utility(game.utility_vector(i, means[1 - i]))
         if record_profile:

@@ -4,7 +4,7 @@ built on them.
 A deviation phi maps pure strategies into the polytope; lifted through a
 consistent map delta it becomes a self-map of the polytope. Instead of
 solving for an exact fixed point, iterate x_{l+1} = phi^delta(x_l) and play
-the uniform mixture pi of the delta(x_l): the deviation displacement
+the uniform mixture pi of the delta(x_l) (a one-round ``RoundMixtures``):
 E_pi[phi(x) - x] telescopes to (phi^delta(x_L) - x_1)/L, whose induced norm
 is at most 2/L. Feeding the induced linear utilities to an external-regret
 learner over the deviation DAG then drives the full deviation regret down.
@@ -29,7 +29,7 @@ import numpy as np
 from .dags import ReducedStrategy, best_reduced_strategy, deviation_image, join, terminal_weights
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
-from .maps import BehavioralDescriptor, MixtureStrategy, caratheodory
+from .maps import BehavioralDescriptor, RoundMixtures, caratheodory
 from .tfsdp import tree_values
 
 STALL_TOL = 1e-12
@@ -53,7 +53,7 @@ class FixedPointConfig:
 @dataclass
 class FixedPointResult:
     iterates: list
-    pi: MixtureStrategy
+    pi: RoundMixtures
     error_vector: np.ndarray
     L: int
     stalled: bool
@@ -68,8 +68,8 @@ def expected_fixed_point(problem, phi, cfg):
 
     ``phi`` is a PolynomialDeviation, or any callable mapping a mixture over
     pure strategies (anything exposing monomial expectations) to E[phi(x)].
-    Returns the iterates, the mixture pi, and the exact displacement
-    E_pi[phi(x) - x] = (phi^delta(x_L) - x_1)/L.
+    Returns the iterates, the one-round ``RoundMixtures`` pi, and the exact
+    displacement E_pi[phi(x) - x] = (phi^delta(x_L) - x_1)/L.
 
     If an iterate reproduces itself (an exact fixed point of the extended
     map), pi collapses to that single component and the displacement is the
@@ -102,13 +102,11 @@ def expected_fixed_point(problem, phi, cfg):
                 "the deviation is not valid on this problem"
             )
         if abs(nxt - x).max() <= STALL_TOL:
-            pi = MixtureStrategy([(1.0, comp)])
-            return FixedPointResult(iterates, pi, nxt - x, cfg.L, True)
+            return FixedPointResult(iterates, RoundMixtures([[comp]]), nxt - x, cfg.L, True)
         iterates.append(nxt)
         x = nxt
-    pi = MixtureStrategy([(1.0 / cfg.L, c) for c in components])
     error = (iterates[-1] - iterates[0]) / cfg.L
-    return FixedPointResult(iterates[:-1], pi, error, cfg.L, False)
+    return FixedPointResult(iterates[:-1], RoundMixtures([components]), error, cfg.L, False)
 
 
 @dataclass
@@ -215,9 +213,9 @@ class PhiRegretMinimizer:
             raise ValueError("utility values must be finite")
         qv, fp = self._pending
         self._pending = None
-        w = terminal_weights(self.dag, u, fp.pi)
+        w = terminal_weights(self.dag, u[None], fp.pi)[0]
         self.learner.observe(w)
-        base = float(u @ fp.pi.mean())
+        base = float(u @ fp.pi.mean()[0])
         self.run.record(w, qv, base, fp.error_bound)
         return w
 
@@ -268,11 +266,16 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
 
     The minimizer must expose next_mixture() (returning a mixture, or the
     (deviation, FixedPointResult) pair of PhiRegretMinimizer) and
-    observe_utility(u). diameter defaults to the max pairwise distance
-    between the problem's pure strategies. Returns (mixture, rounds, error).
+    observe_utility(u). eps > 0 and diameter >= 0 must be finite; diameter
+    defaults to the max pairwise distance between the problem's pure
+    strategies. Returns (mixture, rounds, error).
     """
     if not isinstance(budget, numbers.Integral) or budget < 1:
         raise ValueError(f"the round budget must be an integer >= 1, got {budget!r}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if diameter is not None and not 0 <= diameter < np.inf:
+        raise ValueError(f"diameter must be nonnegative and finite, got {diameter}")
     if diameter is None:
         problem = getattr(minimizer, "problem", None)
         if problem is None:
@@ -287,6 +290,7 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
         pi = minimizer.next_mixture()
         pi = pi[1].pi if isinstance(pi, tuple) else pi
         g = image(pi) - pi.mean()
+        g = g[0] if isinstance(pi, RoundMixtures) else g  # pi's one round
         err = float(np.linalg.norm(g))
         last_err = err
         if err <= threshold:

@@ -8,8 +8,9 @@ peeling map repeatedly subtracts the largest feasible multiple of a greedy
 pure strategy, producing at most one atom per terminal.
 
 Monomials are compiled once into a ``MonomialTable``; every mixture's
-``monomial_expectation`` evaluates a whole table in one call, and
-``RoundMixtures`` evaluates a profile's rounds of mixtures together.
+``monomial_expectation`` evaluates a whole table in one call. A
+``RoundMixtures`` holds uniform mixtures, a row per round: the fixed point's
+pi is one round, and the audit evaluates a profile's rounds together.
 """
 
 from __future__ import annotations
@@ -136,6 +137,17 @@ def monomial_expectation_beta(problem, vals, table):
     return out
 
 
+def _expected_image(mixture, phi):
+    """E[phi(x')] for x' drawn from the mixture, a row per round of a
+    ``RoundMixtures``: every monomial of phi in one table, evaluated in one
+    call, then phi with each monomial replaced by its expectation."""
+    monomials = list(phi.monomials())
+    values = mixture.monomial_expectation(MonomialTable(monomials))
+    images = [phi.expected_value(dict(zip(monomials, row)).__getitem__)
+              for row in np.atleast_2d(values)]
+    return np.array(images) if values.ndim > 1 else images[0]
+
+
 class SupportMix:
     """Finite mixture of pure strategies, stored as arrays.
 
@@ -214,8 +226,7 @@ class SupportMix:
         terms *= self.weights[..., None]
         return np.cumsum(terms, axis=-2, out=terms)[..., -1, :].copy()
 
-    def expected_image(self, phi):
-        return _expected_image(self, phi)
+    expected_image = _expected_image
 
     def support(self):
         """The explicit mixture itself (see ``BehavioralDescriptor.support``)."""
@@ -267,8 +278,7 @@ class BehavioralDescriptor:
     def monomial_expectation(self, table):
         return monomial_expectation_beta(self.problem, self.vals, table)
 
-    def expected_image(self, phi):
-        return _expected_image(self, phi)
+    expected_image = _expected_image
 
     def support(self, cap=SUPPORT_CAP):
         return beta_support(self.problem, self.base, cap, self.vals)
@@ -384,73 +394,24 @@ def extended_map_eval(phi, problem, x, delta="beta"):
     return comp.expected_image(phi)
 
 
-def _expected_image(mixture, phi):
-    """E[phi(x')] for x' drawn from the mixture: every monomial of phi in one
-    table, evaluated in one call, then phi with each monomial replaced by its
-    expectation."""
-    monomials = list(phi.monomials())
-    values = mixture.monomial_expectation(MonomialTable(monomials))
-    return phi.expected_value(dict(zip(monomials, values)).__getitem__)
-
-
-class MixtureStrategy:
-    """Weighted mixture of per-round mixtures over pure strategies.
-
-    Components expose ``mean`` and ``monomial_expectation``; both the
-    implicit behavioral descriptor and the explicit SupportMix qualify. Each
-    is the components' weighted sum, added in component order, and
-    ``expected_image`` evaluates one table of phi's monomials on every
-    component.
-    """
-
-    def __init__(self, components):
-        total = sum(w for w, _ in components)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"component weights sum to {total}, expected 1")
-        self.components = [(float(w), c) for w, c in components]
-        self._mean = None
-
-    def _sum(self, read):
-        out = None
-        for w, comp in self.components:
-            m = w * read(comp)
-            out = m if out is None else out + m
-        return out
-
-    def mean(self):
-        if self._mean is None:
-            self._mean = self._sum(lambda comp: comp.mean())
-            self._mean.flags.writeable = False
-        return self._mean
-
-    def monomial_expectation(self, table):
-        return self._sum(lambda comp: comp.monomial_expectation(table))
-
-    def expected_image(self, phi):
-        return _expected_image(self, phi)
-
-    def __repr__(self):
-        return f"MixtureStrategy(components={len(self.components)})"
-
-
 class RoundMixtures:
     """T rounds of uniform mixtures over their components, evaluated a stack
     of components at a time.
 
     ``counts`` (T,) holds each round's number of components. Row t of
-    ``mean()`` and of ``monomial_expectation(table)`` is what a
-    ``MixtureStrategy`` of round t's components, each weighted
-    1 / counts[t], gives, bit for bit: every component's value is scaled by
-    the weight and the scaled values are added in component order. Built
-    from per-round component lists, each component is read on its own;
-    built ``from_columns``, the components are read as ``SupportMix``
-    stacks of one atom count, at most STACK_ATOMS atoms a stack unless one
-    component has more.
+    ``mean()``, of ``monomial_expectation(table)`` and of
+    ``expected_image(phi)`` weights each of round t's components by
+    1 / counts[t]: every component's value is scaled by the weight and the
+    scaled values are added in component order. Built from per-round
+    component lists, kept in order in ``components``, each component is read
+    on its own; built ``from_columns`` (``components`` None), the components
+    are read as ``SupportMix`` stacks of one atom count, at most STACK_ATOMS
+    atoms a stack unless one component has more.
     """
 
     def __init__(self, rounds):
         self.counts = np.array([len(comps) for comps in rounds])
-        self._components = [comp for comps in rounds for comp in comps]
+        self.components = [comp for comps in rounds for comp in comps]
 
     @classmethod
     def from_columns(cls, weights, matrix, sizes, counts, means):
@@ -460,7 +421,7 @@ class RoundMixtures:
         ``counts`` and each component's mean ``means`` (C, d)."""
         rounds = cls.__new__(cls)
         rounds.counts = np.asarray(counts)
-        rounds._components = None
+        rounds.components = None
         rounds._columns = (weights, matrix, np.asarray(sizes), means)
         return rounds
 
@@ -476,14 +437,14 @@ class RoundMixtures:
         return out
 
     def mean(self):
-        if self._components is None:
+        if self.components is None:
             return self._combine(self._columns[3])
-        return self._combine(np.array([comp.mean() for comp in self._components]))
+        return self._combine(np.array([comp.mean() for comp in self.components]))
 
     def monomial_expectation(self, table):
-        if self._components is not None:
+        if self.components is not None:
             return self._combine(np.array([comp.monomial_expectation(table)
-                                           for comp in self._components]))
+                                           for comp in self.components]))
         weights, matrix, sizes, _ = self._columns
         values = np.empty((len(sizes), table.n))
         starts = sizes.cumsum() - sizes
@@ -500,6 +461,8 @@ class RoundMixtures:
                                                matrix[rows].reshape(shape + (-1,)))
                 values[at] = stack.monomial_expectation(table)
         return self._combine(values)
+
+    expected_image = _expected_image
 
     def __repr__(self):
         return f"RoundMixtures(rounds={len(self.counts)})"

@@ -50,8 +50,7 @@ class CorrelatedProfile:
         self.dims = list(dims) if dims is not None else None
         self.columns = None
         self._lists = [[] for _ in range(self.n_players)]  # [player][t] -> components
-        self._component_means = [None] * self.n_players
-        self._round_means = [None] * self.n_players
+        self._means_of = [None] * self.n_players  # [player] -> (component, round) means
 
     def add_round(self, per_player_components):
         """Append one round: a per-player list of mixture components.
@@ -117,12 +116,11 @@ class CorrelatedProfile:
         return self._lists[player]
 
     def round_mean(self, t, player):
-        """The uniform mean of round t's components, as ``uniform_mean``."""
+        """The uniform mean of round t's components, as ``uniform_means``."""
         if self.columns is None:
-            return uniform_mean(self._lists[player][t])
-        if self._round_means[player] is None:
-            self._means(player)
-        return self._round_means[player][t]
+            comps = self._lists[player][t]
+            return uniform_means(np.array([c.mean() for c in comps]), [len(comps)])[0]
+        return self._means(player)[1][t]
 
     def stacked_means(self, player):
         """T x dim matrix of the player's per-round mean strategies."""
@@ -138,25 +136,16 @@ class CorrelatedProfile:
         return RoundMixtures.from_columns(weights, matrix, sizes, counts, self._means(player)[0])
 
     def _means(self, player):
-        """A column profile's component means and round means of the player,
-        computed on the first call. A round's mean adds its component means in
-        order and divides by their count, as ``uniform_mean`` does, one
-        cumsum per distinct component count; with one component a round it
-        is that component's mean."""
-        if self._round_means[player] is None:
+        """A column profile's component means and round means
+        (``uniform_means``) of the player, computed on the first call."""
+        if self._means_of[player] is None:
             weights, matrix, sizes, comp_rounds = self.columns[player]
-            means = rounds = segment_means(weights, matrix, sizes)
-            if len(comp_rounds) > self.rounds:
-                first = np.searchsorted(comp_rounds, np.arange(self.rounds + 1))
-                counts = np.diff(first)
-                rounds = np.empty((self.rounds, matrix.shape[1]))
-                for n in sorted(set(counts.tolist())):
-                    pick = (counts == n).nonzero()[0]
-                    total = np.add.accumulate(means[first[pick, None] + np.arange(n)], axis=1)
-                    rounds[pick] = total[:, -1] / n
-                rounds.flags.writeable = False
-            self._component_means[player], self._round_means[player] = means, rounds
-        return self._component_means[player], self._round_means[player]
+            means = segment_means(weights, matrix, sizes)
+            counts = np.diff(np.searchsorted(comp_rounds, np.arange(self.rounds + 1)))
+            rounds = uniform_means(means, counts)
+            rounds.flags.writeable = False
+            self._means_of[player] = means, rounds
+        return self._means_of[player]
 
     def export_csv(self):
         """One row per pure atom: t,player,ell,j,alpha,pure-strategy-bits.
@@ -276,12 +265,22 @@ class CorrelatedProfile:
         return f"CorrelatedProfile(players={self.n_players}, rounds={self.rounds})"
 
 
-def uniform_mean(components):
-    """The uniform average of the components' means, added in order."""
-    total = components[0].mean().copy()
-    for c in components[1:]:
-        total += c.mean()
-    return total / len(components)
+def uniform_means(means, counts):
+    """Each round's played mean: its ``counts[t]`` rows of the component
+    means ``means`` (C, d), in (round, component) order, added in order and
+    divided by the count. It feeds the opponent's utility. The mixture's own
+    mean (``RoundMixtures.mean``), which feeds the baseline, scales each
+    component by 1 / count before adding instead; the two round differently,
+    and merging them would change bits that an audit must reproduce."""
+    counts = np.asarray(counts)
+    if len(means) == len(counts):  # one component a round
+        return means
+    first = counts.cumsum() - counts
+    total = means[first]
+    for j in range(1, counts.max()):
+        more = counts > j  # the rounds of more than j components
+        total[more] += means[first[more] + j]
+    return total / counts[:, None]
 
 
 def _length(component):

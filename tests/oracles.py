@@ -24,9 +24,9 @@ from phiregret.errors import CapacityError, InvalidDeviationError, StructureErro
 from phiregret.fixedpoint import STALL_TOL, FixedPointConfig, FixedPointResult
 from phiregret.maps import (
     BehavioralDescriptor,
-    MixtureStrategy,
     MonomialTable,
     SupportMix,
+    _expected_image,
     caratheodory,
     padded,
 )
@@ -202,6 +202,58 @@ def _support(self, s, share, ptr, rows, cap):
         weights = (weights[:, None] * w).ravel()
         matrix = (matrix[:, None, :] + m).reshape(len(weights), -1)
     return weights, matrix
+
+
+class MixtureStrategy:
+    """Weighted mixture of per-round mixtures over pure strategies: the
+    library's former ``maps.MixtureStrategy`` (the fixed point's pi), kept
+    verbatim as the reference a one-round ``maps.RoundMixtures`` must equal.
+
+    Components expose ``mean`` and ``monomial_expectation``; both the
+    implicit behavioral descriptor and the explicit SupportMix qualify. Each
+    is the components' weighted sum, added in component order, and
+    ``expected_image`` evaluates one table of phi's monomials on every
+    component.
+    """
+
+    def __init__(self, components):
+        total = sum(w for w, _ in components)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"component weights sum to {total}, expected 1")
+        self.components = [(float(w), c) for w, c in components]
+        self._mean = None
+
+    def _sum(self, read):
+        out = None
+        for w, comp in self.components:
+            m = w * read(comp)
+            out = m if out is None else out + m
+        return out
+
+    def mean(self):
+        if self._mean is None:
+            self._mean = self._sum(lambda comp: comp.mean())
+            self._mean.flags.writeable = False
+        return self._mean
+
+    def monomial_expectation(self, table):
+        return self._sum(lambda comp: comp.monomial_expectation(table))
+
+    def expected_image(self, phi):
+        return _expected_image(self, phi)
+
+    def __repr__(self):
+        return f"MixtureStrategy(components={len(self.components)})"
+
+
+def uniform_mean(components):
+    """The uniform average of the components' means, added in order: the
+    library's former ``profile.uniform_mean``, kept verbatim as the reference
+    for ``profile.uniform_means``."""
+    total = components[0].mean().copy()
+    for c in components[1:]:
+        total += c.mean()
+    return total / len(components)
 
 
 def phi_equilibrium_gap_loop(profile, game, player, dag):

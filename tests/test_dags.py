@@ -25,7 +25,7 @@ from phiregret.dags import (
     follow_identity_policy,
 )
 from phiregret.errors import CapacityError, StructureError
-from phiregret.maps import SupportMix
+from phiregret.maps import BehavioralDescriptor, RoundMixtures, SupportMix
 from phiregret.tfsdp import Graph, count_pure, graph_arrays, hypercube_structure
 
 def test_dual_swaps_kinds(two_stage):
@@ -209,6 +209,22 @@ def test_terminal_weights_charging_identity(two_stage):
             a * evaluate_deviation(dag, q, pure[i]) for a, i in zip(alphas, picks)
         )
         assert float(w @ q) == pytest.approx(float(u @ expected_image), abs=1e-9)
+
+
+def test_terminal_weights_need_a_utility_per_base_terminal(hypercube2):
+    dag = interleave(hypercube2, 1)
+    pi = BehavioralDescriptor(hypercube2, hypercube2.uniform_point())
+    with pytest.raises(ValueError, match=r"utility of shape \(7,\); expected \(4,\)"):
+        terminal_weights(dag, np.zeros(7), pi)
+
+
+def test_terminal_weights_need_a_utility_row_per_round(hypercube2):
+    dag = interleave(hypercube2, 1)
+    pi = RoundMixtures([[BehavioralDescriptor(hypercube2, hypercube2.uniform_point())]])
+    for u in (np.zeros((3, 4)), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"; expected \(1, 4\)"):
+            terminal_weights(dag, u, pi)
+    assert terminal_weights(dag, np.zeros((1, 4)), pi).shape == (1, dag.n_terminal_states)
 
 
 def test_state_caps_raise():

@@ -26,9 +26,8 @@ from phiregret import (
 )
 
 from conftest import TWO_STAGE_TEXT, random_problem
-from oracles import enumerate_pure
-from phiregret import efg
-from phiregret.profile import uniform_mean
+from oracles import enumerate_pure, uniform_mean
+from phiregret import efg, fixedpoint
 
 
 def small_game(rng=None, normalize=True):
@@ -303,6 +302,29 @@ def test_audit_reproduces_measured_regret():
         assert gap == pytest.approx(res.run_for(player).phi_regret(), abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", ["beta", "cara"])
+def test_audit_of_the_played_profile_is_each_seats_regret_exactly(delta, monkeypatch):
+    """Where fixed points run all L iterates, auditing the profile the run
+    played gives each seat's measured phi-regret bit for bit."""
+    stalled = []
+    solve = fixedpoint.expected_fixed_point
+
+    def counted(*args):
+        fp = solve(*args)
+        stalled.append(fp.stalled)
+        return fp
+
+    monkeypatch.setattr(fixedpoint, "expected_fixed_point", counted)
+    game = small_game(np.random.default_rng(4))
+    specs = ["med:1", "dt:2"]
+    res = efg_self_play(game, specs, rounds=30, L=10, delta=delta)
+    assert not all(stalled)
+    for player, spec in enumerate(specs):
+        dag = deviation_dag(game.problems[player], spec)
+        gap = phi_equilibrium_gap(res.profile, game, player, dag)
+        assert gap == res.run_for(player).phi_regret()
+
+
 def test_audit_with_a_richer_set_can_only_grow():
     game = small_game()
     res = efg_self_play(game, ["external", "external"], rounds=50, L=20)
@@ -440,7 +462,7 @@ def test_self_play_shares_one_learner_and_plays_as_separate_learners():
     assert seats[0].learner is seats[1].learner
     alone = [PhiRegretMinimizer(dag, FixedPointConfig(L=20)) for dag in dags]
     for t in range(1, 41):
-        comps = [[c for _, c in m.next_mixture()[1].pi.components] for m in alone]
+        comps = [m.next_mixture()[1].pi.components for m in alone]
         means = [uniform_mean(c) for c in comps]
         for i, m in enumerate(alone):
             m.observe_utility(game.utility_vector(i, means[1 - i]))

@@ -56,7 +56,7 @@ def test_counterexample_reaches_an_exact_fixed_point(two_stage):
     assert fp.stalled
     assert len(fp.iterates) <= 4
     assert np.max(np.abs(fp.error_vector)) <= 1e-12
-    x = fp.pi.mean()
+    x = fp.pi.mean()[0]
     two_stage.require_membership(x)
 
 
@@ -142,8 +142,8 @@ def test_extractor_reaches_an_expected_fixed_point(two_stage):
     pi, rounds, err = extract_expected_fixed_point(minimizer, phi, eps=0.05)
     assert rounds >= 1
     monos = list(phi.monomials())
-    values = pi.monomial_expectation(MonomialTable(monos))
-    direct = phi.expected_value(dict(zip(monos, values)).__getitem__) - pi.mean()
+    values = pi.monomial_expectation(MonomialTable(monos))[0]
+    direct = phi.expected_value(dict(zip(monos, values)).__getitem__) - pi.mean()[0]
     assert np.linalg.norm(direct) == pytest.approx(err, abs=1e-12)
     diameter = oracles.enumerate_pure(two_stage)
     dmax = max(
@@ -180,6 +180,26 @@ def test_extractor_needs_a_positive_integer_budget(budget):
                                      budget=budget)
 
 
+@pytest.mark.parametrize("eps", [0, -0.1, np.nan, np.inf])
+def test_extractor_needs_a_positive_finite_eps(eps):
+    cube = hypercube_problem(2)
+    minimizer = PhiRegretMinimizer(interleave(cube, 1))
+    with pytest.raises(ValueError, match=re.escape(f"eps must be positive and finite, got {eps}")):
+        extract_expected_fixed_point(minimizer, PolynomialDeviation.identity(4), eps=eps)
+    assert minimizer.run.rounds == 0 and minimizer._pending is None
+
+
+@pytest.mark.parametrize("diameter", [-0.1, np.nan, np.inf])
+def test_extractor_needs_a_nonnegative_finite_diameter(diameter):
+    cube = hypercube_problem(2)
+    minimizer = PhiRegretMinimizer(interleave(cube, 1))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"diameter must be nonnegative and finite, got {diameter}")):
+        extract_expected_fixed_point(minimizer, PolynomialDeviation.identity(4), eps=0.1,
+                                     diameter=diameter)
+    assert minimizer.run.rounds == 0 and minimizer._pending is None
+
+
 @pytest.mark.parametrize("L", [0, -3])
 def test_config_needs_at_least_one_iterate(L):
     with pytest.raises(ValueError, match="L >= 1"):
@@ -207,7 +227,7 @@ def test_checkpoint_solves_the_hindsight_problem_once(hypercube2, monkeypatch):
         w = minimizer.observe_utility(u)
         meter.record(w, q.terminal_vector())
         total_w += w
-        baseline += float(u @ fp.pi.mean())
+        baseline += float(u @ fp.pi.mean()[0])
         if t % 10:
             continue
         before = len(solves)
@@ -269,8 +289,9 @@ def _same_fixed_point(got, want):
     for a, b in zip(got.iterates, want.iterates):
         assert a.tobytes() == b.tobytes()
     assert got.error_vector.tobytes() == want.error_vector.tobytes()
+    wa = 1.0 / got.pi.counts[0]
     pairs = zip(got.pi.components, want.pi.components, strict=True)
-    for (wa, a), (wb, b) in pairs:
+    for a, (wb, b) in pairs:
         assert wa == wb and type(a) is type(b)
         if isinstance(a, SupportMix):
             assert a.weights.tobytes() == b.weights.tobytes()

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import counterexample_deviation
+from oracles import MixtureStrategy
 from phiregret import (
     BehavioralDescriptor,
-    MixtureStrategy,
     MonomialTable,
     SupportMix,
     parse_problem,

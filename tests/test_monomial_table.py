@@ -6,11 +6,12 @@ import pytest
 
 import oracles
 from conftest import TWO_STAGE_TEXT
+from oracles import MixtureStrategy
 from phiregret import (
     BehavioralDescriptor,
     FixedPointConfig,
-    MixtureStrategy,
     MonomialTable,
+    PhiRegretMinimizer,
     build_dt_problem,
     expected_fixed_point,
     hypercube_problem,
@@ -18,8 +19,8 @@ from phiregret import (
     parse_problem,
     terminal_weights,
 )
-from phiregret.dags import deviation_image, evaluate_deviation, forward_flow
-from phiregret.maps import beta_support, caratheodory
+from phiregret.dags import deviation_image, deviation_polynomial, evaluate_deviation, forward_flow
+from phiregret.maps import RoundMixtures, beta_support, caratheodory
 
 TOL = 1e-12
 
@@ -58,6 +59,8 @@ def mixtures(problem, rng):
 
 
 def oracle_expectation(pi, mono):
+    if isinstance(pi, RoundMixtures):  # the fixed point's one round
+        pi = MixtureStrategy([(1.0 / pi.counts[0], c) for c in pi.components])
     if isinstance(pi, MixtureStrategy):
         return sum(w * oracle_expectation(c, mono) for w, c in pi.components)
     if isinstance(pi, BehavioralDescriptor):
@@ -143,6 +146,50 @@ def test_fixed_point_displacement_is_the_oracle_image(name):
     for slot, mono in enumerate(lists.terminal_mono):
         want[dag.terminal_out[slot]] += q[slot] * oracle_expectation(fp.pi, mono)
     assert np.max(np.abs(fp.error_vector - (want - fp.pi.mean()))) <= TOL
+
+
+def assert_one_round_is_the_mixture_strategy(comps, table, phi):
+    """A one-round RoundMixtures of ``comps`` gives the bits of the
+    MixtureStrategy that weights each by 1 / len(comps)."""
+    got = RoundMixtures([comps])
+    want = MixtureStrategy([(1.0 / len(comps), c) for c in comps])
+    image = got.expected_image(phi)
+    assert image.shape == (1, phi.n_outputs)
+    assert image.tobytes() == want.expected_image(phi).tobytes()
+    assert got.mean().tobytes() == want.mean().tobytes()
+    values = got.monomial_expectation(table)
+    assert values.shape == (1, table.n)
+    assert values.tobytes() == want.monomial_expectation(table).tobytes()
+
+
+@pytest.mark.parametrize("delta", ["beta", "cara"])
+def test_one_round_equals_the_mixture_strategy_bit_for_bit(delta):
+    """Rounds of 1, 2 and L components of mixed kinds, and the fixed points
+    of a learning run that run all L iterates."""
+    problem = parse_problem(TWO_STAGE_TEXT)
+    dag = interleave(problem, 1)
+    rng = np.random.default_rng(80 + (delta == "cara"))
+    L = 12
+    kinds = [
+        lambda x: BehavioralDescriptor(problem, x),
+        lambda x: beta_support(problem, x),
+        lambda x: caratheodory(problem, x),
+    ]
+    comps = [kinds[i % 3](problem.random_point(rng)) for i in range(L)]
+    phi = deviation_polynomial(dag, random_q(dag, rng))
+    for round_ in (comps[:1], comps[1:3], comps):
+        assert_one_round_is_the_mixture_strategy(round_, dag.monomials, phi)
+    minimizer = PhiRegretMinimizer(dag, FixedPointConfig(L=L, delta=delta))
+    full = 0
+    for _ in range(40):
+        q, fp = minimizer.next_mixture()
+        if not fp.stalled:
+            full += 1
+            assert len(fp.pi.components) == L
+            phi = deviation_polynomial(dag, q.terminal_vector())
+            assert_one_round_is_the_mixture_strategy(fp.pi.components, dag.monomials, phi)
+        minimizer.observe_utility(rng.uniform(-1.0, 1.0, problem.n_terminals))
+    assert full > 0
 
 
 def test_tables_without_monomials_or_without_terms():

@@ -1,7 +1,7 @@
 """A profile kept as per-player columns (``from_columns``) and one kept as
 component objects (``add_round``) export the same bytes as the
 one-atom-at-a-time writer ``oracles.export_rows``, read back bit for bit and
-give round means bit-identical to ``uniform_mean``."""
+give round means bit-identical to ``oracles.uniform_mean``."""
 
 import gc
 import itertools
@@ -22,7 +22,7 @@ from phiregret import (
 )
 from phiregret import profile as profile_module
 from phiregret.maps import caratheodory
-from phiregret.profile import ROW_BLOCK, uniform_mean
+from phiregret.profile import ROW_BLOCK
 
 from conftest import assert_same_columns
 
@@ -85,7 +85,7 @@ def assert_means_match(profile, reference):
     """round_mean and stacked_means equal uniform_mean over the reference's
     components, byte for byte."""
     for i in range(profile.n_players):
-        want = [uniform_mean(reference.components(t, i)) for t in range(profile.rounds)]
+        want = [oracles.uniform_mean(reference.components(t, i)) for t in range(profile.rounds)]
         for t in range(profile.rounds):
             assert profile.round_mean(t, i).tobytes() == want[t].tobytes()
         assert profile.stacked_means(i).tobytes() == np.array(want).tobytes()
