@@ -10,10 +10,12 @@ deviations over a hypercube problem.
 Every terminal state carries an output coordinate of the base problem plus a
 monomial (a set of base terminal indices). A reduced strategy q then realizes
 the deviation phi_q(x)[z] = sum over terminal states t with output z of
-q[t] * prod_{i in mono(t)} x[i], so evaluation, polynomial export and
-utility-weight computation are the same code for both families. The
-distinct monomials are compiled once into a ``maps.MonomialTable``, so each
-of these is one batched table evaluation and one gather.
+q[t] * prod_{i in mono(t)} x[i], so evaluation and utility-weight
+computation are the same code for both families. The distinct monomials are
+compiled once into a ``maps.MonomialTable``, and q's deviation is a
+``PolynomialDeviation`` over that table, ``mono_row`` and ``terminal_out``:
+an image is one batched table evaluation and one bincount, and utility
+weights are one gather.
 
 Both builders work one level at a time on arrays and hand the DAG a
 ``tfsdp.Graph``, as a tree's is, leveled by summed component depth or
@@ -294,18 +296,12 @@ def evaluate_deviation(dag, q, x):
     Output coordinate z collects q[t] * prod_{i in mono(t)} x[i] over the
     terminal states t writing to z.
     """
-    return _collect(dag, q, dag.monomials.at(x))
+    return deviation_polynomial(dag, q).eval_batch(x)
 
 
 def deviation_image(dag, q, pi):
     """E_pi[phi_q(x)] for the deviation realized by terminal masses q."""
-    return _collect(dag, q, pi.monomial_expectation(dag.monomials))
-
-
-def _collect(dag, q, mono_values):
-    """Sum q[t] * mono_values[row(t)] into each terminal state t's output."""
-    terms = np.asarray(q, dtype=float) * mono_values[dag.mono_row]
-    return np.bincount(dag.terminal_out, terms, minlength=dag.base.n_terminals)
+    return deviation_polynomial(dag, q)(pi)
 
 
 def eval_dt_deviation(dag, q, bits):
@@ -323,14 +319,15 @@ def eval_dt_deviation(dag, q, bits):
 
 
 def deviation_polynomial(dag, q):
-    """The deviation's exact multilinear form over base terminal coordinates."""
+    """The deviation realized by terminal masses q, over the DAG's own
+    monomial table: a term for each terminal state of nonzero mass, in state
+    order and unmerged, so its sums add the terms as the DAG lists them."""
     q = np.asarray(q, dtype=float)
-    outputs = [[] for _ in range(dag.base.n_terminals)]
-    for slot in range(dag.n_terminal_states):
-        if q[slot] != 0.0:
-            row = dag.monomials.terms[dag.mono_row[slot]]
-            outputs[dag.terminal_out[slot]].append((q[slot], row[row >= 0]))
-    return PolynomialDeviation(dag.base.n_terminals, outputs)
+    keep = q != 0.0
+    n = dag.base.n_terminals
+    return PolynomialDeviation.from_arrays(
+        n, n, dag.monomials, q[keep], dag.mono_row[keep], dag.terminal_out[keep]
+    )
 
 
 def terminal_weights(dag, u, pi):

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dags import ReducedStrategy, best_reduced_strategy, deviation_image, join, terminal_weights
+from .dags import (
+    ReducedStrategy, best_reduced_strategy, deviation_polynomial, join, terminal_weights,
+)
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
 from .maps import BehavioralDescriptor, RoundMixtures, caratheodory
@@ -66,17 +68,16 @@ class FixedPointResult:
 def expected_fixed_point(problem, phi, cfg):
     """Run the averaging iteration for one deviation.
 
-    ``phi`` is a PolynomialDeviation, or any callable mapping a mixture over
-    pure strategies (anything exposing monomial expectations) to E[phi(x)].
-    Returns the iterates, the one-round ``RoundMixtures`` pi, and the exact
-    displacement E_pi[phi(x) - x] = (phi^delta(x_L) - x_1)/L.
+    ``phi`` is a PolynomialDeviation: called on a mixture over pure
+    strategies, it returns E[phi(x)]. Returns the iterates, the one-round
+    ``RoundMixtures`` pi, and the exact displacement
+    E_pi[phi(x) - x] = (phi^delta(x_L) - x_1)/L.
 
     If an iterate reproduces itself (an exact fixed point of the extended
     map), pi collapses to that single component and the displacement is the
     residual at the fixed point — at most the stall tolerance, well under
     the 2/L guarantee.
     """
-    image = phi if callable(phi) else (lambda comp: comp.expected_image(phi))
     shape = (problem.n_terminals,)
     if cfg.init is None:
         x, vals = problem.start, problem.start_values
@@ -93,7 +94,7 @@ def expected_fixed_point(problem, phi, cfg):
         else:
             comp = caratheodory(problem, x, vals=vals)
         components.append(comp)
-        nxt = np.asarray(image(comp), dtype=float)
+        nxt = np.asarray(phi(comp), dtype=float)
         vals = tree_values(problem.graph, nxt) if nxt.shape == shape else None
         if vals is None or not problem.in_polytope(nxt, vals):
             raise InvalidDeviationError(
@@ -195,9 +196,7 @@ class PhiRegretMinimizer:
     def next_mixture(self):
         q = self.learner.next_strategy()
         qv = q.terminal_vector()
-        fp = expected_fixed_point(
-            self.problem, lambda pi: deviation_image(self.dag, qv, pi), self.cfg
-        )
+        fp = expected_fixed_point(self.problem, deviation_polynomial(self.dag, qv), self.cfg)
         self._pending = (qv, fp)
         return q, fp
 
@@ -259,10 +258,11 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
     """Drive any deviation-regret minimizer to an approximate fixed point.
 
     Round t: ask the minimizer for its mixture, measure the displacement
-    g = E[phi(x) - x]; stop when the Euclidean norm is at most eps times the
-    strategy-set diameter, otherwise feed back the utility g (normalized),
-    which rewards moving along the displacement — a minimizer with vanishing
-    regret against phi cannot keep the displacement large.
+    g = E[phi(x) - x] of the PolynomialDeviation phi; stop when the
+    Euclidean norm is at most eps times the strategy-set diameter, otherwise
+    feed back the utility g (normalized), which rewards moving along the
+    displacement — a minimizer with vanishing regret against phi cannot keep
+    the displacement large.
 
     The minimizer must expose next_mixture() (returning a mixture, or the
     (deviation, FixedPointResult) pair of PhiRegretMinimizer) and
@@ -283,13 +283,12 @@ def extract_expected_fixed_point(minimizer, phi, eps, diameter=None, budget=1000
         from .tfsdp import l2_diameter
 
         diameter = l2_diameter(problem.enumerate_pure_strategies())
-    image = phi if callable(phi) else (lambda pi: pi.expected_image(phi))
     threshold = eps * diameter
     last_err = None
     for t in range(1, budget + 1):
         pi = minimizer.next_mixture()
         pi = pi[1].pi if isinstance(pi, tuple) else pi
-        g = image(pi) - pi.mean()
+        g = phi(pi) - pi.mean()
         g = g[0] if isinstance(pi, RoundMixtures) else g  # pi's one round
         err = float(np.linalg.norm(g))
         last_err = err

@@ -137,17 +137,6 @@ def monomial_expectation_beta(problem, vals, table):
     return out
 
 
-def _expected_image(mixture, phi):
-    """E[phi(x')] for x' drawn from the mixture, a row per round of a
-    ``RoundMixtures``: every monomial of phi in one table, evaluated in one
-    call, then phi with each monomial replaced by its expectation."""
-    monomials = list(phi.monomials())
-    values = mixture.monomial_expectation(MonomialTable(monomials))
-    images = [phi.expected_value(dict(zip(monomials, row)).__getitem__)
-              for row in np.atleast_2d(values)]
-    return np.array(images) if values.ndim > 1 else images[0]
-
-
 class SupportMix:
     """Finite mixture of pure strategies, stored as arrays.
 
@@ -226,8 +215,6 @@ class SupportMix:
         terms *= self.weights[..., None]
         return np.cumsum(terms, axis=-2, out=terms)[..., -1, :].copy()
 
-    expected_image = _expected_image
-
     def support(self):
         """The explicit mixture itself (see ``BehavioralDescriptor.support``)."""
         return self
@@ -277,8 +264,6 @@ class BehavioralDescriptor:
 
     def monomial_expectation(self, table):
         return monomial_expectation_beta(self.problem, self.vals, table)
-
-    expected_image = _expected_image
 
     def support(self, cap=SUPPORT_CAP):
         return beta_support(self.problem, self.base, cap, self.vals)
@@ -391,7 +376,7 @@ def extended_map_eval(phi, problem, x, delta="beta"):
     if delta not in ("beta", "cara"):
         raise ValueError(f"unknown consistent map {delta!r}")
     comp = BehavioralDescriptor(problem, x) if delta == "beta" else caratheodory(problem, x)
-    return comp.expected_image(phi)
+    return phi(comp)
 
 
 class RoundMixtures:
@@ -399,18 +384,18 @@ class RoundMixtures:
     of components at a time.
 
     ``counts`` (T,) holds each round's number of components. Row t of
-    ``mean()``, of ``monomial_expectation(table)`` and of
-    ``expected_image(phi)`` weights each of round t's components by
-    1 / counts[t]: every component's value is scaled by the weight and the
-    scaled values are added in component order. Built from per-round
-    component lists, kept in order in ``components``, each component is read
-    on its own; built ``from_columns`` (``components`` None), the components
-    are read as ``SupportMix`` stacks of one atom count, at most STACK_ATOMS
-    atoms a stack unless one component has more.
+    ``mean()`` and of ``monomial_expectation(table)`` (and so of ``phi(pi)``)
+    weights each of round t's components by 1 / counts[t]: every component's
+    value is scaled by the weight and the scaled values are added in
+    component order. Built from per-round component lists, kept in order in
+    ``components``, each component is read on its own; built
+    ``from_columns`` (``components`` None), the components are read as
+    ``SupportMix`` stacks of one atom count, at most STACK_ATOMS atoms a
+    stack unless one component has more.
     """
 
     def __init__(self, rounds):
-        self.counts = np.array([len(comps) for comps in rounds])
+        self._layout(np.array([len(comps) for comps in rounds]))
         self.components = [comp for comps in rounds for comp in comps]
 
     @classmethod
@@ -420,18 +405,23 @@ class RoundMixtures:
         component's atom count ``sizes``, each round's component count
         ``counts`` and each component's mean ``means`` (C, d)."""
         rounds = cls.__new__(cls)
-        rounds.counts = np.asarray(counts)
+        rounds._layout(np.asarray(counts))
         rounds.components = None
         rounds._columns = (weights, matrix, np.asarray(sizes), means)
         return rounds
 
+    def _layout(self, counts):
+        """Keep ``counts`` and the layout ``_combine`` reads: each round's
+        first component, 1 / count and the largest count."""
+        self.counts, self._first = counts, counts.cumsum() - counts
+        self._weight, self._most = (1.0 / counts)[:, None], counts.max(initial=1)
+
     def _combine(self, values):
         """Row t: round t's rows of ``values`` (C, k), each scaled by
         1 / counts[t] and added in order."""
-        first = self.counts.cumsum() - self.counts
-        weight = (1.0 / self.counts)[:, None]
+        first, weight = self._first, self._weight
         out = values[first] * weight
-        for j in range(1, self.counts.max(initial=1)):
+        for j in range(1, self._most):
             more = self.counts > j  # the rounds of more than j components
             out[more] += values[first[more] + j] * weight[more]
         return out
@@ -461,8 +451,6 @@ class RoundMixtures:
                                                matrix[rows].reshape(shape + (-1,)))
                 values[at] = stack.monomial_expectation(table)
         return self._combine(values)
-
-    expected_image = _expected_image
 
     def __repr__(self):
         return f"RoundMixtures(rounds={len(self.counts)})"

@@ -1,30 +1,37 @@
 """Multilinear polynomial maps between strategy vectors.
 
-A deviation is stored per output terminal as a list of (coefficient, monomial)
-terms, where a monomial is a frozenset of input terminal indices and the empty
-set is the constant term. Pure strategies are 0/1 vectors, so monomials are
-idempotent and products reduce by set union. The module also extends maps
-from pure strategies to all 0/1 vectors, draws random valid low-degree
-deviations, and enumerates the low-degree Boolean functions on up to four
-variables through one Moebius matrix product.
+A monomial is a set of input terminal indices; pure strategies are 0/1
+vectors, so monomials are idempotent and products reduce by set union. A
+deviation keeps its distinct monomials in one ``maps.MonomialTable`` and its
+terms as coefficient, table-row and output arrays, so evaluating it at
+points or over a mixture is one table evaluation and one ``bincount``. The
+module also extends maps from pure strategies to all 0/1 vectors, draws
+random valid low-degree deviations, and enumerates the low-degree Boolean
+functions on up to four variables through one Moebius matrix product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import InvalidDeviationError, StructureError
+from .maps import MonomialTable
 from .tfsdp import DECISION, OBSERVATION, TERMINAL
 
 COEFF_TOL = 1e-14
 
 
-def _normalize_terms(raw):
+def _normalize_terms(raw, n_inputs):
     acc: dict[frozenset, float] = {}
     for coeff, mono in raw:
         mono = frozenset(int(i) for i in mono)
+        if not math.isfinite(float(coeff)):
+            raise ValueError(f"coefficient {coeff} of monomial {sorted(mono)} is not finite")
+        if not all(0 <= i < n_inputs for i in mono):
+            raise ValueError(f"monomial {sorted(mono)} leaves the inputs 0..{n_inputs - 1}")
         acc[mono] = acc.get(mono, 0.0) + float(coeff)
     return tuple(
         (c, m) for m, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -41,17 +48,45 @@ def _multiply_terms(a, b):
     return tuple((c, m) for m, c in out.items() if abs(c) > COEFF_TOL)
 
 
+def _term_lists(dev):
+    """Each output's (coefficient, monomial) terms in stored order, for the
+    builders' set arithmetic (desk scale)."""
+    monos = [frozenset(t[t >= 0].tolist()) for t in dev.table.terms] + [frozenset()]
+    outputs = [[] for _ in range(dev.n_outputs)]
+    for c, r, z in zip(dev.coef.tolist(), dev.row.tolist(), dev.out.tolist()):
+        outputs[z].append((c, monos[r]))
+    return outputs
+
+
 class PolynomialDeviation:
     """A polynomial map from one strategy vector space to another.
 
     ``outputs[z]`` is an iterable of (coefficient, monomial) pairs giving the
-    z-th output coordinate; monomials are iterables of input terminal indices.
+    z-th output coordinate: finite coefficients, monomials of input indices
+    in [0, n_inputs). Merged by monomial and sorted by degree, then index,
+    the terms are kept in output order as arrays ``coef``, ``out`` and
+    ``row`` into ``table``, the distinct non-constant monomials (a constant
+    reads row table.n, a trailing 1). Called on a mixture, the deviation
+    returns E[phi(x)], a row per round of a ``RoundMixtures``.
     """
 
     def __init__(self, n_inputs, outputs):
-        self.n_inputs = int(n_inputs)
-        self.terms = [_normalize_terms(out) for out in outputs]
-        self.n_outputs = len(self.terms)
+        terms = [_normalize_terms(out, int(n_inputs)) for out in outputs]
+        flat = [(c, m, z) for z, out in enumerate(terms) for c, m in out]
+        index = {m: r for r, m in enumerate(dict.fromkeys(m for _, m, _ in flat if m))}
+        self.n_inputs, self.n_outputs, self.table = int(n_inputs), len(terms), MonomialTable(index)
+        self.coef = np.array([c for c, _, _ in flat], dtype=float)
+        self.row = np.array([index.get(m, len(index)) for _, m, _ in flat], dtype=np.intp)
+        self.out = np.array([z for _, _, z in flat], dtype=np.intp)
+
+    @classmethod
+    def from_arrays(cls, n_inputs, n_outputs, table, coef, row, out):
+        """The deviation of the terms ``coef`` (float), ``row`` into ``table``
+        and ``out`` (intp), kept as given: unmerged, in their order."""
+        dev = cls.__new__(cls)
+        dev.n_inputs, dev.n_outputs, dev.table = n_inputs, n_outputs, table
+        dev.coef, dev.row, dev.out = coef, row, out
+        return dev
 
     @classmethod
     def identity(cls, n):
@@ -61,38 +96,54 @@ class PolynomialDeviation:
     def constant(cls, n_inputs, point):
         return cls(n_inputs, [[(float(v), ())] for v in point])
 
+    def _monomials(self):
+        """The table rows the terms read, each once, and their monomials."""
+        rows = np.unique(self.row[self.row < self.table.n])
+        return rows, [frozenset(t[t >= 0].tolist()) for t in self.table.terms[rows]]
+
     @property
     def degree(self):
-        return max((len(m) for out in self.terms for _, m in out), default=0)
+        return max(map(len, self._monomials()[1]), default=0)
 
     def monomials(self):
         """Every distinct non-constant monomial appearing in any output."""
-        return {m for out in self.terms for _, m in out if m}
+        return set(self._monomials()[1]) - {frozenset()}
+
+    def _collect(self, values):
+        """Sum coef * values[..., row] into each term's output, term by term in
+        order (row table.n reads a trailing 1), for every leading index of
+        ``values`` (..., table.n) in one bincount, each index's outputs offset
+        past the previous ones; one row, as every fixed-point iterate has,
+        needs no offsets."""
+        lead, n = values.shape[:-1], self.n_outputs
+        padded = np.empty(lead + (self.table.n + 1,))
+        padded[..., :-1] = values
+        padded[..., -1] = 1.0
+        terms = padded.take(self.row, axis=-1)
+        terms *= self.coef
+        if not lead:
+            return np.bincount(self.out, terms, minlength=n)
+        k = math.prod(lead)
+        bins = (self.out + n * np.arange(k)[:, None]).ravel()
+        return np.bincount(bins, terms.ravel(), minlength=k * n).reshape(lead + (n,))
+
+    def __call__(self, mixture):
+        return self._collect(mixture.monomial_expectation(self.table))
 
     def eval_batch(self, points):
-        points = np.asarray(points, dtype=float)
-        out = np.zeros((points.shape[0], self.n_outputs))
-        for z, terms in enumerate(self.terms):
-            for c, m in terms:
-                col = np.full(points.shape[0], c)
-                for i in m:
-                    col = col * points[:, i]
-                out[:, z] += col
-        return out
+        return self._collect(self.table.at(points))
 
     def expected_value(self, mono_fn):
         """Output when each monomial is replaced by its expectation.
 
         For a random input x' this computes E[phi(x')] coordinate-wise from
-        E[prod_{i in m} x'_i] = mono_fn(m), by linearity of expectation.
+        E[prod_{i in m} x'_i] = mono_fn(m), one call per distinct monomial,
+        by linearity of expectation; a constant term adds its coefficient.
         """
-        out = np.zeros(self.n_outputs)
-        for z, terms in enumerate(self.terms):
-            total = 0.0
-            for c, m in terms:
-                total += c * float(mono_fn(m)) if m else c
-            out[z] = total
-        return out
+        values = np.ones(self.table.n)
+        rows, monos = self._monomials()
+        values[rows] = [float(mono_fn(m)) if m else 1.0 for m in monos]
+        return self._collect(values)
 
     def compose(self, inner):
         """self after inner, expanding products and merging idempotent monomials."""
@@ -101,13 +152,14 @@ class PolynomialDeviation:
                 f"cannot compose: inner has {inner.n_outputs} outputs, "
                 f"outer expects {self.n_inputs} inputs"
             )
+        inner_terms = _term_lists(inner)
         outputs = []
-        for terms in self.terms:
+        for terms in _term_lists(self):
             acc: dict[frozenset, float] = {}
             for c, m in terms:
                 prod = ((c, frozenset()),)
                 for i in sorted(m):
-                    prod = _multiply_terms(prod, inner.terms[i])
+                    prod = _multiply_terms(prod, inner_terms[i])
                 for pc, pm in prod:
                     acc[pm] = acc.get(pm, 0.0) + pc
             outputs.append(list(acc.items()))
@@ -130,16 +182,19 @@ class PolynomialDeviation:
         return images
 
     def __repr__(self):
-        n_terms = sum(len(t) for t in self.terms)
         return (
             f"PolynomialDeviation({self.n_inputs}->{self.n_outputs}, "
-            f"degree={self.degree}, terms={n_terms})"
+            f"degree={self.degree}, terms={len(self.coef)})"
         )
 
 
 def convex_combination(deviations, weights):
     """Pointwise convex mix of deviations with matching shapes."""
     weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(deviations),):
+        raise ValueError(f"{weights.size} weights for {len(deviations)} deviations")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"weights must be finite, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > 1e-12 or np.min(weights) < 0:
         raise ValueError("weights must be a probability vector")
     first = deviations[0]
@@ -147,7 +202,7 @@ def convex_combination(deviations, weights):
     for w, dev in zip(weights, deviations):
         if dev.n_inputs != first.n_inputs or dev.n_outputs != first.n_outputs:
             raise ValueError("deviation shapes differ")
-        for z, terms in enumerate(dev.terms):
+        for z, terms in enumerate(_term_lists(dev)):
             outputs[z].extend((w * c, m) for c, m in terms)
     return PolynomialDeviation(first.n_inputs, outputs)
 

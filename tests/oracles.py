@@ -26,7 +26,6 @@ from phiregret.maps import (
     BehavioralDescriptor,
     MonomialTable,
     SupportMix,
-    _expected_image,
     caratheodory,
     padded,
 )
@@ -39,6 +38,7 @@ from phiregret.nfg import (
     swap_regret_from_moments,
 )
 from phiregret.nfg import swap_gap as nfg_swap_gap
+from phiregret.polynomials import canonical_cut
 from phiregret.profile import CorrelatedProfile
 from phiregret.tfsdp import (
     CODE,
@@ -211,9 +211,7 @@ class MixtureStrategy:
 
     Components expose ``mean`` and ``monomial_expectation``; both the
     implicit behavioral descriptor and the explicit SupportMix qualify. Each
-    is the components' weighted sum, added in component order, and
-    ``expected_image`` evaluates one table of phi's monomials on every
-    component.
+    is the components' weighted sum, added in component order.
     """
 
     def __init__(self, components):
@@ -238,9 +236,6 @@ class MixtureStrategy:
 
     def monomial_expectation(self, table):
         return self._sum(lambda comp: comp.monomial_expectation(table))
-
-    def expected_image(self, phi):
-        return _expected_image(self, phi)
 
     def __repr__(self):
         return f"MixtureStrategy(components={len(self.components)})"
@@ -1060,10 +1055,10 @@ def run_ce_per_player(game, eps, c=8.0, horizon=None, L=None, record_profile=Tru
 
 def expected_fixed_point_loop(problem, phi, cfg):
     """The library's former ``fixedpoint.expected_fixed_point``, kept
-    verbatim: each iterate runs ``consistent_map``, the image, the node
-    values and ``membership_violation`` anew, and the behavioral component
-    copies its base."""
-    image = phi if callable(phi) else (lambda comp: comp.expected_image(phi))
+    verbatim but for calling phi on each component: each iterate runs
+    ``consistent_map``, the image, the node values and
+    ``membership_violation`` anew, and the behavioral component copies its
+    base."""
     x = cfg.init if cfg.init is not None else problem.uniform_point()
     x = np.asarray(x, dtype=float)
     vals = _node_values(problem, x)
@@ -1073,7 +1068,7 @@ def expected_fixed_point_loop(problem, phi, cfg):
     for _ in range(cfg.L):
         comp = consistent_map(problem, x, cfg.delta, vals)
         components.append(comp)
-        nxt = image(comp)
+        nxt = phi(comp)
         vals = _node_values(problem, nxt)
         violation = problem.membership_violation(nxt, vals=vals)
         if violation is not None:
@@ -1174,17 +1169,16 @@ def graph_pure_response(problem, u, maximize=True):
 
 def eval_point(phi, x):
     """The library's former ``PolynomialDeviation.eval_point``: phi at x,
-    each output a sum of coefficient times monomial, in term order."""
+    each output a sum of coefficient times monomial, in term order, read
+    term by term off the deviation's arrays."""
     x = np.asarray(x, dtype=float)
+    monos = [[i for i in t if i >= 0] for t in phi.table.terms.tolist()] + [[]]
     out = np.zeros(phi.n_outputs)
-    for z, terms in enumerate(phi.terms):
-        total = 0.0
-        for c, m in terms:
-            v = c
-            for i in m:
-                v *= x[i]
-            total += v
-        out[z] = total
+    for c, r, z in zip(phi.coef.tolist(), phi.row.tolist(), phi.out.tolist()):
+        v = c
+        for i in monos[r]:
+            v *= x[i]
+        out[z] += v
     return out
 
 
@@ -1272,3 +1266,233 @@ def graph_reference(code, ptr, dst, level):
                 (int(self.code[states[0]]), states, edges, self.dst[edges])
             )
     return self
+
+
+# The library's former term-list deviation, kept verbatim (with its helpers
+# and the builders that made it) as the reference the array form must equal.
+
+COEFF_TOL = 1e-14
+
+
+def _normalize_terms(raw):
+    acc: dict[frozenset, float] = {}
+    for coeff, mono in raw:
+        mono = frozenset(int(i) for i in mono)
+        acc[mono] = acc.get(mono, 0.0) + float(coeff)
+    return tuple(
+        (c, m) for m, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        if abs(c) > COEFF_TOL
+    )
+
+
+def _multiply_terms(a, b):
+    out: dict[frozenset, float] = {}
+    for ca, ma in a:
+        for cb, mb in b:
+            m = ma | mb
+            out[m] = out.get(m, 0.0) + ca * cb
+    return tuple((c, m) for m, c in out.items() if abs(c) > COEFF_TOL)
+
+
+class PolynomialDeviation:
+    """A polynomial map from one strategy vector space to another.
+
+    ``outputs[z]`` is an iterable of (coefficient, monomial) pairs giving the
+    z-th output coordinate; monomials are iterables of input terminal indices.
+    """
+
+    def __init__(self, n_inputs, outputs):
+        self.n_inputs = int(n_inputs)
+        self.terms = [_normalize_terms(out) for out in outputs]
+        self.n_outputs = len(self.terms)
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, [[(1.0, (z,))] for z in range(n)])
+
+    @classmethod
+    def constant(cls, n_inputs, point):
+        return cls(n_inputs, [[(float(v), ())] for v in point])
+
+    @property
+    def degree(self):
+        return max((len(m) for out in self.terms for _, m in out), default=0)
+
+    def monomials(self):
+        """Every distinct non-constant monomial appearing in any output."""
+        return {m for out in self.terms for _, m in out if m}
+
+    def eval_batch(self, points):
+        points = np.asarray(points, dtype=float)
+        out = np.zeros((points.shape[0], self.n_outputs))
+        for z, terms in enumerate(self.terms):
+            for c, m in terms:
+                col = np.full(points.shape[0], c)
+                for i in m:
+                    col = col * points[:, i]
+                out[:, z] += col
+        return out
+
+    def expected_value(self, mono_fn):
+        """Output when each monomial is replaced by its expectation.
+
+        For a random input x' this computes E[phi(x')] coordinate-wise from
+        E[prod_{i in m} x'_i] = mono_fn(m), by linearity of expectation.
+        """
+        out = np.zeros(self.n_outputs)
+        for z, terms in enumerate(self.terms):
+            total = 0.0
+            for c, m in terms:
+                total += c * float(mono_fn(m)) if m else c
+            out[z] = total
+        return out
+
+    def compose(self, inner):
+        """self after inner, expanding products and merging idempotent monomials."""
+        if inner.n_outputs != self.n_inputs:
+            raise ValueError(
+                f"cannot compose: inner has {inner.n_outputs} outputs, "
+                f"outer expects {self.n_inputs} inputs"
+            )
+        outputs = []
+        for terms in self.terms:
+            acc: dict[frozenset, float] = {}
+            for c, m in terms:
+                prod = ((c, frozenset()),)
+                for i in sorted(m):
+                    prod = _multiply_terms(prod, inner.terms[i])
+                for pc, pm in prod:
+                    acc[pm] = acc.get(pm, 0.0) + pc
+            outputs.append(list(acc.items()))
+        return PolynomialDeviation(
+            inner.n_inputs, [[(c, m) for m, c in out] for out in outputs]
+        )
+
+    def validate_on_polytope(self, problem, pure=None, tol=1e-9):
+        """Raise unless every pure strategy maps into the strategy polytope."""
+        if pure is None:
+            pure = problem.enumerate_pure_strategies()
+        images = self.eval_batch(pure)
+        for row, image in zip(pure, images):
+            violation = problem.membership_violation(image, tol)
+            if violation is not None:
+                raise InvalidDeviationError(
+                    f"image of pure strategy {row.astype(int).tolist()} leaves "
+                    f"the polytope: {violation}"
+                )
+        return images
+
+    def __repr__(self):
+        n_terms = sum(len(t) for t in self.terms)
+        return (
+            f"PolynomialDeviation({self.n_inputs}->{self.n_outputs}, "
+            f"degree={self.degree}, terms={n_terms})"
+        )
+
+
+def convex_combination(deviations, weights):
+    """Pointwise convex mix of deviations with matching shapes."""
+    weights = np.asarray(weights, dtype=float)
+    if abs(weights.sum() - 1.0) > 1e-12 or np.min(weights) < 0:
+        raise ValueError("weights must be a probability vector")
+    first = deviations[0]
+    outputs = [[] for _ in range(first.n_outputs)]
+    for w, dev in zip(weights, deviations):
+        if dev.n_inputs != first.n_inputs or dev.n_outputs != first.n_outputs:
+            raise ValueError("deviation shapes differ")
+        for z, terms in enumerate(dev.terms):
+            outputs[z].extend((w * c, m) for c, m in terms)
+    return PolynomialDeviation(first.n_inputs, outputs)
+
+
+def extend_identity(problem):
+    """Low-degree polynomial on all 0/1 vectors that is the identity on the
+    pure strategies.
+
+    Each output terminal is a product, over the decision points on its path,
+    of a linear form: the cut sum of the point's first child when the path
+    takes the first action, and one minus that sum otherwise. Every decision
+    point must be binary (binarize first if not); the degree is at most the
+    problem depth.
+    """
+    for node in range(problem.n_nodes):
+        if problem.kind[node] == DECISION and len(problem.children[node]) != 2:
+            raise StructureError(
+                f"decision point {problem.node_ids[node]!r} has "
+                f"{len(problem.children[node])} actions; the identity extension "
+                "needs binary decision points (binarize the problem first)"
+            )
+    first_child_form = {}
+    for node in range(problem.n_nodes):
+        if problem.kind[node] == DECISION:
+            cut = canonical_cut(problem, problem.children[node][0])
+            first_child_form[node] = tuple((1.0, frozenset([t])) for t in cut)
+    outputs = []
+    for edges in problem.decision_edges:
+        poly = ((1.0, frozenset()),)
+        for j, chosen in edges:
+            form = first_child_form[j]
+            if chosen != problem.children[j][0]:
+                form = ((1.0, frozenset()),) + tuple((-c, m) for c, m in form)
+            poly = _multiply_terms(poly, form)
+        outputs.append(list(poly))
+    return PolynomialDeviation(problem.n_terminals, outputs)
+
+
+def extend_polynomial(f, problem):
+    """Compose a map defined on pure strategies with the identity extension,
+    yielding a map on all 0/1 vectors that agrees with f on pure strategies.
+    Degree grows by at most a factor of the problem depth."""
+    return f.compose(extend_identity(problem))
+
+
+def random_low_degree_deviation(problem, rng, degree=2, pieces=3, pure=None):
+    """Random validated deviation of the requested degree.
+
+    Each piece tests a random monomial m of the given size (0/1-valued on
+    pure strategies) and outputs one of two random polytope points
+    accordingly: m(x)*g1 + (1-m(x))*g0. Pieces are mixed convexly, and the
+    identity joins the mix when the problem is shallow enough. The result
+    maps every pure strategy into the polytope by construction, and is
+    validated before being returned.
+    """
+    if pure is None:
+        pure = problem.enumerate_pure_strategies()
+    n = problem.n_terminals
+    parts = []
+    for _ in range(pieces):
+        size = int(rng.integers(1, degree + 1))
+        mono = tuple(rng.choice(n, size=size, replace=False))
+        g1 = problem.random_point(rng)
+        g0 = problem.random_point(rng)
+        outputs = []
+        for z in range(n):
+            outputs.append([(g1[z], mono), (g0[z], ()), (-g0[z], mono)])
+        parts.append(PolynomialDeviation(n, outputs))
+    if problem.depth <= degree:
+        parts.append(PolynomialDeviation.identity(n))
+    weights = rng.dirichlet(np.ones(len(parts)))
+    dev = convex_combination(parts, weights)
+    dev.validate_on_polytope(problem, pure)
+    return dev
+
+
+def expected_image(mixture, phi):
+    """The library's former ``maps._expected_image``, kept verbatim."""
+    monomials = list(phi.monomials())
+    values = mixture.monomial_expectation(MonomialTable(monomials))
+    images = [phi.expected_value(dict(zip(monomials, row)).__getitem__)
+              for row in np.atleast_2d(values)]
+    return np.array(images) if values.ndim > 1 else images[0]
+
+
+def deviation_image(dag, q, pi):
+    """The library's former ``dags.deviation_image``, kept verbatim with its
+    ``_collect``."""
+    return _collect(dag, q, pi.monomial_expectation(dag.monomials))
+
+
+def _collect(dag, q, mono_values):
+    """Sum q[t] * mono_values[row(t)] into each terminal state t's output."""
+    terms = np.asarray(q, dtype=float) * mono_values[dag.mono_row]
+    return np.bincount(dag.terminal_out, terms, minlength=dag.base.n_terminals)

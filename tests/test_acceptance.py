@@ -79,7 +79,7 @@ def test_criterion_01_fixed_point_error_bound():
             measured = oracles.dual_norm(problem, fp.error_vector)
             assert measured <= 2.0 / L + 1e-9, (problem.name, i, L, measured)
             worst_ratio = max(worst_ratio, measured / (2.0 / L))
-            direct = fp.pi.expected_image(phi) - fp.pi.mean()
+            direct = phi(fp.pi) - fp.pi.mean()
             worst_telescope = max(
                 worst_telescope, float(np.max(np.abs(direct - fp.error_vector)))
             )

@@ -153,9 +153,9 @@ def assert_one_round_is_the_mixture_strategy(comps, table, phi):
     MixtureStrategy that weights each by 1 / len(comps)."""
     got = RoundMixtures([comps])
     want = MixtureStrategy([(1.0 / len(comps), c) for c in comps])
-    image = got.expected_image(phi)
+    image = phi(got)
     assert image.shape == (1, phi.n_outputs)
-    assert image.tobytes() == want.expected_image(phi).tobytes()
+    assert image.tobytes() == phi(want).tobytes()
     assert got.mean().tobytes() == want.mean().tobytes()
     values = got.monomial_expectation(table)
     assert values.shape == (1, table.n)
