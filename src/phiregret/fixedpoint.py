@@ -31,7 +31,7 @@ from .dags import (
 )
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
-from .maps import BehavioralDescriptor, RoundMixtures, caratheodory
+from .maps import RoundMixtures, consistent_map
 from .tfsdp import tree_values
 
 STALL_TOL = 1e-12
@@ -89,10 +89,7 @@ def expected_fixed_point(problem, phi, cfg):
     components = []
     for _ in range(cfg.L):
         x.flags.writeable = False  # the component keeps the iterate, uncopied
-        if cfg.delta == "beta":
-            comp = BehavioralDescriptor.shared(problem, x, vals)
-        else:
-            comp = caratheodory(problem, x, vals=vals)
+        comp = consistent_map(problem, x, cfg.delta, vals)
         components.append(comp)
         nxt = np.asarray(phi(comp), dtype=float)
         vals = tree_values(problem.graph, nxt) if nxt.shape == shape else None

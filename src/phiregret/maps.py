@@ -362,10 +362,22 @@ def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
     return SupportMix([(w / total, y) for w, y in atoms])
 
 
+def consistent_map(problem, x, delta, vals=None):
+    """The named consistent map's mixture at a read-only float point x, whose
+    node values ``vals`` the caller may pass: "beta" for the behavioral
+    descriptor, which keeps x and vals uncopied, "cara" for the peeling
+    decomposition."""
+    if delta == "beta":
+        vals = problem.node_values(x) if vals is None else vals
+        return BehavioralDescriptor.shared(problem, x, vals)
+    if delta == "cara":
+        return caratheodory(problem, x, vals=vals)
+    raise ValueError(f"unknown consistent map {delta!r}")
+
+
 def extended_map_eval(phi, problem, x, delta="beta"):
-    """Expectation of phi over the named consistent map's mixture at x:
-    "beta" for the behavioral descriptor, "cara" for the peeling
-    decomposition.
+    """Expectation of phi over the named consistent map's mixture at x
+    (``consistent_map``).
 
     Both routes replace each monomial of phi by its expectation, in closed
     form for the behavioral map and over the atoms for the peeling map.
@@ -373,10 +385,9 @@ def extended_map_eval(phi, problem, x, delta="beta"):
     so it stays inside the polytope whenever phi itself maps pure strategies
     into it.
     """
-    if delta not in ("beta", "cara"):
-        raise ValueError(f"unknown consistent map {delta!r}")
-    comp = BehavioralDescriptor(problem, x) if delta == "beta" else caratheodory(problem, x)
-    return phi(comp)
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return phi(consistent_map(problem, x, delta))
 
 
 class RoundMixtures:
@@ -395,7 +406,7 @@ class RoundMixtures:
     """
 
     def __init__(self, rounds):
-        self._layout(np.array([len(comps) for comps in rounds]))
+        self._layout(np.array([len(comps) for comps in rounds], dtype=np.intp))
         self.components = [comp for comps in rounds for comp in comps]
 
     @classmethod
@@ -412,7 +423,10 @@ class RoundMixtures:
 
     def _layout(self, counts):
         """Keep ``counts`` and the layout ``_combine`` reads: each round's
-        first component, 1 / count and the largest count."""
+        first component, 1 / count and the largest count. A round of no
+        components has no mean and is refused."""
+        if counts.min(initial=1) < 1:
+            raise ValueError(f"round {int(counts.argmin()) + 1} of {len(counts)} has no components")
         self.counts, self._first = counts, counts.cumsum() - counts
         self._weight, self._most = (1.0 / counts)[:, None], counts.max(initial=1)
 

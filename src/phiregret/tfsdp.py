@@ -21,7 +21,6 @@ enumerate the pure strategies.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import numbers
@@ -219,12 +218,19 @@ class NodeRow:
 class DecisionProblem:
     """Immutable tree of decision/observation/terminal nodes, BFS indexed.
 
-    Nodes are re-indexed breadth-first from the root with children kept in
-    their appearance order; terminals get a dense index in the same order.
-    Consecutive decision points on a path are repaired by inserting a dummy
-    single-child observation point (recorded in ``transform_log``). An
+    Rows (``NodeRow`` or 4-tuples) have unique ids, each row's parent comes
+    before it, one row (the root) has none, terminals have no children,
+    decision points at least two and observation points at least one; the
+    checks run in row order, so a StructureError names the first bad row.
+    Consecutive decision points on a path are repaired first by inserting a
+    dummy single-child observation point (recorded in ``transform_log``). An
     observation point directly under another observation point is rejected:
     the dummy-insertion repair cannot fix that shape.
+
+    Nodes are re-indexed breadth-first from the root with children kept in
+    their appearance order; terminals get a dense index in the same order.
+    ``decision_edges[z]`` holds the (decision node, chosen child) edges on
+    terminal z's path, and ``depth`` is the longest.
     """
 
     def __init__(self, rows, name="problem"):
@@ -232,76 +238,73 @@ class DecisionProblem:
         self.name = name
         rows, self.transform_log = self._repair_alternation(rows)
 
-        by_id: dict[str, NodeRow] = {}
-        children_ids: dict[str, list[str]] = collections.defaultdict(list)
-        root_id = None
-        for row in rows:
+        row_of = {}  # node id -> row number
+        kids = [[] for _ in rows]  # each row's child rows, in row order
+        root = None
+        for i, row in enumerate(rows):
             if row.kind not in (DECISION, OBSERVATION, TERMINAL):
                 raise StructureError(f"node {row.node_id!r}: unknown kind {row.kind!r}")
-            if row.node_id in by_id:
+            if row.node_id in row_of:
                 raise StructureError(f"duplicate node id {row.node_id!r}")
             if row.parent is None:
-                if root_id is not None:
+                if root is not None:
                     raise StructureError(
-                        f"multiple roots: {root_id!r} and {row.node_id!r}"
+                        f"multiple roots: {rows[root].node_id!r} and {row.node_id!r}"
                     )
-                root_id = row.node_id
+                root = i
             else:
-                if row.parent not in by_id:
+                p = row_of.get(row.parent)
+                if p is None:
                     raise StructureError(
                         f"node {row.node_id!r}: parent {row.parent!r} not defined yet "
                         "(parents must precede children)"
                     )
-                if by_id[row.parent].kind == TERMINAL:
-                    raise StructureError(
-                        f"terminal {row.parent!r} has child {row.node_id!r}"
-                    )
-                children_ids[row.parent].append(row.node_id)
-            by_id[row.node_id] = row
-        if root_id is None:
+                if rows[p].kind == TERMINAL:
+                    raise StructureError(f"terminal {row.parent!r} has child {row.node_id!r}")
+                kids[p].append(i)
+            row_of[row.node_id] = i
+        if root is None:
             raise StructureError("no root node (exactly one node must have parent '-')")
 
-        for node_id, row in by_id.items():
-            kids = children_ids[node_id]
-            if row.kind == DECISION and len(kids) < 2:
+        for row, below in zip(rows, kids):
+            if row.kind == DECISION and len(below) < 2:
                 raise StructureError(
-                    f"decision point {node_id!r} has {len(kids)} children "
+                    f"decision point {row.node_id!r} has {len(below)} children "
                     "(needs at least 2)"
                 )
-            if row.kind == OBSERVATION and len(kids) < 1:
-                raise StructureError(f"observation point {node_id!r} has no children")
             if row.kind == OBSERVATION:
-                for kid in kids:
-                    if by_id[kid].kind == OBSERVATION:
+                if not below:
+                    raise StructureError(f"observation point {row.node_id!r} has no children")
+                for k in below:
+                    if rows[k].kind == OBSERVATION:
                         raise StructureError(
-                            f"observation point {kid!r} directly under observation "
-                            f"point {node_id!r}; points must alternate and this shape "
-                            "is not repairable by dummy observation insertion"
+                            f"observation point {rows[k].node_id!r} directly under "
+                            f"observation point {row.node_id!r}; points must alternate "
+                            "and this shape is not repairable by dummy observation insertion"
                         )
 
-        # BFS re-index.
-        order = []
-        depth = []
-        queue = collections.deque([(root_id, 0)])
-        while queue:
-            cur, d = queue.popleft()
-            order.append(cur)
-            depth.append(d)
-            queue.extend((c, d + 1) for c in children_ids[cur])
-        if len(order) != len(by_id):
-            raise StructureError("disconnected nodes present")
+        # Breadth-first re-index, reading ``order`` as it grows: node at's
+        # children are the next free indices. Every non-root row's parent
+        # precedes it and there is one root, so this reaches every row.
+        order, parent, depth, paths, self.children = [root], [-1], [0], [()], []
+        for at, r in enumerate(order):
+            below = kids[r]
+            order += below
+            self.children.append(tuple(range(len(order) - len(below), len(order))))
+            parent += [at] * len(below)
+            depth += [depth[at] + 1] * len(below)
+            # each node's path of decision edges (decision node, chosen child)
+            if rows[r].kind == DECISION:
+                paths += [paths[at] + ((at, c),) for c in self.children[at]]
+            else:
+                paths += [paths[at]] * len(below)
 
-        index = {node_id: i for i, node_id in enumerate(order)}
-        n = len(order)
-        self.n_nodes = n
+        self.n_nodes = n = len(order)
         self.root = 0
-        self.node_ids = order
-        self.kind = [by_id[i].kind for i in order]
-        self.parent = np.array(
-            [-1 if by_id[i].parent is None else index[by_id[i].parent] for i in order]
-        )
-        self.edge_label = [by_id[i].label for i in order]
-        self.children = [tuple(index[c] for c in children_ids[i]) for i in order]
+        self.node_ids = [rows[r].node_id for r in order]
+        self.kind = [rows[r].kind for r in order]
+        self.parent = np.array(parent)
+        self.edge_label = [rows[r].label for r in order]
         self.graph = Graph(*graph_arrays(self.kind, self.children), depth)
         self.graph.sum_pass = sum_pass(self.graph)
 
@@ -316,21 +319,8 @@ class DecisionProblem:
         self.terminal_bits.flags.writeable = False
         observed = ~self.graph.decision_edge
         self.observation_edges = np.stack([self.graph.dst[observed], self.graph.src[observed]])
-
-        # Decision edges (decision node, chosen child) on the path to each terminal.
-        parent = self.parent.tolist()
-        paths = []
-        for node in self.terminals.tolist():
-            edges = []
-            cur = node
-            while parent[cur] >= 0:
-                p = parent[cur]
-                if self.kind[p] == DECISION:
-                    edges.append((p, cur))
-                cur = p
-            paths.append(tuple(reversed(edges)))
-        self.decision_edges = paths
-        self.depth = max((len(p) for p in paths), default=0)
+        self.decision_edges = [paths[t] for t in self.terminals.tolist()]
+        self.depth = max(map(len, self.decision_edges), default=0)
 
         # The fixed point's start: the uniform point and its node values, read-only.
         self.start = self.uniform_point()
@@ -540,41 +530,32 @@ class DecisionProblem:
         rows = []
         log = []
 
-        def emit(node, parent_id, label):
-            node_id = self.node_ids[node]
-            kind = self.kind[node]
-            rows.append(NodeRow(node_id, kind, parent_id, label))
-            if kind == TERMINAL:
+        def emit(kids, parent_id, owner):
+            """Rows of the subtrees ``kids`` under ``parent_id`` (the root
+            keeps no label). More than two children of decision point
+            ``owner`` are split in halves, a half of two or more under a new
+            decision point, and the halves split again."""
+            if owner is not None and len(kids) > 2:
+                mid = (len(kids) + 1) // 2
+                for half, tag in ((kids[:mid], "lo"), (kids[mid:], "hi")):
+                    at = parent_id
+                    if len(half) > 1:
+                        at = f"{owner}&{tag}{len(half)}n{self.node_ids[half[0]]}"
+                        rows.append(NodeRow(at, DECISION, parent_id, tag))
+                    emit(half, at, owner)
                 return
-            kids = list(self.children[node])
-            if kind == DECISION and len(kids) > 2:
-                log.append(
-                    f"decision point {node_id!r} with {len(kids)} actions split "
-                    "into a balanced binary cascade"
-                )
-                emit_group(node_id, node_id, kids)
-            else:
-                for c in kids:
-                    emit(c, node_id, self.edge_label[c])
+            for c in kids:
+                node_id, kind, below = self.node_ids[c], self.kind[c], self.children[c]
+                label = None if parent_id is None else self.edge_label[c]
+                rows.append(NodeRow(node_id, kind, parent_id, label))
+                if kind == DECISION and len(below) > 2:
+                    log.append(
+                        f"decision point {node_id!r} with {len(below)} actions split "
+                        "into a balanced binary cascade"
+                    )
+                emit(below, node_id, node_id if kind == DECISION else None)
 
-        def emit_group(owner_id, parent_id, kids):
-            if len(kids) == 1:
-                emit(kids[0], parent_id, self.edge_label[kids[0]])
-                return
-            if len(kids) == 2:
-                for c in kids:
-                    emit(c, parent_id, self.edge_label[c])
-                return
-            mid = (len(kids) + 1) // 2
-            for half, tag in ((kids[:mid], "lo"), (kids[mid:], "hi")):
-                if len(half) == 1:
-                    emit(half[0], parent_id, self.edge_label[half[0]])
-                else:
-                    gid = f"{owner_id}&{tag}{len(half)}n{self.node_ids[half[0]]}"
-                    rows.append(NodeRow(gid, DECISION, parent_id, tag))
-                    emit_group(owner_id, gid, half)
-
-        emit(self.root, None, None)
+        emit((self.root,), None, None)
         problem = DecisionProblem(rows, name=self.name + "~bin")
         new_index = {node_id: i for i, node_id in enumerate(problem.node_ids)}
         term_map = np.array(

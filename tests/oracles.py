@@ -45,11 +45,14 @@ from phiregret.tfsdp import (
     DECISION,
     OBSERVATION,
     TERMINAL,
+    DecisionProblem,
     Graph,
+    NodeRow,
     back_up,
     flow_down,
     graph_arrays,
     hypercube_problem,
+    sum_pass,
 )
 
 
@@ -1266,6 +1269,183 @@ def graph_reference(code, ptr, dst, level):
                 (int(self.code[states[0]]), states, edges, self.dst[edges])
             )
     return self
+
+
+class ReferenceProblem(DecisionProblem):
+    """The library's former ``DecisionProblem`` constructor and ``binarize``,
+    kept verbatim: a dict of rows and a ``defaultdict`` of child ids, a
+    ``deque`` BFS and a parent walk per terminal, and ``binarize``'s
+    ``emit`` / ``emit_group`` pair, whose problem is a ``ReferenceProblem``.
+    Every other method is the library's."""
+
+    def __init__(self, rows, name="problem"):
+        rows = [NodeRow(*r) if not isinstance(r, NodeRow) else r for r in rows]
+        self.name = name
+        rows, self.transform_log = self._repair_alternation(rows)
+
+        by_id: dict[str, NodeRow] = {}
+        children_ids: dict[str, list[str]] = collections.defaultdict(list)
+        root_id = None
+        for row in rows:
+            if row.kind not in (DECISION, OBSERVATION, TERMINAL):
+                raise StructureError(f"node {row.node_id!r}: unknown kind {row.kind!r}")
+            if row.node_id in by_id:
+                raise StructureError(f"duplicate node id {row.node_id!r}")
+            if row.parent is None:
+                if root_id is not None:
+                    raise StructureError(
+                        f"multiple roots: {root_id!r} and {row.node_id!r}"
+                    )
+                root_id = row.node_id
+            else:
+                if row.parent not in by_id:
+                    raise StructureError(
+                        f"node {row.node_id!r}: parent {row.parent!r} not defined yet "
+                        "(parents must precede children)"
+                    )
+                if by_id[row.parent].kind == TERMINAL:
+                    raise StructureError(
+                        f"terminal {row.parent!r} has child {row.node_id!r}"
+                    )
+                children_ids[row.parent].append(row.node_id)
+            by_id[row.node_id] = row
+        if root_id is None:
+            raise StructureError("no root node (exactly one node must have parent '-')")
+
+        for node_id, row in by_id.items():
+            kids = children_ids[node_id]
+            if row.kind == DECISION and len(kids) < 2:
+                raise StructureError(
+                    f"decision point {node_id!r} has {len(kids)} children "
+                    "(needs at least 2)"
+                )
+            if row.kind == OBSERVATION and len(kids) < 1:
+                raise StructureError(f"observation point {node_id!r} has no children")
+            if row.kind == OBSERVATION:
+                for kid in kids:
+                    if by_id[kid].kind == OBSERVATION:
+                        raise StructureError(
+                            f"observation point {kid!r} directly under observation "
+                            f"point {node_id!r}; points must alternate and this shape "
+                            "is not repairable by dummy observation insertion"
+                        )
+
+        # BFS re-index.
+        order = []
+        depth = []
+        queue = collections.deque([(root_id, 0)])
+        while queue:
+            cur, d = queue.popleft()
+            order.append(cur)
+            depth.append(d)
+            queue.extend((c, d + 1) for c in children_ids[cur])
+        if len(order) != len(by_id):
+            raise StructureError("disconnected nodes present")
+
+        index = {node_id: i for i, node_id in enumerate(order)}
+        n = len(order)
+        self.n_nodes = n
+        self.root = 0
+        self.node_ids = order
+        self.kind = [by_id[i].kind for i in order]
+        self.parent = np.array(
+            [-1 if by_id[i].parent is None else index[by_id[i].parent] for i in order]
+        )
+        self.edge_label = [by_id[i].label for i in order]
+        self.children = [tuple(index[c] for c in children_ids[i]) for i in order]
+        self.graph = Graph(*graph_arrays(self.kind, self.children), depth)
+        self.graph.sum_pass = sum_pass(self.graph)
+
+        self.terminals = self.graph.terminals
+        self.n_terminals = len(self.terminals)
+        self.terminal_index = np.full(n, -1, dtype=int)
+        self.terminal_index[self.terminals] = np.arange(self.n_terminals)
+        # terminal z as a bit set: bit z % 64 of little-endian word z // 64
+        words = -(-self.n_terminals // 64)
+        eye = np.eye(self.n_terminals, 64 * words, dtype=bool)
+        self.terminal_bits = np.packbits(eye, axis=1, bitorder="little").view("<i8")
+        self.terminal_bits.flags.writeable = False
+        observed = ~self.graph.decision_edge
+        self.observation_edges = np.stack([self.graph.dst[observed], self.graph.src[observed]])
+
+        # Decision edges (decision node, chosen child) on the path to each terminal.
+        parent = self.parent.tolist()
+        paths = []
+        for node in self.terminals.tolist():
+            edges = []
+            cur = node
+            while parent[cur] >= 0:
+                p = parent[cur]
+                if self.kind[p] == DECISION:
+                    edges.append((p, cur))
+                cur = p
+            paths.append(tuple(reversed(edges)))
+        self.decision_edges = paths
+        self.depth = max((len(p) for p in paths), default=0)
+
+        # The fixed point's start: the uniform point and its node values, read-only.
+        self.start = self.uniform_point()
+        self.start_values = self.node_values(self.start)
+        self.require_membership(self.start, context="fixed-point init", vals=self.start_values)
+        self.start.flags.writeable = self.start_values.flags.writeable = False
+
+    def binarize(self):
+        """Split wide decision points into balanced cascades of binary ones.
+
+        Returns (problem, terminal_map, log) where terminal_map sends each old
+        dense terminal index to its new one. Terminals and pure strategies are
+        in exact bijection with the originals. The constructor's alternation
+        repair inserts the needed dummy observation points between cascade
+        levels.
+        """
+        rows = []
+        log = []
+
+        def emit(node, parent_id, label):
+            node_id = self.node_ids[node]
+            kind = self.kind[node]
+            rows.append(NodeRow(node_id, kind, parent_id, label))
+            if kind == TERMINAL:
+                return
+            kids = list(self.children[node])
+            if kind == DECISION and len(kids) > 2:
+                log.append(
+                    f"decision point {node_id!r} with {len(kids)} actions split "
+                    "into a balanced binary cascade"
+                )
+                emit_group(node_id, node_id, kids)
+            else:
+                for c in kids:
+                    emit(c, node_id, self.edge_label[c])
+
+        def emit_group(owner_id, parent_id, kids):
+            if len(kids) == 1:
+                emit(kids[0], parent_id, self.edge_label[kids[0]])
+                return
+            if len(kids) == 2:
+                for c in kids:
+                    emit(c, parent_id, self.edge_label[c])
+                return
+            mid = (len(kids) + 1) // 2
+            for half, tag in ((kids[:mid], "lo"), (kids[mid:], "hi")):
+                if len(half) == 1:
+                    emit(half[0], parent_id, self.edge_label[half[0]])
+                else:
+                    gid = f"{owner_id}&{tag}{len(half)}n{self.node_ids[half[0]]}"
+                    rows.append(NodeRow(gid, DECISION, parent_id, tag))
+                    emit_group(owner_id, gid, half)
+
+        emit(self.root, None, None)
+        problem = ReferenceProblem(rows, name=self.name + "~bin")
+        new_index = {node_id: i for i, node_id in enumerate(problem.node_ids)}
+        term_map = np.array(
+            [
+                int(problem.terminal_index[new_index[self.node_ids[t]]])
+                for t in self.terminals
+            ]
+        )
+        log.extend(problem.transform_log)
+        return problem, term_map, log
 
 
 # The library's former term-list deviation, kept verbatim (with its helpers

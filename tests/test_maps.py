@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from phiregret import (
     SupportMix,
     parse_problem,
 )
-from phiregret.maps import caratheodory, extended_map_eval
+from phiregret.maps import RoundMixtures, caratheodory, consistent_map, extended_map_eval
 
 
 def test_support_mix_mean_and_expectations():
@@ -177,3 +180,44 @@ def test_behavioral_support_is_distribution(seed):
     assert min(weights) > 0
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(mix.mean(), x, atol=1e-9)
+
+
+def test_extended_map_eval_goes_through_the_one_dispatch(two_stage):
+    """Each map's image is the former per-map branch's, bit for bit, and the
+    caller's point is neither changed nor frozen."""
+    from phiregret import random_low_degree_deviation
+
+    rng = np.random.default_rng(12)
+    phi = random_low_degree_deviation(two_stage, rng, degree=2)
+    for _ in range(10):
+        x = two_stage.random_point(rng)
+        before = x.copy()
+        for delta, comp in (("beta", BehavioralDescriptor(two_stage, x)),
+                            ("cara", caratheodory(two_stage, x))):
+            assert extended_map_eval(phi, two_stage, x, delta).tobytes() == phi(comp).tobytes()
+        assert x.flags.writeable and np.array_equal(x, before)
+    start = two_stage.start
+    assert np.array_equal(consistent_map(two_stage, start, "beta").vals, two_stage.start_values)
+    for call in (lambda: extended_map_eval(phi, two_stage, start, delta="nope"),
+                 lambda: consistent_map(two_stage, start, "nope")):
+        with pytest.raises(ValueError, match="^unknown consistent map 'nope'$"):
+            call()
+
+
+def test_round_mixtures_refuse_an_empty_round():
+    comp = SupportMix([(1.0, [1, 0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning first
+        for rounds, message in (([[]], "round 1 of 1 has no components"),
+                                ([[comp], [], []], "round 2 of 3 has no components")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                RoundMixtures(rounds)
+        one = np.array([[1.0, 0.0]])
+        with pytest.raises(ValueError, match="^round 2 of 2 has no components$"):
+            RoundMixtures.from_columns(np.ones(1), one, [1], [1, 0], one)
+
+
+def test_round_mixtures_of_no_rounds_have_no_rows():
+    rounds = RoundMixtures([])
+    assert rounds.counts.dtype == np.intp
+    assert rounds.mean().shape == (0, 0)
