@@ -286,8 +286,16 @@ def best_reduced_strategy(dag, weights):
     the lowest edge). Exact for any weights because the objective is linear
     over the flow polytope, whose vertices are the pure reduced strategies.
     """
-    value, policy = back_up(dag.graph, np.asarray(weights, dtype=float), "max")
+    value, policy = back_up(dag.graph, state_weights(dag, weights), "max")
     return float(value[dag.root]), forward_flow(dag, policy)
+
+
+def state_weights(dag, weights):
+    """``weights`` as floats, one per terminal state of the DAG, else ValueError."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n := dag.n_terminal_states,):
+        raise ValueError(f"weights of shape {weights.shape}; expected length {n}")
+    return weights
 
 
 def evaluate_deviation(dag, q, x):

@@ -11,12 +11,13 @@ learner over the deviation DAG then drives the full deviation regret down.
 ``PhiRegretRun`` measures both regrets of such a run exactly, from one
 hindsight best response per checkpoint.
 
-An iterate reuses what the problem and DAG build once: the tree pass's
-ones, the start point and its node values, a boolean membership test (a
-failure alone is worded) and the monomial paths with their flow buffer. Its
+An iterate reuses what the problem and DAG build once: the tree pass, the
+start point, its node values and monomial expectations (the first image
+reads them), a boolean membership test (a failure alone is worded) and the
+monomial paths with their flow buffer; a stalled pi reuses one layout. Its
 behavioral component keeps the iterate and node values uncopied.
 ``SharedCfr`` runs the learners of several minimizers as one, over their
-joined DAGs.
+joined DAGs, reading the decision edges it lists once in one gather.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def expected_fixed_point(problem, phi, cfg):
                 "the deviation is not valid on this problem"
             )
         if abs(nxt - x).max() <= STALL_TOL:
-            return FixedPointResult(iterates, RoundMixtures([[comp]]), nxt - x, cfg.L, True)
+            return FixedPointResult(iterates, RoundMixtures.single(comp), nxt - x, cfg.L, True)
         iterates.append(nxt)
         x = nxt
     error = (iterates[-1] - iterates[0]) / cfg.L

@@ -14,7 +14,7 @@ import numbers
 
 import numpy as np
 
-from .dags import best_reduced_strategy, forward_flow
+from .dags import best_reduced_strategy, forward_flow, state_weights
 from .tfsdp import CODE, DECISION, back_up
 
 
@@ -37,18 +37,21 @@ class CfrLearner:
     def __init__(self, dag):
         self.dag = dag
         self.regrets = np.zeros(dag.graph.n_edges)
+        blocks = [e for code, _, e, _ in dag.graph.blocks if code == CODE[DECISION]]
+        ends = np.cumsum([e.size for e in blocks], dtype=np.intp).tolist()
+        self._blocks = [(slice(end - e.size, end), e.shape) for e, end in zip(blocks, ends)]
+        self._edges = np.concatenate([e.ravel() for e in blocks] + [np.zeros(0, np.intp)])
+        self._degree = np.array([e.shape[1] for e in blocks for _ in e], dtype=np.intp)
         self._refresh()
 
     def policy(self):
-        """Per-edge shares: positive regrets normalized per decision state."""
-        g = self.dag.graph
-        share = g.uniform_share.copy()
-        for code, _, edges, _ in g.blocks:
-            if code == CODE[DECISION]:
-                r = self.regrets[edges]
-                total = r.sum(1)
-                positive = total > 0.0
-                share[edges[positive]] = r[positive] / total[positive, None]
+        """Per-edge shares: positive regrets normalized per decision state (one
+        gather, a ``sum(1)`` per block, one division), uniform at a 0 total."""
+        r = self.regrets[self._edges]
+        sums = [r[at].reshape(shape).sum(1) for at, shape in self._blocks]
+        total = np.concatenate(sums + [r[:0]]).repeat(self._degree)
+        share = self.dag.graph.uniform_share.copy()
+        share[self._edges] = np.divide(r, total, out=share[self._edges], where=total > 0.0)
         return share
 
     def _refresh(self):
@@ -61,7 +64,7 @@ class CfrLearner:
         return self.strategy
 
     def observe(self, weights):
-        weights = np.asarray(weights, dtype=float)
+        weights = state_weights(self.dag, weights)
         if not np.all(np.isfinite(weights)):
             raise ValueError("terminal weights must be finite")
         g = self.dag.graph
@@ -106,6 +109,9 @@ class Mwu:
 
     def observe(self, utilities):
         utilities = np.asarray(utilities, dtype=float)
+        if utilities.shape != self.log_weights.shape:
+            raise ValueError(f"utilities of shape {utilities.shape}; expected "
+                             f"{self.log_weights.shape}")
         if not np.isfinite(utilities).all():
             raise ValueError("arm utilities must be finite")
         self.log_weights = self.log_weights + self.eta * utilities
@@ -135,7 +141,7 @@ class RegretMeter:
         self.rounds = 0
 
     def record(self, weights, played_terminal_vector):
-        weights = np.asarray(weights, dtype=float)
+        weights = state_weights(self.dag, weights)
         self.weight_sum += weights
         self.realized += float(weights @ played_terminal_vector)
         self.rounds += 1

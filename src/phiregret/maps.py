@@ -84,7 +84,7 @@ class MonomialTable:
         ``edges`` (E, U) holds the decision edges (graph edge ids) monomial u
         requires, padded with -1, and ``conflict`` (U,) marks those requiring
         two edges out of one decision point. Compiled on the first call, with
-        the flow buffer ``monomial_expectation_beta`` writes, and kept."""
+        the flow buffer and start expectations ``monomial_expectation_beta`` reads."""
         if self._paths is None or self._paths[0] is not problem:
             g = problem.graph
             into = np.empty(g.n, dtype=np.intp)
@@ -98,6 +98,9 @@ class MonomialTable:
                 [len(set(g.src[e].tolist())) < len(e) for e in need], dtype=bool
             )
             self._paths = (problem, padded(need).T.copy(), conflict, np.empty(g.n_edges + 1))
+            start = monomial_expectation_beta(problem, problem.start_values.copy(), self)
+            start.flags.writeable = False
+            self._paths += (start,)
         return self._paths[1:3]
 
 
@@ -126,9 +129,11 @@ def monomial_expectation_beta(problem, vals, table):
     ``vals`` are the node values of x (``problem.node_values(x)``). Each
     expectation is the product of the conditional flows over the decision
     edges its monomial requires, an unreached decision point counting 1; it
-    is 0 on a conflict.
+    is 0 on a conflict. At ``problem.start_values`` they are read off the table.
     """
     edges, conflict = table.decision_paths(problem)
+    if vals is problem.start_values:
+        return table._paths[4]
     flow = _conditional_flow(problem.graph, vals, table._paths[3])
     out = flow[edges[0]] if len(edges) else np.ones(table.n)
     for row in edges[1:]:
@@ -410,6 +415,13 @@ class RoundMixtures:
         self.components = [comp for comps in rounds for comp in comps]
 
     @classmethod
+    def single(cls, comp):
+        """One round of the one component ``comp``, on a layout built once."""
+        pi = cls.__new__(cls)
+        pi.__dict__.update(_SINGLE, components=[comp])
+        return pi
+
+    @classmethod
     def from_columns(cls, weights, matrix, sizes, counts, means):
         """The rounds of a column profile's player: atom weights (N,) and
         0/1 rows (N, d) of all components in (round, component) order, each
@@ -468,3 +480,6 @@ class RoundMixtures:
 
     def __repr__(self):
         return f"RoundMixtures(rounds={len(self.counts)})"
+
+
+_SINGLE = vars(RoundMixtures([[None]]))  # the layout of one round of one component

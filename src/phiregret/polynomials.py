@@ -78,6 +78,7 @@ class PolynomialDeviation:
         self.coef = np.array([c for c, _, _ in flat], dtype=float)
         self.row = np.array([index.get(m, len(index)) for _, m, _ in flat], dtype=np.intp)
         self.out = np.array([z for _, _, z in flat], dtype=np.intp)
+        self._constant = any(not m for _, m, _ in flat)  # a term reads the trailing 1
 
     @classmethod
     def from_arrays(cls, n_inputs, n_outputs, table, coef, row, out):
@@ -86,6 +87,7 @@ class PolynomialDeviation:
         dev = cls.__new__(cls)
         dev.n_inputs, dev.n_outputs, dev.table = n_inputs, n_outputs, table
         dev.coef, dev.row, dev.out = coef, row, out
+        dev._constant = row.max(initial=-1) == table.n
         return dev
 
     @classmethod
@@ -111,15 +113,17 @@ class PolynomialDeviation:
 
     def _collect(self, values):
         """Sum coef * values[..., row] into each term's output, term by term in
-        order (row table.n reads a trailing 1), for every leading index of
-        ``values`` (..., table.n) in one bincount, each index's outputs offset
-        past the previous ones; one row, as every fixed-point iterate has,
-        needs no offsets."""
+        order (row table.n reads a trailing 1, padded on only when a constant
+        term reads it), for every leading index of ``values`` (..., table.n)
+        in one bincount, each index's outputs offset past the previous ones;
+        one row, as every fixed-point iterate has, needs no offsets."""
         lead, n = values.shape[:-1], self.n_outputs
-        padded = np.empty(lead + (self.table.n + 1,))
-        padded[..., :-1] = values
-        padded[..., -1] = 1.0
-        terms = padded.take(self.row, axis=-1)
+        if self._constant:
+            padded = np.empty(lead + (self.table.n + 1,))
+            padded[..., :-1] = values
+            padded[..., -1] = 1.0
+            values = padded
+        terms = values.take(self.row, axis=-1)
         terms *= self.coef
         if not lead:
             return np.bincount(self.out, terms, minlength=n)

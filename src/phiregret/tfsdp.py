@@ -176,24 +176,28 @@ def count_pure(graph):
 
 
 def sum_pass(graph):
-    """``tree_values``' blocks of a tree's graph: the ones of decision
-    states, the first children of the rest."""
+    """``tree_values``' blocks of a tree's graph: the first children of
+    observation states, the children of decision states and from 8 on ones."""
     return [
-        (states, children, np.ones(children.shape)) if code == CODE[DECISION]
-        else (states, children[:, 0].copy(), None)
+        (states, children, np.ones(children.shape) if children.shape[1] >= 8 else None)
+        if code == CODE[DECISION] else (states, children[:, 0].copy(), None)
         for code, states, _, children in graph.blocks
     ]
 
 
 def tree_values(graph, leaf):
     """Node values of a terminal vector on a tree's graph: decision states
-    sum their children, each one dot with a row of ones, observation states
-    copy their first child (``graph.sum_pass``, which ``DecisionProblem``
-    sets)."""
+    sum their children left to right (``.sum(1)`` does below 8 children but
+    adds 8 or more pairwise, so those take a dot with ones), observation
+    states copy their first child (``graph.sum_pass``, which
+    ``DecisionProblem`` sets)."""
     value = np.zeros(graph.n)
     value[graph.terminals] = leaf
     for states, children, ones in graph.sum_pass:
-        value[states] = value[children] if ones is None else row_dots(ones, value[children])
+        below = value[children]
+        if below.ndim > 1:  # decision states
+            below = below.sum(1) if ones is None else row_dots(ones, below)
+        value[states] = below
     return value
 
 
@@ -390,9 +394,9 @@ class DecisionProblem:
     def in_polytope(self, x, vals, tol=FLOW_TOL):
         """Whether the float x of n terminals, with node values ``vals``,
         satisfies the flow equations within tol; NaN fails every test."""
-        child, parent = vals[self.observation_edges]
+        ends = vals[self.observation_edges]  # each observation edge's child, then parent
         return bool(x.min() >= -tol and abs(vals[self.root] - 1.0) <= tol
-                    and np.max(abs(child - parent), initial=0.0) <= tol)
+                    and abs(ends[0] - ends[1]).max(initial=0.0) <= tol)
 
     def membership(self, x, tol=FLOW_TOL):
         return self.membership_violation(x, tol) is None

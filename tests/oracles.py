@@ -45,6 +45,7 @@ from phiregret.tfsdp import (
     DECISION,
     OBSERVATION,
     TERMINAL,
+    FLOW_TOL,
     DecisionProblem,
     Graph,
     NodeRow,
@@ -52,6 +53,7 @@ from phiregret.tfsdp import (
     flow_down,
     graph_arrays,
     hypercube_problem,
+    row_dots,
     sum_pass,
 )
 
@@ -1676,3 +1678,62 @@ def _collect(dag, q, mono_values):
     """Sum q[t] * mono_values[row(t)] into each terminal state t's output."""
     terms = np.asarray(q, dtype=float) * mono_values[dag.mono_row]
     return np.bincount(dag.terminal_out, terms, minlength=dag.base.n_terminals)
+
+
+def cfr_policy(learner):
+    """The library's former ``CfrLearner.policy``, kept verbatim: per decision
+    block, boolean masks pick the states of positive total regret."""
+    g = learner.dag.graph
+    share = g.uniform_share.copy()
+    for code, _, edges, _ in g.blocks:
+        if code == CODE[DECISION]:
+            r = learner.regrets[edges]
+            total = r.sum(1)
+            positive = total > 0.0
+            share[edges[positive]] = r[positive] / total[positive, None]
+    return share
+
+
+def in_polytope(problem, x, vals, tol=FLOW_TOL):
+    """The library's former ``DecisionProblem.in_polytope``, kept verbatim."""
+    child, parent = vals[problem.observation_edges]
+    return bool(x.min() >= -tol and abs(vals[problem.root] - 1.0) <= tol
+                and np.max(abs(child - parent), initial=0.0) <= tol)
+
+
+def sum_pass_ones(graph):
+    """The library's former ``tfsdp.sum_pass``, kept verbatim: the ones of
+    decision states, the first children of the rest."""
+    return [
+        (states, children, np.ones(children.shape)) if code == CODE[DECISION]
+        else (states, children[:, 0].copy(), None)
+        for code, states, _, children in graph.blocks
+    ]
+
+
+def tree_values(graph, leaf):
+    """The library's former ``tfsdp.tree_values``, kept verbatim but for
+    building its pass with ``sum_pass_ones``: every decision state is one
+    dot with a row of ones."""
+    value = np.zeros(graph.n)
+    value[graph.terminals] = leaf
+    for states, children, ones in sum_pass_ones(graph):
+        value[states] = value[children] if ones is None else row_dots(ones, value[children])
+    return value
+
+
+def collect_padded(dev, values):
+    """The library's former ``PolynomialDeviation._collect``, kept verbatim
+    (``self`` is ``dev``): every call copies the values into a padded array
+    whose trailing 1 the constant row reads."""
+    lead, n = values.shape[:-1], dev.n_outputs
+    padded = np.empty(lead + (dev.table.n + 1,))
+    padded[..., :-1] = values
+    padded[..., -1] = 1.0
+    terms = padded.take(dev.row, axis=-1)
+    terms *= dev.coef
+    if not lead:
+        return np.bincount(dev.out, terms, minlength=n)
+    k = math.prod(lead)
+    bins = (dev.out + n * np.arange(k)[:, None]).ravel()
+    return np.bincount(bins, terms.ravel(), minlength=k * n).reshape(lead + (n,))

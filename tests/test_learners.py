@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from phiregret import CfrLearner, Mwu, SwapLearner, build_dt_problem, hypercube_problem, interleave
+from phiregret.dags import best_reduced_strategy
 from phiregret.fixedpoint import SharedCfr
 from phiregret.learners import RegretMeter
 
@@ -46,6 +47,18 @@ def test_mwu_rejects_bad_input():
     m = Mwu(2, horizon=10)
     with pytest.raises(ValueError):
         m.observe(np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("rows,bad", [(None, np.ones(1)), (None, np.ones(4)),
+                                      (None, np.ones((1, 3))), (2, np.ones(3)),
+                                      (2, np.ones((1, 3))), (2, np.ones((3, 2)))])
+def test_mwu_rejects_utilities_of_another_shape(rows, bad):
+    m = Mwu(3, horizon=10, rows=rows)
+    before = m.log_weights.copy()
+    message = f"utilities of shape {bad.shape}; expected {m.log_weights.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        m.observe(bad)
+    assert m.log_weights.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("horizon", [0, -5, 2.5])
@@ -196,3 +209,20 @@ def test_a_learner_over_joined_dags_is_one_learner_per_dag():
             seat.observe(weights)
             learner.observe(weights)
     assert shared.waiting == [None, None]
+
+
+@pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(4), np.zeros(6), np.zeros((1, 5)),
+                                 np.zeros((5, 1)), np.float64(0.0)],
+                         ids=["one", "short", "long", "row", "column", "scalar"])
+def test_weights_of_another_length_are_rejected(two_stage, bad):
+    dag = interleave(two_stage, 0)
+    assert dag.n_terminal_states == 5
+    message = f"weights of shape {np.shape(bad)}; expected length 5"
+    learner, meter = CfrLearner(dag), RegretMeter(dag)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        learner.observe(bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        meter.record(bad, np.full(5, 0.2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        best_reduced_strategy(dag, bad)
+    assert not learner.regrets.any() and meter.rounds == 0 and not meter.weight_sum.any()
