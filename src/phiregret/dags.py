@@ -330,7 +330,7 @@ def deviation_polynomial(dag, q):
     """The deviation realized by terminal masses q, over the DAG's own
     monomial table: a term for each terminal state of nonzero mass, in state
     order and unmerged, so its sums add the terms as the DAG lists them."""
-    q = np.asarray(q, dtype=float)
+    q = state_weights(dag, q)
     keep = q != 0.0
     n = dag.base.n_terminals
     return PolynomialDeviation.from_arrays(

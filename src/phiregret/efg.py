@@ -2,10 +2,12 @@
 
 Payoffs are bilinear in the players' tree-form strategy vectors: player i
 receives x1^T U_i x2, so against a fixed opponent mixture the per-round
-feedback is the linear utility U_i applied to the opponent's mean. Each
-learning player runs the deviation-regret minimizer over its configured
-deviation DAG; the uniform average of the played mixtures is the profile,
-and its exact equilibrium gap equals the measured time-averaged regret.
+feedback is the linear utility U_i applied to the opponent's mean. Self-play
+drives one deviation-regret minimizer per learning seat, over that seat's
+deviation DAG, and the learning seats share one learner; a pinned seat
+plays one strategy. The uniform average of the played mixtures is the
+profile, and its exact equilibrium gap equals the measured time-averaged
+regret.
 """
 
 from __future__ import annotations
@@ -144,56 +146,19 @@ def _spec_depth(spec):
     return k
 
 
-class FixedAgent:
-    """A non-learning player pinned to one mixed strategy."""
-
-    def __init__(self, problem, strategy):
-        problem.require_membership(strategy, context="fixed agent strategy")
-        self.problem = problem
-        self.descriptor = BehavioralDescriptor(problem, strategy)
-        self.run = None
-
-    def next_components(self):
-        return [self.descriptor]
-
-    def observe_utility(self, u):
-        pass
-
-
-class LearningAgent:
-    """Wraps the deviation-regret minimizer for one seat at the table."""
-
-    def __init__(self, problem, dag, cfg, learner=None):
-        if dag.base.n_terminals != problem.n_terminals:
-            raise ValueError("deviation DAG does not match the player's problem")
-        self.problem = problem
-        self.minimizer = PhiRegretMinimizer(dag, cfg, learner)
-
-    @property
-    def run(self):
-        return self.minimizer.run
-
-    def next_components(self):
-        _, fp = self.minimizer.next_mixture()
-        return fp.pi.components
-
-    def observe_utility(self, u):
-        self.minimizer.observe_utility(u)
-
-
 @dataclass
 class SelfPlayResult:
     profile: CorrelatedProfile | None
-    agents: list
+    minimizers: list
     rounds: int
     elapsed: float
     checkpoints: dict = field(default_factory=dict)
 
     def run_for(self, player):
-        run = self.agents[player].run
-        if run is None:
+        minimizer = self.minimizers[player]
+        if minimizer is None:
             raise ValueError(f"player {player} did not learn")
-        return run
+        return minimizer.run
 
 
 def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
@@ -202,13 +167,16 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
 
     devs is a per-player configuration: a deviation spec string (see
     deviation_dag), a prebuilt DecisionDAG, or a strategy vector for a
-    fixed, non-learning opponent. Utilities are exchanged through the
+    fixed, non-learning seat. Utilities are exchanged through the
     bilinear payoffs against the opponent's current mean strategy.
 
-    A round runs each learning seat's expected fixed point, then charges
-    each seat its utility. Two learning seats share one CfrLearner over
-    their joined DAGs (``SharedCfr``): it plays as a learner per seat would
-    and updates once, after both seats' weights arrive.
+    A learning seat is a PhiRegretMinimizer (``minimizers[i]``; None for a
+    pinned seat, which plays its one strategy every round). A round takes
+    each learning seat's deviation q and expected fixed point fp from
+    ``next_mixture``, then charges each its utility. The learning seats,
+    one or two, share one CfrLearner over their joined DAGs
+    (``SharedCfr``): it plays as a learner per seat would and updates
+    once, after every seat's weights arrive.
     """
     if len(devs) != 2:
         raise ValueError("two deviation configurations required")
@@ -218,30 +186,36 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
         raise ValueError(f"rounds must be nonnegative, got {rounds}")
     cfg = FixedPointConfig(delta=delta) if L is None else FixedPointConfig(L=L, delta=delta)
     seats = [deviation_dag(p, d) if isinstance(d, str) else d for p, d in zip(game.problems, devs)]
-    pinned = [isinstance(seat, (np.ndarray, list)) for seat in seats]
-    learners = iter([None] if any(pinned) else SharedCfr(seats).seats)
-    agents = [FixedAgent(p, np.asarray(seat, dtype=float)) if pin
-              else LearningAgent(p, seat, cfg, next(learners))
-              for p, seat, pin in zip(game.problems, seats, pinned)]
+    pinned = [None] * 2  # a pinned seat's one-component round
+    for i, (p, seat) in enumerate(zip(game.problems, seats)):
+        if isinstance(seat, (np.ndarray, list)):
+            strategy = np.asarray(seat, dtype=float)
+            p.require_membership(strategy, context="fixed agent strategy")
+            pinned[i] = [BehavioralDescriptor(p, strategy)]
+        elif seat.base.n_terminals != p.n_terminals:
+            raise ValueError("deviation DAG does not match the player's problem")
+    dags = [seat for seat, pin in zip(seats, pinned) if pin is None]
+    learners = iter(SharedCfr(dags).seats if dags else ())
+    minimizers = [None if pin else PhiRegretMinimizer(seat, cfg, next(learners))
+                  for seat, pin in zip(seats, pinned)]
     profile = CorrelatedProfile(2, dims=[p.n_terminals for p in game.problems]) if record_profile else None
     checkpoints = set(checkpoints)
     marks = {}
     start = time.monotonic()
     for t in range(1, rounds + 1):
-        comps = [agent.next_components() for agent in agents]
+        steps = [None if m is None else m.next_mixture() for m in minimizers]  # each seat's (q, fp)
+        comps = [pin if step is None else step[1].pi.components for pin, step in zip(pinned, steps)]
         means = [uniform_means(np.array([c.mean() for c in cs]), [len(cs)])[0] for cs in comps]
-        for i, agent in enumerate(agents):
-            agent.observe_utility(game.utility_vector(i, means[1 - i]))
+        for i, m in enumerate(minimizers):
+            if m is not None:
+                m.observe_utility(game.utility_vector(i, means[1 - i]))
         if record_profile:
             profile.add_round(comps)
         if t in checkpoints or t == rounds:
-            marks[t] = [
-                agent.run.checkpoint() if agent.run is not None else None
-                for agent in agents
-            ]
+            marks[t] = [None if m is None else m.run.checkpoint() for m in minimizers]
     return SelfPlayResult(
         profile=profile,
-        agents=agents,
+        minimizers=minimizers,
         rounds=rounds,
         elapsed=time.monotonic() - start,
         checkpoints=marks,

@@ -535,10 +535,10 @@ class DecisionProblem:
         log = []
 
         def emit(kids, parent_id, owner):
-            """Rows of the subtrees ``kids`` under ``parent_id`` (the root
-            keeps no label). More than two children of decision point
-            ``owner`` are split in halves, a half of two or more under a new
-            decision point, and the halves split again."""
+            """Rows of the subtrees ``kids`` under ``parent_id``. More than
+            two children of decision point ``owner`` are split in halves, a
+            half of two or more under a new decision point, and the halves
+            split again."""
             if owner is not None and len(kids) > 2:
                 mid = (len(kids) + 1) // 2
                 for half, tag in ((kids[:mid], "lo"), (kids[mid:], "hi")):
@@ -550,8 +550,7 @@ class DecisionProblem:
                 return
             for c in kids:
                 node_id, kind, below = self.node_ids[c], self.kind[c], self.children[c]
-                label = None if parent_id is None else self.edge_label[c]
-                rows.append(NodeRow(node_id, kind, parent_id, label))
+                rows.append(NodeRow(node_id, kind, parent_id, self.edge_label[c]))
                 if kind == DECISION and len(below) > 2:
                     log.append(
                         f"decision point {node_id!r} with {len(below)} actions split "

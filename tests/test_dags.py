@@ -19,6 +19,7 @@ from phiregret import (
 )
 from phiregret.dags import (
     ReducedStrategy,
+    deviation_image,
     deviation_polynomial,
     eval_dt_deviation,
     evaluate_deviation,
@@ -225,6 +226,21 @@ def test_terminal_weights_need_a_utility_row_per_round(hypercube2):
         with pytest.raises(ValueError, match=r"; expected \(1, 4\)"):
             terminal_weights(dag, u, pi)
     assert terminal_weights(dag, np.zeros((1, 4)), pi).shape == (1, dag.n_terminal_states)
+
+
+@pytest.mark.parametrize("length", [1, 3, 17])
+@pytest.mark.parametrize("entry", [
+    lambda dag, q, x: deviation_polynomial(dag, q),
+    lambda dag, q, x: evaluate_deviation(dag, q, x),
+    lambda dag, q, x: deviation_image(dag, q, BehavioralDescriptor(dag.base, x)),
+], ids=["deviation_polynomial", "evaluate_deviation", "deviation_image"])
+def test_a_deviation_needs_a_mass_per_terminal_state(hypercube2, entry, length):
+    dag = interleave(hypercube2, 1)
+    assert dag.n_terminal_states == 16
+    x = hypercube2.uniform_point()
+    with pytest.raises(ValueError, match=rf"^weights of shape \({length},\); expected length 16$"):
+        entry(dag, np.full(length, 0.25), x)
+    entry(dag, np.full(16, 0.25), x)
 
 
 def test_state_caps_raise():

@@ -9,7 +9,9 @@ import pytest
 
 import oracles
 from phiregret import (
+    BehavioralDescriptor,
     CapacityError,
+    CorrelatedProfile,
     EFGame,
     FixedPointConfig,
     MembershipError,
@@ -291,6 +293,54 @@ def test_fixed_opponent_does_not_learn():
         np.testing.assert_allclose(res.profile.round_mean(t, 1), pinned)
 
 
+def cube3_game():
+    cube = hypercube_problem(3)
+    rng = np.random.default_rng(31)
+    return EFGame([cube, cube], rng.uniform(-1, 1, size=(2, 6, 6)), name="cube3", normalize=True)
+
+
+@pytest.mark.parametrize("spec", ["med:1", "dt:2"])
+@pytest.mark.parametrize("seat", [0, 1])
+def test_a_seat_against_a_pinned_one_plays_as_a_learner_of_its_own(seat, spec):
+    game = cube3_game()
+    problem = game.problems[seat]
+    strategy = game.problems[1 - seat].random_point(np.random.default_rng(32))
+    devs = [spec, spec]
+    devs[1 - seat] = strategy
+    res = efg_self_play(game, devs, rounds=30, L=15, checkpoints=(10, 25))
+    assert res.minimizers[1 - seat] is None
+    alone = PhiRegretMinimizer(deviation_dag(problem, spec), FixedPointConfig(L=15))
+    pinned = [BehavioralDescriptor(game.problems[1 - seat], strategy)]
+    profile = CorrelatedProfile(2, dims=[6, 6])
+    for t in range(1, 31):
+        comps = [None, None]
+        comps[seat], comps[1 - seat] = alone.next_mixture()[1].pi.components, pinned
+        alone.observe_utility(game.utility_vector(seat, uniform_mean(pinned)))
+        profile.add_round(comps)
+        if t in (10, 25, 30):
+            alone.run.checkpoint()
+    got, want = res.run_for(seat), alone.run
+    assert got.weight_sum.tobytes() == want.weight_sum.tobytes()
+    assert got.records == want.records
+    assert (got.realized, got.baseline) == (want.realized, want.baseline)
+    assert res.profile.export_csv() == profile.export_csv()
+
+
+def test_two_pinned_seats_play_without_a_learner():
+    game = cube3_game()
+    rng = np.random.default_rng(33)
+    strategies = [p.random_point(rng) for p in game.problems]
+    res = efg_self_play(game, strategies, rounds=5, L=5, checkpoints=(2,))
+    assert res.minimizers == [None, None]
+    assert res.checkpoints == {2: [None, None], 5: [None, None]}
+    for t in range(5):
+        for i in (0, 1):
+            assert np.array_equal(res.profile.round_mean(t, i), strategies[i])
+    for i in (0, 1):
+        with pytest.raises(ValueError, match=f"player {i} did not learn"):
+            res.run_for(i)
+
+
 def test_audit_reproduces_measured_regret():
     """The profile's exact equilibrium gap is the regret the run tracked."""
     game = small_game()
@@ -458,7 +508,7 @@ def test_self_play_shares_one_learner_and_plays_as_separate_learners():
     game = small_game()
     dags = [deviation_dag(game.problems[0], "med:1"), deviation_dag(game.problems[1], "dt:2")]
     res = efg_self_play(game, dags, rounds=40, L=20, checkpoints=(10, 25))
-    seats = [agent.minimizer.learner for agent in res.agents]
+    seats = [m.learner for m in res.minimizers]
     assert seats[0].learner is seats[1].learner
     alone = [PhiRegretMinimizer(dag, FixedPointConfig(L=20)) for dag in dags]
     for t in range(1, 41):
@@ -469,8 +519,8 @@ def test_self_play_shares_one_learner_and_plays_as_separate_learners():
         if t in (10, 25, 40):
             for m in alone:
                 m.run.checkpoint()
-    for agent, m in zip(res.agents, alone):
-        got, want = agent.run, m.run
+    for seat, m in zip(res.minimizers, alone):
+        got, want = seat.run, m.run
         assert got.weight_sum.tobytes() == want.weight_sum.tobytes()
         assert got.records == want.records
         assert (got.realized, got.baseline) == (want.realized, want.baseline)
@@ -482,7 +532,7 @@ def test_a_shared_learner_is_freed_with_its_run():
     gc.disable()
     try:
         res = efg_self_play(small_game(), ["med:1", "dt:1"], rounds=3, L=5)
-        learner = weakref.ref(res.agents[0].minimizer.learner.learner)
+        learner = weakref.ref(res.minimizers[0].learner.learner)
         del res
         assert learner() is None
     finally:

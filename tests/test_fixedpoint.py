@@ -377,8 +377,7 @@ def test_a_bad_utility_is_rejected_before_anything_changes(bad):
 def test_a_bad_utility_leaves_no_weights_for_the_joint_update(seat, bad):
     cube = hypercube_problem(2)
     game = EFGame.zero_sum(cube, cube, np.eye(4) * 0.5)
-    agents = efg_self_play(game, ["med:1", "dt:1"], rounds=3, L=10).agents
-    minimizers = [agent.minimizer for agent in agents]
+    minimizers = efg_self_play(game, ["med:1", "dt:1"], rounds=3, L=10).minimizers
     seats = [m.learner for m in minimizers]
     assert seats[0].learner is seats[1].learner and seats[0].waiting is seats[1].waiting
     for m in minimizers:

@@ -127,11 +127,22 @@ WIDE = [(name, orders) for name, orders in CORPUS if not name.startswith(("cube"
 @pytest.mark.parametrize("name,orders", WIDE, ids=[name for name, _ in WIDE])
 def test_binarize_matches_the_reference(name, orders):
     for rows in orders.values():
-        got, got_map, got_log = DecisionProblem(rows, name).binarize()
+        source = DecisionProblem(rows, name)
+        got, got_map, got_log = source.binarize()
         want, want_map, want_log = oracles.ReferenceProblem(rows, name).binarize()
-        assert got.dump() == want.dump()
+        # the reference drops the root's label, which binarize keeps
+        head, root, *rest = want.dump().splitlines()
+        root = f"{root.rsplit(' ', 1)[0]} {source.edge_label[source.root] or '-'}"
+        assert got.dump() == "\n".join([head, root, *rest])
         assert same(got_map, want_map)
         assert got_log == want_log
+
+
+def test_binarize_keeps_the_root_label():
+    problem, _, _ = parse_problem("tfsdp t\nr D - top\na T r x\nb T r y").binarize()
+    text = problem.dump()
+    assert text.splitlines()[1] == "r D - top"
+    assert parse_problem(text).dump() == text
 
 
 def test_the_corpus_reaches_every_branch():
