@@ -190,7 +190,7 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     for i, (p, seat) in enumerate(zip(game.problems, seats)):
         if isinstance(seat, (np.ndarray, list)):
             strategy = np.asarray(seat, dtype=float)
-            p.require_membership(strategy, context="fixed agent strategy")
+            p.require_membership(strategy, context="pinned seat strategy")
             pinned[i] = [BehavioralDescriptor(p, strategy)]
         elif seat.base.n_terminals != p.n_terminals:
             raise ValueError("deviation DAG does not match the player's problem")

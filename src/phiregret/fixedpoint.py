@@ -33,6 +33,7 @@ from .dags import (
 from .errors import InvalidDeviationError
 from .learners import CfrLearner, RegretMeter
 from .maps import RoundMixtures, consistent_map
+from .polynomials import PolynomialDeviation
 from .tfsdp import tree_values
 
 STALL_TOL = 1e-12
@@ -77,7 +78,7 @@ def expected_fixed_point(problem, phi, cfg):
     If an iterate reproduces itself (an exact fixed point of the extended
     map), pi collapses to that single component and the displacement is the
     residual at the fixed point — at most the stall tolerance, well under
-    the 2/L guarantee.
+    the 2/L guarantee, and holds a PolynomialDeviation's last expectations.
     """
     shape = (problem.n_terminals,)
     if cfg.init is None:
@@ -92,7 +93,8 @@ def expected_fixed_point(problem, phi, cfg):
         x.flags.writeable = False  # the component keeps the iterate, uncopied
         comp = consistent_map(problem, x, cfg.delta, vals)
         components.append(comp)
-        nxt = np.asarray(phi(comp), dtype=float)
+        nxt, known = phi.image(comp) if isinstance(phi, PolynomialDeviation) else (phi(comp), None)
+        nxt = np.asarray(nxt, dtype=float)
         vals = tree_values(problem.graph, nxt) if nxt.shape == shape else None
         if vals is None or not problem.in_polytope(nxt, vals):
             raise InvalidDeviationError(
@@ -101,7 +103,7 @@ def expected_fixed_point(problem, phi, cfg):
                 "the deviation is not valid on this problem"
             )
         if abs(nxt - x).max() <= STALL_TOL:
-            return FixedPointResult(iterates, RoundMixtures.single(comp), nxt - x, cfg.L, True)
+            return FixedPointResult(iterates, RoundMixtures.single(comp, known), nxt - x, cfg.L, True)
         iterates.append(nxt)
         x = nxt
     error = (iterates[-1] - iterates[0]) / cfg.L

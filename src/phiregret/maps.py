@@ -146,26 +146,24 @@ class SupportMix:
     """Finite mixture of pure strategies, stored as arrays.
 
     ``weights`` (n,) holds the atom probabilities and ``matrix`` (n, d) the
-    atoms' 0/1 vectors, one row per atom. A mean or a table of monomial
-    expectations is one gather and one reduction over the rows; the
-    reductions run over the atoms in row order, so they round exactly as a
+    atoms' 0/1 vectors as uint8, one row per atom; a uint8 matrix is kept as
+    it is, any other is cast, and an entry of it other than 0 or 1 raises
+    ValueError. A mean or a table of monomial expectations is one gather and
+    one float reduction over the rows in row order, so it rounds exactly as a
     left-to-right sum of weighted atoms would. ``SupportMix(atoms)`` takes
-    (weight, vector) pairs; ``from_arrays`` takes the two arrays as they are.
+    (weight, vector) pairs; ``from_arrays`` the two arrays.
     Leading axes, weights (..., n) and matrix (..., n, d), make a stack of
     mixtures of n atoms each, whose means and expectations are stacked too.
     """
 
     def __init__(self, atoms):
         atoms = list(atoms)
-        self._set(
-            np.array([w for w, _ in atoms], dtype=float),
-            np.array([y for _, y in atoms], dtype=float),
-        )
+        self._set(np.array([w for w, _ in atoms], dtype=float), [y for _, y in atoms])
 
     @classmethod
     def from_arrays(cls, weights, matrix):
         mix = cls.__new__(cls)
-        mix._set(np.asarray(weights, dtype=float), np.asarray(matrix, dtype=float))
+        mix._set(np.asarray(weights, dtype=float), matrix)
         return mix
 
     @classmethod
@@ -174,7 +172,7 @@ class SupportMix:
         weight array and one atom matrix, with every mean filled in from
         ``means`` (C, d) or else from ``segment_means``."""
         whole = cls.__new__(cls)
-        whole._set(np.asarray(weights, dtype=float), np.asarray(matrix, dtype=float))
+        whole._set(np.asarray(weights, dtype=float), matrix)
         sizes = np.asarray(sizes, dtype=np.intp)
         if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != whole.n_atoms:
             raise ValueError(
@@ -191,13 +189,16 @@ class SupportMix:
         return out
 
     def _set(self, weights, matrix):
+        matrix = np.asarray(matrix)
         if matrix.ndim < 2 or weights.shape != matrix.shape[:-1]:
             raise ValueError(
                 f"need (..., n) weights and (..., n, d) atoms, got {weights.shape} and "
                 f"{matrix.shape}"
             )
+        if matrix.dtype != np.uint8 and not ((matrix == 0) | (matrix == 1)).all():
+            raise ValueError("atom rows must hold only 0s and 1s")
         self.weights = weights
-        self.matrix = matrix
+        self.matrix = matrix.astype(np.uint8, copy=False)
         self._mean = None
 
     @property
@@ -237,8 +238,7 @@ def segment_means(weights, matrix, sizes):
     for n in sorted(set(sizes.tolist())):
         pick = (sizes == n).nonzero()[0]
         rows = starts[pick, None] + np.arange(n)
-        terms = matrix[rows]
-        terms *= weights[rows, None]
+        terms = weights[rows, None] * matrix[rows]
         means[pick] = terms.cumsum(axis=1, out=terms)[:, -1]
     means.flags.writeable = False
     return means
@@ -413,12 +413,14 @@ class RoundMixtures:
     def __init__(self, rounds):
         self._layout(np.array([len(comps) for comps in rounds], dtype=np.intp))
         self.components = [comp for comps in rounds for comp in comps]
+        self._known = None
 
     @classmethod
-    def single(cls, comp):
-        """One round of the one component ``comp``, on a layout built once."""
+    def single(cls, comp, known=None):
+        """One round of the one component ``comp``, on a layout built once;
+        ``known``, if given, is a table and comp's expectations of it."""
         pi = cls.__new__(cls)
-        pi.__dict__.update(_SINGLE, components=[comp])
+        pi.__dict__.update(_SINGLE, components=[comp], _known=known)
         return pi
 
     @classmethod
@@ -429,7 +431,7 @@ class RoundMixtures:
         ``counts`` and each component's mean ``means`` (C, d)."""
         rounds = cls.__new__(cls)
         rounds._layout(np.asarray(counts))
-        rounds.components = None
+        rounds.components = rounds._known = None
         rounds._columns = (weights, matrix, np.asarray(sizes), means)
         return rounds
 
@@ -458,6 +460,8 @@ class RoundMixtures:
         return self._combine(np.array([comp.mean() for comp in self.components]))
 
     def monomial_expectation(self, table):
+        if self._known is not None and self._known[0] is table:
+            return self._combine(self._known[1][None])
         if self.components is not None:
             return self._combine(np.array([comp.monomial_expectation(table)
                                            for comp in self.components]))

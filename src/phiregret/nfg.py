@@ -436,7 +436,7 @@ def run_ce(game, eps, c=8.0, horizon=None, L=None, record_profile=True,
             for k, i in enumerate(players):
                 p = log[:, k]
                 positive = p > 0
-                atoms = np.eye(game.action_counts[i])[positive.nonzero()[1]]
+                atoms = np.eye(game.action_counts[i], dtype=np.uint8)[positive.nonzero()[1]]
                 columns[i] = (p[positive], atoms, positive.sum(1), np.arange(horizon))
         profile = CorrelatedProfile.from_columns(game.action_counts, columns, horizon)
         if audit:

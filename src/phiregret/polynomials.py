@@ -132,7 +132,12 @@ class PolynomialDeviation:
         return np.bincount(bins, terms.ravel(), minlength=k * n).reshape(lead + (n,))
 
     def __call__(self, mixture):
-        return self._collect(mixture.monomial_expectation(self.table))
+        return self.image(mixture)[0]
+
+    def image(self, mixture):
+        """``self(mixture)``, and the (table, expectations) pair it is read from."""
+        values = mixture.monomial_expectation(self.table)
+        return self._collect(values), (self.table, values)
 
     def eval_batch(self, points):
         return self._collect(self.table.at(points))

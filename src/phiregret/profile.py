@@ -4,7 +4,7 @@ product distributions, with bit-exact CSV round-tripping.
 The sampling semantics are: draw a round uniformly; then each player
 independently draws one of its components uniformly and an atom from it.
 Components are either explicit mixtures (SupportMix: a weight array and a
-matrix of 0/1 atom rows) or implicit behavioral descriptors.
+matrix of 0/1 atom rows, uint8) or implicit behavioral descriptors.
 
 A profile keeps them in one of two forms. ``CorrelatedProfile.from_columns``,
 which ``from_csv`` and ``nfg.run_ce`` both use, keeps each player's four
@@ -20,7 +20,7 @@ Export gathers every component's rows into columns, behavioral
 descriptors through their explicit supports, a block of them at a time in
 one support walk, and writes them ROW_BLOCK rows at a time as an array of
 code units: the index digits, commas and bits by array arithmetic, the
-alphas by one "%.17g" pass. Import reads export's text as code units,
+alphas by one "%.17g" pass. Import reads export's text a block at a time,
 decoding the indices from their digits and only the alphas by ``float()``;
 it declines any other text, which is read one row at a time.
 """
@@ -36,6 +36,7 @@ from .maps import RoundMixtures, SupportMix, joint_support, segment_means, suppo
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 ROW_BLOCK = 1024  # CSV rows parsed or written at a time; bounds the transient arrays
+SCAN_BYTES = 1 << 16  # code units an import scans for newlines at a time
 POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1, 10, ..., 10**18
 BLANK = 32  # the code unit export pads its fixed-width rows with
 
@@ -152,63 +153,63 @@ class CorrelatedProfile:
 
         Indices are 1-based; alpha values carry 17 significant digits so the
         import reproduces them bit for bit. Each player's rows are gathered
-        into columns (``columns``, else ``_gather``) with the bits as '0'/'1'
-        codes, and a stable sort by round puts the rows in (t, player, ell, j)
-        order. Each block of ROW_BLOCK rows is written as code units
-        (``_write_block``); only the alphas are formatted, by one "%.17g"
-        pass a block.
-        """
+        into columns (``columns``, else ``_gather``), the bits as '0'/'1' codes
+        (``matrix + 48``), and a stable sort by round puts the rows in
+        (t, player, ell, j) order. Each block of ROW_BLOCK rows is written as
+        code units (``_write_block``), its indices read off each row's round
+        and component, only its alphas by one "%.17g" pass; the arrays are
+        freed before the blocks are joined."""
         if not (self.rounds and self.n_players):
             return HEADER + "\n"
-        cols = ([self._gather(i) for i in range(self.n_players)] if self.columns is None
-                else [(w, np.rint(m).astype(np.uint8) + 48, s, r) for w, m, s, r in self.columns])
+        cols = self.columns or [self._gather(i) for i in range(self.n_players)]
         n = sum(len(c[0]) for c in cols)
-        keys = np.empty((4, n), np.int64)  # t, player, ell, j
+        t = np.empty(n, np.int64)  # each row's round, from 1
         alpha = np.empty(n)
         bits = np.full((n, 1 + max(c[1].shape[1] for c in cols)), BLANK, np.uint8)
-        at = 0
-        for i, (weights, codes, sizes, comp_rounds) in enumerate(cols):
-            rows = slice(at, at + len(weights))
-            starts = sizes.cumsum() - sizes
-            ell = np.arange(len(sizes)) - np.searchsorted(comp_rounds, comp_rounds) + 1
-            keys[0, rows] = np.repeat(comp_rounds + 1, sizes)
-            keys[1, rows] = i + 1
-            keys[2, rows] = np.repeat(ell, sizes)
-            keys[3, rows] = np.arange(len(weights)) - np.repeat(starts, sizes) + 1
+        firsts, comp_start, ell = [0], [], []  # players' and components' first rows; ells
+        for weights, matrix, sizes, comp_rounds in cols:
+            rows = slice(firsts[-1], firsts[-1] + len(weights))
+            t[rows] = np.repeat(comp_rounds + 1, sizes)
             alpha[rows] = weights
-            bits[rows, :codes.shape[1]] = codes
-            bits[rows, codes.shape[1]] = 10  # the newline
-            at += len(weights)
+            np.add(matrix, 48, out=bits[rows, :matrix.shape[1]], casting="unsafe")
+            bits[rows, matrix.shape[1]] = 10  # the newline
+            comp_start.append(sizes.cumsum() - sizes + rows.start)
+            ell.append(np.arange(len(sizes)) - np.searchsorted(comp_rounds, comp_rounds) + 1)
+            firsts.append(rows.stop)
         del cols
-        order = np.argsort(keys[0], kind="stable")
+        comp_start, ell = np.concatenate(comp_start), np.concatenate(ell)
+        order = np.argsort(t, kind="stable")
         out = [HEADER + "\n"]
         for k in range(0, n, ROW_BLOCK):
             rows = order[k:k + ROW_BLOCK]
-            out.append(_write_block(keys[:, rows], alpha[rows], bits[rows]))
+            comp = np.searchsorted(comp_start, rows, "right") - 1
+            keys = np.stack([t[rows], np.searchsorted(firsts, rows, "right"), ell[comp],
+                             rows - comp_start[comp] + 1])
+            out.append(_write_block(keys, alpha[rows], bits[rows]))
+        del t, alpha, bits, order, keys  # only the text blocks live through the join
         return "".join(out)
 
     def _gather(self, player):
-        """The player's columns, its 0/1 atom rows as '0'/'1' codes, gathered
-        from the components of a profile built by ``add_round``; a
-        descriptor's atoms are those of its behavioral support. The count
-        pass (``support_sizes``) sizes every support first; supports are then
-        made a block of rounds at a time, at least ROW_BLOCK atoms, each
-        block's in one ``joint_support`` call, and coded before the next
-        block is made."""
+        """The player's columns, its atom rows uint8, gathered from the
+        components of a profile built by ``add_round``; a descriptor's atoms
+        are those of its behavioral support. The count pass
+        (``support_sizes``) sizes every support first; supports are then made
+        a block of rounds at a time, at least ROW_BLOCK atoms, each block's in
+        one ``joint_support`` call."""
         lists = self._lists[player]
         comps = [comp for comps in lists for comp in comps]
         sizes = support_sizes(comps)
         atoms = [0] + sizes.cumsum().tolist()  # atoms[k]: the first k components' atoms
-        weights, codes, lo, hi = [], [], 0, 0
+        weights, matrices, lo, hi = [], [], 0, 0
         for t, round_comps in enumerate(lists, start=1):
             hi += len(round_comps)
             if atoms[hi] - atoms[lo] >= ROW_BLOCK or t == len(lists):
                 mix = joint_support(comps[lo:hi])
                 weights.append(mix.weights)
-                codes.append(np.rint(mix.matrix, out=mix.matrix).astype(np.uint8) + 48)
+                matrices.append(mix.matrix)
                 lo = hi
         comp_rounds = np.repeat(np.arange(self.rounds), [len(c) for c in lists])
-        return np.concatenate(weights), np.concatenate(codes), sizes, comp_rounds
+        return np.concatenate(weights), np.concatenate(matrices), sizes, comp_rounds
 
     @classmethod
     def from_csv(cls, text):
@@ -240,7 +241,7 @@ class CorrelatedProfile:
         (round, component) order, each component's atom count (positive,
         summing to N) and each component's 0-based round (nondecreasing,
         every round present). The columns are kept as they are; only those
-        shapes and counts are checked."""
+        shapes and counts, and the 0/1 entries, are checked."""
         columns = [tuple(map(np.asarray, cols)) for cols in columns]
         if len(columns) != len(dims):
             raise ValueError(f"need {len(dims)} column sets, got {len(columns)}")
@@ -250,10 +251,11 @@ class CorrelatedProfile:
                     and sizes.shape == comp_rounds.shape == (len(comp_rounds),)
                     and (sizes >= 1).all() and sizes.sum() == len(weights)
                     and (np.diff(comp_rounds) >= 0).all() and first[0] == 0
-                    and (np.diff(first) >= 1).all() and first[-1] == len(comp_rounds)):
+                    and (np.diff(first) >= 1).all() and first[-1] == len(comp_rounds)
+                    and ((matrix == 0) | (matrix == 1)).all()):
                 raise ValueError(
                     f"player {p + 1}: the columns are not {rounds} rounds of "
-                    f"components of strategy length {d}"
+                    f"0/1 components of strategy length {d}"
                 )
         profile = cls(len(dims), dims=dims)
         profile.columns = columns
@@ -368,7 +370,7 @@ def _read_rows(text):
                          "(a component's atoms count 1, 2, ... in file order)")
     dims = [dims[player] for player in gathered]
     columns = [(np.array(alphas, dtype=float),
-                np.frombuffer("".join(bits).encode(), np.uint8).reshape(-1, d) - 48.0,
+                np.frombuffer("".join(bits).encode(), np.uint8).reshape(-1, d) - 48,
                 np.array(sizes), np.array(rounds))
                for d, (alphas, bits, sizes, rounds) in zip(dims, gathered.values())]
     return dims, columns, n_rounds
@@ -389,28 +391,36 @@ def _read_columns(text):
         return None
     if "\r" in text:  # a test for CR scans an LF text ten times faster than replace
         text = text.replace("\r\n", "\n")
-    chars = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(chars == 10)
-    if np.count_nonzero(chars <= 32) != len(ends) or (np.diff(ends) == 1).any():
+    ends = np.concatenate([np.empty(0, np.intp)] + [  # the newlines, a chunk at a time
+        np.flatnonzero(np.frombuffer(text[k:k + SCAN_BYTES].encode("ascii"), np.uint8) == 10) + k
+        for k in range(0, len(text), SCAN_BYTES)])
+    if (np.diff(ends) == 1).any():
         return None
-    if not len(ends) or ends[-1] != len(chars) - 1:
-        ends = np.append(ends, len(chars))
+    if not len(ends) or ends[-1] != len(text) - 1:
+        ends = np.append(ends, len(text))
     if text[:ends[0]] != HEADER:
         return None
-    blocks = []
-    for k in range(1, len(ends), ROW_BLOCK):
-        blocks.append(_read_block(text, chars, ends[k - 1:k + ROW_BLOCK]))
-        if blocks[-1] is None:
-            return None
-    del chars, ends
-    if not blocks:
+    n = len(ends) - 1
+    if not n:
         return [], [], 0
-    t, player, ell, j, alpha, lens, chars = map(np.concatenate, zip(*blocks))
-    del blocks
-    first_byte = np.cumsum(lens) - lens
+    t, player, ell, j, lens = (np.empty(n, np.int64) for _ in range(5))
+    alpha, bits = np.empty(n), []
+    for k in range(0, n, ROW_BLOCK):
+        block = _read_block(text, ends[k:k + ROW_BLOCK + 1])
+        if block is None:
+            return None
+        rows = slice(k, k + ROW_BLOCK)
+        t[rows], player[rows], ell[rows], j[rows], alpha[rows], lens[rows] = block[:6]
+        bits.append(block[6])
+    del ends, block
+    bits = np.concatenate(bits)
+    cols = [t, player, ell, j, alpha, lens, np.cumsum(lens) - lens]  # the last: first bit
     order = np.lexsort((ell, t, player))
-    t, player, ell, j, alpha, lens, first_byte = (
-        col[order] for col in (t, player, ell, j, alpha, lens, first_byte))
+    del t, player, ell, j, alpha, lens
+    for c, col in enumerate(cols):  # one column at a time
+        cols[c] = col[order]
+    t, player, ell, j, alpha, lens, first_bit = cols
+    del cols, col, order
     same_player = player[1:] == player[:-1]
     same_pair = same_player & (t[1:] == t[:-1])
     new = np.ones(len(t), dtype=bool)
@@ -433,22 +443,26 @@ def _read_columns(text):
     for i, d in enumerate(dims):
         rows = slice(row_bounds[i], row_bounds[i + 1])
         comps = slice(comp_bounds[i], comp_bounds[i + 1])
-        bits = chars[first_byte[rows, None] + np.arange(d)]
-        columns.append((alpha[rows], bits - 48.0, sizes[comps], t[starts[comps]] - 1))
+        atoms = np.ndarray((len(bits) - d + 1, d), np.uint8, bits, strides=(1, 1))[first_bit[rows]]
+        columns.append((alpha[rows], atoms, sizes[comps], t[starts[comps]] - 1))
     return dims, columns, n_rounds
 
 
-def _read_block(text, chars, edges):
+def _read_block(text, edges):
     """The columns t, player, ell, j, alpha and bit count of the rows of
-    ``text`` (code units ``chars``) that end at ``edges[1:]``, one past
-    ``edges[0]``, and their bits as one run of code units; None unless each
-    row has six fields, indices of 1 to 18 ASCII digits worth at least 1, an
-    alpha ``float()`` reads as finite and nonnegative and nonempty 0/1 bits.
-    """
-    n = len(edges) - 1
-    commas = np.flatnonzero(chars[edges[0] + 1:edges[-1]] == 44) + edges[0] + 1
+    ``text`` that end at ``edges[1:]``, one past ``edges[0]``, and their bits
+    as one run of uint8 0s and 1s, read as code units from 18 before
+    ``edges[0]``; None unless each row has six fields, indices of 1 to 18
+    ASCII digits worth at least 1, an alpha ``float()`` reads as finite and
+    nonnegative and nonempty 0/1 bits."""
+    n, lo = len(edges) - 1, edges[0] - 18
+    lines = text[lo:edges[-1]]
+    chars = np.frombuffer(lines.encode("ascii"), np.uint8)
+    edges = edges - lo
+    commas = np.flatnonzero(chars[edges[0] + 1:] == 44) + edges[0] + 1
     if (len(commas) != 5 * n or (commas[::5] < edges[:-1]).any()
-            or (commas[4::5] > edges[1:]).any()):
+            or (commas[4::5] > edges[1:]).any()
+            or np.count_nonzero(chars[edges[0] + 1:] <= 32) != n - 1):  # but the newlines
         return None
     # field f of each row runs from one past bounds[f] up to bounds[f + 1]
     bounds = np.empty((7, n), dtype=np.int64)
@@ -458,17 +472,17 @@ def _read_block(text, chars, edges):
     width = size[:4].max()
     if size[:4].min() < 1 or width > 18:
         return None
-    # the k-th digit from the right of each index; the header line keeps
-    # every position in range
+    # the k-th digit from the right of each index; the 18 code units before
+    # the rows keep every position in range
     digit = chars[bounds[1:5] - np.arange(1, width + 1)[:, None, None]] - 48
     digit *= np.arange(width)[:, None, None] < size[:4]
     keys = (digit * POW10[:width, None, None]).sum(axis=0)
     lens = size[5].copy()  # a copy: a view would keep all of size alive
-    bits = chars[np.arange(lens.sum()) + np.repeat(bounds[5] + 1 - np.cumsum(lens) + lens, lens)]
-    if digit.max() > 9 or keys.min() < 1 or lens.min() < 1 or (bits - 48 > 1).any():
+    bits = chars[np.arange(lens.sum()) + np.repeat(bounds[5] + 1 - np.cumsum(lens) + lens, lens)] - 48
+    if digit.max() > 9 or keys.min() < 1 or lens.min() < 1 or (bits > 1).any():
         return None  # unsigned: every code unit but '0' and '1' is past 1
     try:
-        alpha = np.fromiter(map(float, text[edges[0] + 1:edges[-1]].split(",")[4::5]), float, n)
+        alpha = np.fromiter(map(float, lines[edges[0] + 1:].split(",")[4::5]), float, n)
     except ValueError:
         return None
     if not ((alpha >= 0) & (alpha < math.inf)).all():

@@ -413,10 +413,10 @@ class DecisionProblem:
         return count_pure(self.graph)
 
     def enumerate_pure_strategies(self, cap=ENUM_CAP):
-        """All distinct tree-form pure strategies as a (P, N) 0/1 array, in
-        ``pure_support`` order."""
+        """All distinct tree-form pure strategies as a (P, N) 0/1 float array,
+        in ``pure_support`` order."""
         try:
-            return self.pure_support(self.graph.uniform_share, cap)[1]
+            return self.pure_support(self.graph.uniform_share, cap)[1].astype(float)
         except CapacityError:
             raise CapacityError(
                 f"{self.count_pure_strategies()} pure strategies exceeds the cap of {cap}; "
@@ -443,8 +443,8 @@ class DecisionProblem:
 
     def pure_support(self, share, cap):
         """The pure strategies that randomizing by each of a stack of per-edge
-        share arrays (K, E), or by one (E,), reaches: weights (A,) and 0/1
-        matrix (A, N) of every point's atoms, point after point.
+        share arrays (K, E), or by one (E,), reaches: weights (A,) and uint8
+        0/1 matrix (A, N) of every point's atoms, point after point.
 
         The count pass (``support_counts``) sizes every reached state's atoms
         for every point, and a point whose support passes ``cap`` atoms
@@ -505,7 +505,7 @@ class DecisionProblem:
         # the root is walked last; a lone terminal is every point's one atom
         root = slice(start[0, 0], None) if g.blocks else np.zeros(points, dtype=np.intp)
         matrix = np.unpackbits(bits[root].view(np.uint8), axis=1, count=n, bitorder="little")
-        return weights[root].copy(), matrix.astype(float)
+        return weights[root].copy(), matrix
 
     def uniform_point(self):
         """Tree-form point of the uniform behavioral strategy."""

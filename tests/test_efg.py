@@ -245,14 +245,14 @@ def test_unknown_spec_rejected(two_stage):
 def test_fixed_agent_requires_a_member():
     game = small_game()
     bad = np.ones(game.problems[1].n_terminals)
-    with pytest.raises(MembershipError, match="fixed agent"):
+    with pytest.raises(MembershipError, match="pinned seat strategy"):
         efg_self_play(game, ["med:1", bad], rounds=2, L=5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_fixed_agent_that_is_not_finite_is_rejected(bad):
     game = skew_game()
-    with pytest.raises(MembershipError, match="fixed agent strategy: .* is not a finite number"):
+    with pytest.raises(MembershipError, match="pinned seat strategy: .* is not a finite number"):
         efg_self_play(game, ["med:1", np.full(2, bad)], rounds=2, L=5)
 
 

@@ -38,7 +38,7 @@ def test_split_means_match_from_arrays_bit_for_bit():
     rng = np.random.default_rng(17)
     sizes = [1, 5, 2**11, 5, 1, 2**11]
     weights = rng.random(sum(sizes)) / 7.0
-    matrix = (rng.random((sum(sizes), 9)) < 0.5).astype(float)
+    matrix = (rng.random((sum(sizes), 9)) < 0.5).astype(np.uint8)
     parts = SupportMix.split(weights, matrix, sizes)
     assert [p.n_atoms for p in parts] == sizes
     start = 0
