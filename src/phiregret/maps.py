@@ -11,9 +11,13 @@ Monomials are compiled once into a ``MonomialTable``; every mixture's
 ``monomial_expectation`` evaluates a whole table in one call. A
 ``RoundMixtures`` holds uniform mixtures, a row per round: the fixed point's
 pi is one round, and the audit evaluates a profile's rounds together.
+A profile's atom columns are read as stacks of one atom count, and its
+components expanded into columns a block at a time (``support_blocks``).
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .tfsdp import flow_down, pure_share
 
 SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
-STACK_ATOMS = 1024  # atoms a SupportMix stack of RoundMixtures reads at a time
+STACK_ATOMS = 1024  # atoms a stack of mixtures holds at most, a block of expanded supports at least
 
 
 def padded(rows):
@@ -166,28 +170,6 @@ class SupportMix:
         mix._set(np.asarray(weights, dtype=float), matrix)
         return mix
 
-    @classmethod
-    def split(cls, weights, matrix, sizes, means=None):
-        """Consecutive mixtures of ``sizes`` atoms each, as views of one
-        weight array and one atom matrix, with every mean filled in from
-        ``means`` (C, d) or else from ``segment_means``."""
-        whole = cls.__new__(cls)
-        whole._set(np.asarray(weights, dtype=float), matrix)
-        sizes = np.asarray(sizes, dtype=np.intp)
-        if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != whole.n_atoms:
-            raise ValueError(
-                f"need positive sizes summing to {whole.n_atoms}, got {sizes.tolist()}"
-            )
-        starts = sizes.cumsum() - sizes
-        if means is None:
-            means = segment_means(whole.weights, whole.matrix, sizes)
-        out = []
-        for s, e, mean in zip(starts.tolist(), (starts + sizes).tolist(), means):
-            mix = cls.__new__(cls)  # views of checked arrays need no _set
-            mix.weights, mix.matrix, mix._mean = whole.weights[s:e], whole.matrix[s:e], mean
-            out.append(mix)
-        return out
-
     def _set(self, weights, matrix):
         matrix = np.asarray(matrix)
         if matrix.ndim < 2 or weights.shape != matrix.shape[:-1]:
@@ -195,7 +177,7 @@ class SupportMix:
                 f"need (..., n) weights and (..., n, d) atoms, got {weights.shape} and "
                 f"{matrix.shape}"
             )
-        if matrix.dtype != np.uint8 and not ((matrix == 0) | (matrix == 1)).all():
+        if not zero_one(matrix):
             raise ValueError("atom rows must hold only 0s and 1s")
         self.weights = weights
         self.matrix = matrix.astype(np.uint8, copy=False)
@@ -211,15 +193,12 @@ class SupportMix:
 
     def mean(self):
         if self._mean is None:
-            total = (self.weights[..., None] * self.matrix).cumsum(axis=-2)[..., -1, :].copy()
-            total.flags.writeable = False
-            self._mean = total
+            self._mean = _weighted_sum(self.weights, self.matrix).copy()
+            self._mean.flags.writeable = False
         return self._mean
 
     def monomial_expectation(self, table):
-        terms = table.at(self.matrix)
-        terms *= self.weights[..., None]
-        return np.cumsum(terms, axis=-2, out=terms)[..., -1, :].copy()
+        return _weighted_sum(self.weights, table.at(self.matrix)).copy()
 
     def support(self):
         """The explicit mixture itself (see ``BehavioralDescriptor.support``)."""
@@ -229,17 +208,43 @@ class SupportMix:
         return f"SupportMix(atoms={self.n_atoms})"
 
 
-def segment_means(weights, matrix, sizes):
-    """The means (C, d) of consecutive mixtures of ``sizes`` atoms each, read
-    only: one cumsum over the atom axis per distinct atom count, the same
-    left-to-right sum ``SupportMix.mean`` takes."""
+def zero_one(matrix):
+    """Whether every entry of the atom rows ``matrix`` is 0 or 1 (uint8: none past 1)."""
+    if matrix.dtype == np.uint8:
+        return matrix.max(initial=0) <= 1
+    return ((matrix == 0) | (matrix == 1)).all()
+
+
+def _weighted_sum(weights, values):
+    """Each mixture's atom values (..., n, k) times its weights (..., n),
+    added left to right by one cumsum over the atom axis."""
+    terms = weights[..., None] * values
+    return np.cumsum(terms, axis=-2, out=terms)[..., -1, :]
+
+
+def _stacks(weights, matrix, sizes):
+    """Consecutive mixtures of ``sizes`` atoms each, read as stacks of one
+    atom count, at most STACK_ATOMS atoms a stack unless one mixture has
+    more: yields each stack's mixture indices, weights (k, n) and atom rows
+    (k, n, d), views where the mixtures are consecutive."""
     starts = sizes.cumsum() - sizes
-    means = np.empty((len(sizes), matrix.shape[1]))
     for n in sorted(set(sizes.tolist())):
         pick = (sizes == n).nonzero()[0]
-        rows = starts[pick, None] + np.arange(n)
-        terms = weights[rows, None] * matrix[rows]
-        means[pick] = terms.cumsum(axis=1, out=terms)[:, -1]
+        step = max(1, STACK_ATOMS // n)
+        for k in range(0, len(pick), step):
+            at = pick[k : k + step]
+            rows = starts[at, None] + np.arange(n)
+            if at[-1] - at[0] == len(at) - 1:  # consecutive mixtures: views
+                rows = slice(rows[0, 0], rows[-1, -1] + 1)
+            yield at, weights[rows].reshape(len(at), n), matrix[rows].reshape(len(at), n, -1)
+
+
+def segment_means(weights, matrix, sizes):
+    """The means (C, d) of consecutive mixtures of ``sizes`` atoms each, read
+    only, each the left-to-right sum ``SupportMix.mean`` takes."""
+    means = np.empty((len(sizes), matrix.shape[1]))
+    for at, w, m in _stacks(weights, matrix, sizes):
+        means[at] = _weighted_sum(w, m)
     means.flags.writeable = False
     return means
 
@@ -293,46 +298,32 @@ def beta_support(problem, x, cap=SUPPORT_CAP, vals=None):
     return SupportMix.from_arrays(*problem.pure_support(share, cap))
 
 
-def _runs(components):
-    """The components in runs of one kind: (problem, descriptors) for
-    consecutive behavioral descriptors of one problem, (None, [component])
-    for any other component."""
-    runs = []
-    for comp in components:
-        problem = comp.problem if isinstance(comp, BehavioralDescriptor) else None
-        if problem is not None and runs and runs[-1][0] is problem:
-            runs[-1][1].append(comp)
-        else:
-            runs.append((problem, [comp]))
-    return runs
+def support_blocks(components):
+    """The components' atoms in order, as (weights, rows, atom counts)
+    blocks: a component other than a behavioral descriptor gives one block
+    of its support(); a run of behavioral descriptors of one problem is sized
+    by one ``DecisionProblem.support_counts`` pass, then expanded by
+    ``beta_support`` in blocks of at least STACK_ATOMS atoms."""
+    def owner_of(comp):
+        return comp.problem if isinstance(comp, BehavioralDescriptor) else None
 
-
-def support_sizes(components):
-    """Each component's number of support atoms: a run of behavioral
-    descriptors sized by one count pass (``DecisionProblem.support_counts``),
-    any other component by its support()."""
-    sizes = []
-    for problem, run in _runs(components):
-        if problem is None:
-            sizes.append(run[0].support().n_atoms)
-        else:
-            share = _beta_share(problem, np.array([c.vals for c in run]))
-            sizes += problem.support_counts(share)[0].tolist()
-    return np.array(sizes, dtype=np.intp)
-
-
-def joint_support(components):
-    """One new SupportMix of the components' supports, in order: each run of
-    behavioral descriptors of one problem expanded by one ``beta_support``
-    call, any other component by its support()."""
-    mixes = [
-        run[0].support() if problem is None
-        else beta_support(problem, np.array([c.base for c in run]), SUPPORT_CAP,
-                          np.array([c.vals for c in run]))
-        for problem, run in _runs(components)
-    ]
-    return SupportMix.from_arrays(np.concatenate([m.weights for m in mixes]),
-                                  np.concatenate([m.matrix for m in mixes]))
+    for owner, run in groupby(components, owner_of):
+        run = list(run)
+        if owner is None:
+            for comp in run:
+                mix = comp.support()
+                yield mix.weights, mix.matrix, [mix.n_atoms]
+            continue
+        vals = np.array([c.vals for c in run])
+        counts = owner.support_counts(_beta_share(owner, vals))[0]
+        lo, atoms = 0, 0
+        for hi, n in enumerate(counts.tolist(), start=1):
+            atoms += n
+            if atoms >= STACK_ATOMS or hi == len(run):
+                mix = beta_support(owner, np.array([c.base for c in run[lo:hi]]),
+                                   SUPPORT_CAP, vals[lo:hi])
+                yield mix.weights, mix.matrix, counts[lo:hi].astype(np.intp)
+                lo, atoms = hi, 0
 
 
 def caratheodory(problem, x, tol=PEEL_TOL, vals=None):
@@ -467,19 +458,8 @@ class RoundMixtures:
                                            for comp in self.components]))
         weights, matrix, sizes, _ = self._columns
         values = np.empty((len(sizes), table.n))
-        starts = sizes.cumsum() - sizes
-        for n in sorted(set(sizes.tolist())):
-            pick = (sizes == n).nonzero()[0]
-            step = max(1, STACK_ATOMS // n)
-            for k in range(0, len(pick), step):
-                at = pick[k : k + step]
-                rows = starts[at, None] + np.arange(n)
-                if at[-1] - at[0] == len(at) - 1:  # consecutive components: views
-                    rows = slice(rows[0, 0], rows[-1, -1] + 1)
-                shape = (len(at), n)
-                stack = SupportMix.from_arrays(weights[rows].reshape(shape),
-                                               matrix[rows].reshape(shape + (-1,)))
-                values[at] = stack.monomial_expectation(table)
+        for at, w, m in _stacks(weights, matrix, sizes):
+            values[at] = SupportMix.from_arrays(w, m).monomial_expectation(table)
         return self._combine(values)
 
     def __repr__(self):

@@ -30,6 +30,7 @@ from .errors import ParseError
 from .fixedpoint import curves_csv
 from .learners import Mwu
 from .profile import CorrelatedProfile
+from .tfsdp import content_lines
 
 PAYOFF_TOL = 1e-9
 ROUND_BLOCK = 4096
@@ -460,8 +461,7 @@ def parse_nfg(text):
     `edge i j` followed by A_i rows of player i's payoffs (A_j columns)
     and A_j rows of player j's payoffs (A_i columns).
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    rows = [(no + 1, ln) for no, ln in enumerate(lines) if ln]
+    rows = content_lines(text)
     if not rows:
         raise ParseError("empty game file")
     no, header = rows[0]

@@ -13,16 +13,18 @@ components in (round, component) order, each component's atom count and
 each component's round. ``add_round`` keeps a per-player list of component
 objects for each round, since a behavioral descriptor has no columns short
 of expanding its support. Means are computed when first read: a column
-profile's round means in one pass per player, and its ``SupportMix`` views
-with one ``SupportMix.split`` per player when ``components`` is first read.
+profile's round means in one pass per player, and each of its ``SupportMix``
+views, cut from the columns once per player when ``components`` is first
+read, from its own atoms.
 
-Export gathers every component's rows into columns, behavioral
-descriptors through their explicit supports, a block of them at a time in
-one support walk, and writes them ROW_BLOCK rows at a time as an array of
-code units: the index digits, commas and bits by array arithmetic, the
-alphas by one "%.17g" pass. Import reads export's text a block at a time,
-decoding the indices from their digits and only the alphas by ``float()``;
-it declines any other text, which is read one row at a time.
+Export gathers every component's rows into columns
+(``maps.support_blocks``), behavioral descriptors through their explicit
+supports, a block of them at a time in one support walk, and writes them
+ROW_BLOCK rows at a time as an array of code units: the index digits,
+commas and bits by array arithmetic, the alphas by one "%.17g" pass.
+Import reads export's text a block at a time, decoding the indices from
+their digits and only the alphas by ``float()``; it declines any other
+text, which is read one row at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .maps import RoundMixtures, SupportMix, joint_support, segment_means, support_sizes
+from .maps import RoundMixtures, SupportMix, segment_means, support_blocks, zero_one
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 ROW_BLOCK = 1024  # CSV rows parsed or written at a time; bounds the transient arrays
@@ -107,11 +109,12 @@ class CorrelatedProfile:
 
     def _cut(self, player):
         """The player's per-round component lists; a column profile cuts
-        them, means filled in, with one ``SupportMix.split`` on the first
-        call."""
+        its columns into ``SupportMix.from_arrays`` views on the first call."""
         if self._lists[player] is None:
             weights, matrix, sizes, comp_rounds = self.columns[player]
-            mixes = SupportMix.split(weights, matrix, sizes, self._means(player)[0])
+            ends = sizes.cumsum().tolist()
+            mixes = [SupportMix.from_arrays(weights[a:b], matrix[a:b])
+                     for a, b in zip([0] + ends, ends)]
             cuts = np.searchsorted(comp_rounds, np.arange(self.rounds + 1)).tolist()
             self._lists[player] = [mixes[a:b] for a, b in zip(cuts, cuts[1:])]
         return self._lists[player]
@@ -191,25 +194,14 @@ class CorrelatedProfile:
 
     def _gather(self, player):
         """The player's columns, its atom rows uint8, gathered from the
-        components of a profile built by ``add_round``; a descriptor's atoms
-        are those of its behavioral support. The count pass
-        (``support_sizes``) sizes every support first; supports are then made
-        a block of rounds at a time, at least ROW_BLOCK atoms, each block's in
-        one ``joint_support`` call."""
+        components of a profile built by ``add_round`` in one
+        ``support_blocks`` pass; a descriptor's atoms are those of its
+        behavioral support."""
         lists = self._lists[player]
-        comps = [comp for comps in lists for comp in comps]
-        sizes = support_sizes(comps)
-        atoms = [0] + sizes.cumsum().tolist()  # atoms[k]: the first k components' atoms
-        weights, matrices, lo, hi = [], [], 0, 0
-        for t, round_comps in enumerate(lists, start=1):
-            hi += len(round_comps)
-            if atoms[hi] - atoms[lo] >= ROW_BLOCK or t == len(lists):
-                mix = joint_support(comps[lo:hi])
-                weights.append(mix.weights)
-                matrices.append(mix.matrix)
-                lo = hi
+        blocks = support_blocks(comp for comps in lists for comp in comps)
+        weights, matrix, sizes = map(np.concatenate, zip(*blocks))
         comp_rounds = np.repeat(np.arange(self.rounds), [len(c) for c in lists])
-        return np.concatenate(weights), np.concatenate(matrices), sizes, comp_rounds
+        return weights, matrix, sizes, comp_rounds
 
     @classmethod
     def from_csv(cls, text):
@@ -238,9 +230,9 @@ class CorrelatedProfile:
         """A profile of ``rounds`` rounds from one column set per player:
         ``(weights, matrix, sizes, comp_rounds)`` hold the atom weights (N,)
         and 0/1 atom rows (N, dims[p]) of all the player's components in
-        (round, component) order, each component's atom count (positive,
-        summing to N) and each component's 0-based round (nondecreasing,
-        every round present). The columns are kept as they are; only those
+        (round, component) order, each component's atom count (positive
+        integers summing to N) and each component's 0-based round (integers,
+        nondecreasing, every round present). The columns are kept as they are; only those
         shapes and counts, and the 0/1 entries, are checked."""
         columns = [tuple(map(np.asarray, cols)) for cols in columns]
         if len(columns) != len(dims):
@@ -249,10 +241,11 @@ class CorrelatedProfile:
             first = np.searchsorted(comp_rounds, np.arange(rounds + 1))
             if not (weights.shape == (len(matrix),) and matrix.shape[1:] == (d,)
                     and sizes.shape == comp_rounds.shape == (len(comp_rounds),)
+                    and sizes.dtype.kind == comp_rounds.dtype.kind == "i"
                     and (sizes >= 1).all() and sizes.sum() == len(weights)
                     and (np.diff(comp_rounds) >= 0).all() and first[0] == 0
                     and (np.diff(first) >= 1).all() and first[-1] == len(comp_rounds)
-                    and ((matrix == 0) | (matrix == 1)).all()):
+                    and zero_one(matrix)):
                 raise ValueError(
                     f"player {p + 1}: the columns are not {rounds} rounds of "
                     f"0/1 components of strategy length {d}"

@@ -20,7 +20,7 @@ from phiregret import (
 )
 from phiregret import maps
 from phiregret.errors import CapacityError
-from phiregret.maps import BehavioralDescriptor, beta_support, joint_support, support_sizes
+from phiregret.maps import BehavioralDescriptor, beta_support, support_blocks
 from phiregret.tfsdp import CODE, DECISION
 
 
@@ -137,7 +137,7 @@ def test_capacity_is_checked_per_point_before_anything_is_allocated():
     assert peak < 256 * 1024, peak
 
 
-def test_a_stack_of_descriptors_expands_in_one_call():
+def test_a_stack_of_descriptors_expands_in_one_call(monkeypatch):
     problem = two_cubes(2)
     rng = np.random.default_rng(8)
     points = [problem.uniform_point(), problem.random_point(rng)]
@@ -152,10 +152,19 @@ def test_a_stack_of_descriptors_expands_in_one_call():
     explicit = maps.SupportMix.from_arrays([0.5, 0.5], np.eye(2, problem.n_terminals))
     comps = descriptors[:2] + [explicit] + descriptors[2:]
     singles = [c.support() for c in comps]
-    assert support_sizes(comps).tolist() == [m.n_atoms for m in singles]
-    joint = joint_support(comps)
-    assert hexes(joint.weights) == hexes(np.concatenate([m.weights for m in singles]))
-    assert joint.matrix.tobytes() == np.concatenate([m.matrix for m in singles]).tobytes()
+    calls = []
+    monkeypatch.setattr(maps, "beta_support", lambda *args: calls.append(args) or beta_support(*args))
+    # one block a run, then one a descriptor when a block holds a single atom
+    for stack_atoms, blocks in ((maps.STACK_ATOMS, [2, 1, 2]), (1, [1, 1, 1, 1, 1])):
+        monkeypatch.setattr(maps, "STACK_ATOMS", stack_atoms)
+        calls.clear()
+        got = list(support_blocks(comps))
+        assert [len(counts) for _, _, counts in got] == blocks
+        assert len(calls) == len(blocks) - 1
+        weights, matrix, sizes = map(np.concatenate, zip(*got))
+        assert sizes.tolist() == [m.n_atoms for m in singles]
+        assert hexes(weights) == hexes(np.concatenate([m.weights for m in singles]))
+        assert matrix.tobytes() == np.concatenate([m.matrix for m in singles]).tobytes()
     for x, mix in zip(points, beta):
         ref = oracles.behavioral_support(problem, x)
         assert np.array_equal(mix.matrix, np.array([y for _, y in ref]))
@@ -181,7 +190,7 @@ def assert_audits_match(profile, game, specs):
                 assert hexes([gap]) == hexes([loop])
 
 
-@pytest.mark.parametrize("stack_atoms", [1, 5, maps.STACK_ATOMS])
+@pytest.mark.parametrize("stack_atoms", [1, 7, maps.STACK_ATOMS])
 def test_rounds_of_many_components_audit_as_the_loop(stack_atoms, monkeypatch):
     monkeypatch.setattr(maps, "STACK_ATOMS", stack_atoms)
     game = small_game(np.random.default_rng(13))

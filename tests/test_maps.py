@@ -11,11 +11,18 @@ from conftest import counterexample_deviation
 from oracles import MixtureStrategy
 from phiregret import (
     BehavioralDescriptor,
+    CorrelatedProfile,
     MonomialTable,
     SupportMix,
     parse_problem,
 )
-from phiregret.maps import RoundMixtures, caratheodory, consistent_map, extended_map_eval
+from phiregret.maps import (
+    RoundMixtures,
+    caratheodory,
+    consistent_map,
+    extended_map_eval,
+    segment_means,
+)
 
 
 def test_support_mix_mean_and_expectations():
@@ -34,44 +41,27 @@ def test_support_mix_mean_is_frozen():
         mix.mean()[0] = 3.0
 
 
-def test_split_means_match_from_arrays_bit_for_bit():
+def test_column_components_are_from_arrays_views_bit_for_bit():
     rng = np.random.default_rng(17)
-    sizes = [1, 5, 2**11, 5, 1, 2**11]
-    weights = rng.random(sum(sizes)) / 7.0
-    matrix = (rng.random((sum(sizes), 9)) < 0.5).astype(np.uint8)
-    parts = SupportMix.split(weights, matrix, sizes)
-    assert [p.n_atoms for p in parts] == sizes
+    sizes = np.array([1, 5, 2**11, 5, 1, 2**11])
+    weights = rng.random(sizes.sum()) / 7.0
+    matrix = (rng.random((sizes.sum(), 9)) < 0.5).astype(np.uint8)
+    columns = (weights, matrix, sizes, np.array([0, 0, 1, 2, 2, 2]))
+    profile = CorrelatedProfile.from_columns([9], [columns], 3)
+    parts = [comp for t in range(3) for comp in profile.components(t, 0)]
+    assert profile.components(1, 0)[0] is parts[2]  # cut once
+    means = segment_means(weights, matrix, sizes)
     start = 0
-    for part, n in zip(parts, sizes, strict=True):
-        alone = SupportMix.from_arrays(weights[start:start + n], matrix[start:start + n])
-        assert part.mean().tobytes() == alone.mean().tobytes()
+    for part, n, mean in zip(parts, sizes.tolist(), means, strict=True):
+        alone = SupportMix.from_arrays(weights[start:start + n].copy(),
+                                       matrix[start:start + n].copy())
+        assert part.mean().tobytes() == alone.mean().tobytes() == mean.tobytes()
         assert not part.mean().flags.writeable
         assert part.weights.tobytes() == alone.weights.tobytes()
         assert part.matrix.tobytes() == alone.matrix.tobytes()
+        assert np.shares_memory(part.weights, weights)
         assert np.shares_memory(part.matrix, matrix)
         start += n
-
-
-@pytest.mark.parametrize(
-    "weights, matrix",
-    [
-        (np.ones((2, 1)), np.ones((2, 3))),
-        (np.ones(2), np.ones(2)),
-        (np.ones(3), np.ones((2, 3))),
-    ],
-)
-def test_split_shape_errors_match_from_arrays(weights, matrix):
-    with pytest.raises(ValueError) as want:
-        SupportMix.from_arrays(weights, matrix)
-    with pytest.raises(ValueError) as got:
-        SupportMix.split(weights, matrix, [len(weights)])
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("sizes", [[1, 1], [3, 0], [4], [[2]]])
-def test_split_sizes_must_be_positive_and_cover_the_atoms(sizes):
-    with pytest.raises(ValueError, match="positive sizes summing to 3"):
-        SupportMix.split(np.ones(3) / 3, np.eye(3), sizes)
 
 
 def test_behavioral_support_matches_oracle(two_stage):

@@ -20,6 +20,7 @@ from phiregret import (
     hypercube_problem,
     parse_efg,
 )
+from phiregret import maps
 from phiregret import profile as profile_module
 from phiregret.maps import caratheodory
 from phiregret.profile import ROW_BLOCK
@@ -121,9 +122,11 @@ def test_more_than_two_blocks_of_rows_export_as_the_row_writer():
     assert CorrelatedProfile.from_csv(text).export_csv() == text
 
 
+@pytest.mark.parametrize("stack_atoms", [1, 7, maps.STACK_ATOMS])
 @pytest.mark.parametrize("block", [1, 7, ROW_BLOCK])
-def test_descriptors_and_mixtures_export_as_the_row_writer(block, monkeypatch):
+def test_descriptors_and_mixtures_export_as_the_row_writer(block, stack_atoms, monkeypatch):
     monkeypatch.setattr(profile_module, "ROW_BLOCK", block)
+    monkeypatch.setattr(maps, "STACK_ATOMS", stack_atoms)
     profile = mixed_profile(np.random.default_rng(73), 130)
     text = profile.export_csv()
     assert text.count("\n") - 1 > 2 * ROW_BLOCK
@@ -270,6 +273,8 @@ BAD_COLUMNS = {
     "missing round": lambda w, m, s, r: (w, m, s, np.maximum(r, 1)),
     "late round": lambda w, m, s, r: (w, m, s, np.minimum(r + 1, 4)),
     "unsorted": lambda w, m, s, r: (w, m, s, r[::-1]),
+    "float sizes": lambda w, m, s, r: (w, m, s.astype(float), r),
+    "float rounds": lambda w, m, s, r: (w, m, s, r.astype(float)),
 }
 
 

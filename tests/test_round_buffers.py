@@ -75,10 +75,9 @@ def test_block_edges_match_the_per_player_loop(horizon, rows, record_profile, mo
 
 
 def test_run_ce_builds_no_profile_objects(monkeypatch):
-    calls = {"add_round": 0, "from_arrays": 0, "split": []}
+    calls = {"add_round": 0, "from_arrays": 0}
     add_round = CorrelatedProfile.add_round
     from_arrays = SupportMix.from_arrays.__func__
-    split = SupportMix.split.__func__
 
     def counted_add_round(self, comps):
         calls["add_round"] += 1
@@ -88,18 +87,13 @@ def test_run_ce_builds_no_profile_objects(monkeypatch):
         calls["from_arrays"] += 1
         return from_arrays(cls, weights, matrix)
 
-    def counted_split(cls, weights, matrix, sizes, *means):
-        calls["split"].append(len(sizes))
-        return split(cls, weights, matrix, sizes, *means)
-
     monkeypatch.setattr(CorrelatedProfile, "add_round", counted_add_round)
     monkeypatch.setattr(SupportMix, "from_arrays", classmethod(counted_from_arrays))
-    monkeypatch.setattr(SupportMix, "split", classmethod(counted_split))
     res = run_ce(dense_game([2, 3, 2, 3], 93), eps=0.3, horizon=40)
-    assert calls == {"add_round": 0, "from_arrays": 0, "split": []}
+    assert calls == {"add_round": 0, "from_arrays": 0}
     assert res.profile.rounds == 40
     assert all(len(res.profile.components(t, i)) == 1 for t in range(40) for i in range(4))
-    assert calls["split"] == [40, 40, 40, 40]  # one split per player, on first read
+    assert calls["from_arrays"] == 4 * 40  # a view a component, cut on a player's first read
 
 
 def test_play_without_a_profile_holds_one_block(monkeypatch):
