@@ -9,7 +9,8 @@ E_pi[phi(x) - x] telescopes to (phi^delta(x_L) - x_1)/L, whose induced norm
 is at most 2/L. Feeding the induced linear utilities to an external-regret
 learner over the deviation DAG then drives the full deviation regret down.
 ``PhiRegretRun`` measures both regrets of such a run exactly, from one
-hindsight best response per checkpoint.
+hindsight best response per checkpoint, and the displacement its fixed
+points measured, which is their difference.
 
 An iterate reuses what the problem and DAG build once: the tree pass, the
 start point, its node values and monomial expectations (the first image
@@ -137,7 +138,8 @@ class PhiRegretRun(RegretMeter):
 
     On top of the meter's summed terminal-state weights (for the hindsight
     best deviation) and realized deviation values <W_t, q_t>, tracks the
-    baseline utilities <u_t, mean of pi_t> and the fixed-point bounds. One
+    baseline utilities <u_t, mean of pi_t>, the fixed-point bounds and the
+    displacements <u_t, error_vector_t> the fixed points measured. One
     hindsight solve gives both regrets, so a checkpoint solves once.
     """
 
@@ -145,12 +147,14 @@ class PhiRegretRun(RegretMeter):
         super().__init__(dag)
         self.baseline = 0.0
         self.fp_slack_sum = 0.0
+        self.displacement = 0.0
         self.records = []
 
-    def record(self, weights, q_vector, base_value, fp_bound):
+    def record(self, weights, q_vector, base_value, fp_bound, displacement):
         super().record(weights, q_vector)
         self.baseline += float(base_value)
         self.fp_slack_sum += float(fp_bound)
+        self.displacement += float(displacement)
 
     def _regrets(self):
         """Time-averaged (Phi-regret against the best deviation in the DAG's
@@ -168,6 +172,10 @@ class PhiRegretRun(RegretMeter):
 
     def fp_error_bound(self):
         return self.fp_slack_sum / self.rounds if self.rounds else 0.0
+
+    def fp_displacement(self):
+        """The mean <u_t, error_vector_t>: Phi-regret minus external regret, up to rounding."""
+        return self.displacement / self.rounds if self.rounds else 0.0
 
     def checkpoint(self):
         rec = RoundRecord(self.rounds, *self._regrets(), self.fp_error_bound())
@@ -215,7 +223,7 @@ class PhiRegretMinimizer:
         w = terminal_weights(self.dag, u[None], fp.pi)[0]
         self.learner.observe(w)
         base = float(u @ fp.pi.mean()[0])
-        self.run.record(w, qv, base, fp.error_bound)
+        self.run.record(w, qv, base, fp.error_bound, u @ fp.error_vector)
         return w
 
 

@@ -8,15 +8,17 @@ peeling map repeatedly subtracts the largest feasible multiple of a greedy
 pure strategy, producing at most one atom per terminal.
 
 Monomials are compiled once into a ``MonomialTable``; every mixture's
-``monomial_expectation`` evaluates a whole table in one call. A
-``RoundMixtures`` holds uniform mixtures, a row per round: the fixed point's
-pi is one round, and the audit evaluates a profile's rounds together.
-A profile's atom columns are read as stacks of one atom count, and its
+``monomial_expectation`` evaluates a whole table in one call; an explicit
+mixture reads its rows of degree 1 off its mean. A ``RoundMixtures`` holds
+uniform mixtures, a row per round: the fixed point's pi is one round, and
+the audit evaluates a profile's rounds together. A profile's atom columns
+are read as stacks of one atom count, with their means, and its
 components expanded into columns a block at a time (``support_blocks``).
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import groupby
 
 import numpy as np
@@ -26,6 +28,7 @@ from .tfsdp import flow_down, pure_share
 SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
 STACK_ATOMS = 1024  # atoms a stack of mixtures holds at most, a block of expanded supports at least
+_CHECKED = weakref.WeakValueDictionary()  # id -> read-only atom rows zero_one has passed
 
 
 def padded(rows):
@@ -74,14 +77,14 @@ class MonomialTable:
         self.terms = terms
         self.n = len(terms)
         self._paths = None
+        linear = (terms >= 0).sum(1) == 1  # rows of one coordinate, read off a mean
+        rest = terms[~linear]  # each row's index into (the other rows' values, the mean):
+        self._split = rest, np.where(linear, len(rest) + terms.max(1, initial=-1),
+                                     np.cumsum(~linear) - 1)
 
     def at(self, points):
         """Every monomial at each row of ``points`` (..., d): shape (..., U)."""
-        points = np.asarray(points, dtype=float)
-        out = np.ones(points.shape[:-1] + (self.n,))
-        for col in self.terms.T:
-            out *= np.where(col >= 0, points[..., col], 1.0)
-        return out
+        return _products(self.terms, np.asarray(points, dtype=float))
 
     def decision_paths(self, problem):
         """``(edges, conflict)`` against the problem's tree: column u of
@@ -106,6 +109,16 @@ class MonomialTable:
             start.flags.writeable = False
             self._paths += (start,)
         return self._paths[1:3]
+
+
+def _products(terms, points):
+    """The monomials ``terms`` (U, K) at each row of ``points`` (..., d), in
+    the points' dtype, from the points padded with a 1 for a -1 to read."""
+    pad = np.concatenate((points, np.ones(points.shape[:-1] + (1,), points.dtype)), axis=-1)
+    out = np.ones(points.shape[:-1] + (len(terms),), points.dtype)
+    for col in terms.T:
+        out *= pad[..., col]
+    return out
 
 
 def _conditional_flow(graph, vals, flow):
@@ -152,9 +165,11 @@ class SupportMix:
     ``weights`` (n,) holds the atom probabilities and ``matrix`` (n, d) the
     atoms' 0/1 vectors as uint8, one row per atom; a uint8 matrix is kept as
     it is, any other is cast, and an entry of it other than 0 or 1 raises
-    ValueError. A mean or a table of monomial expectations is one gather and
-    one float reduction over the rows in row order, so it rounds exactly as a
-    left-to-right sum of weighted atoms would. ``SupportMix(atoms)`` takes
+    ValueError, unless they are uint8 views of rows marked ``checked``. A mean
+    or a table of monomial expectations is one float reduction over the rows
+    in row order, so it rounds exactly as a left-to-right sum of weighted
+    atoms would; a monomial of one coordinate reads the mean's, the same sum.
+    ``SupportMix(atoms)`` takes
     (weight, vector) pairs; ``from_arrays`` the two arrays.
     Leading axes, weights (..., n) and matrix (..., n, d), make a stack of
     mixtures of n atoms each, whose means and expectations are stacked too.
@@ -177,7 +192,9 @@ class SupportMix:
                 f"need (..., n) weights and (..., n, d) atoms, got {weights.shape} and "
                 f"{matrix.shape}"
             )
-        if not zero_one(matrix):
+        base = matrix.base  # read-only rows ``checked`` keeps, of which matrix is a view
+        seen = base is not None and not base.flags.writeable and _CHECKED.get(id(base)) is base
+        if not (seen and matrix.dtype == np.uint8 or zero_one(matrix)):
             raise ValueError("atom rows must hold only 0s and 1s")
         self.weights = weights
         self.matrix = matrix.astype(np.uint8, copy=False)
@@ -198,7 +215,12 @@ class SupportMix:
         return self._mean
 
     def monomial_expectation(self, table):
-        return _weighted_sum(self.weights, table.at(self.matrix)).copy()
+        rest, index = table._split
+        values = self.mean()
+        if len(rest):
+            values = np.concatenate((_weighted_sum(self.weights, _products(rest, self.matrix)),
+                                     values), axis=-1)
+        return values[..., index]
 
     def support(self):
         """The explicit mixture itself (see ``BehavioralDescriptor.support``)."""
@@ -213,6 +235,14 @@ def zero_one(matrix):
     if matrix.dtype == np.uint8:
         return matrix.max(initial=0) <= 1
     return ((matrix == 0) | (matrix == 1)).all()
+
+
+def checked(matrix):
+    """Make the atom rows ``matrix``, which zero_one has passed, read-only;
+    if they own their memory, ``SupportMix`` takes uint8 views of them unchecked."""
+    matrix.setflags(write=False)
+    if matrix.base is None:
+        _CHECKED[id(matrix)] = matrix
 
 
 def _weighted_sum(weights, values):
@@ -398,7 +428,7 @@ class RoundMixtures:
     ``components``, each component is read on its own; built
     ``from_columns`` (``components`` None), the components are read as
     ``SupportMix`` stacks of one atom count, at most STACK_ATOMS atoms a
-    stack unless one component has more.
+    stack unless one component has more, with its components' means.
     """
 
     def __init__(self, rounds):
@@ -456,10 +486,13 @@ class RoundMixtures:
         if self.components is not None:
             return self._combine(np.array([comp.monomial_expectation(table)
                                            for comp in self.components]))
-        weights, matrix, sizes, _ = self._columns
+        weights, matrix, sizes, means = self._columns
         values = np.empty((len(sizes), table.n))
         for at, w, m in _stacks(weights, matrix, sizes):
-            values[at] = SupportMix.from_arrays(w, m).monomial_expectation(table)
+            mix = SupportMix.from_arrays(w, m)
+            mix._mean = means[at]  # the stack's means, as segment_means took them
+            mix._mean.flags.writeable = False
+            values[at] = mix.monomial_expectation(table)
         return self._combine(values)
 
     def __repr__(self):

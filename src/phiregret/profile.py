@@ -15,7 +15,8 @@ objects for each round, since a behavioral descriptor has no columns short
 of expanding its support. Means are computed when first read: a column
 profile's round means in one pass per player, and each of its ``SupportMix``
 views, cut from the columns once per player when ``components`` is first
-read, from its own atoms.
+read, from its own atoms; the columns are read-only, and the views' rows
+are not checked again.
 
 Export gathers every component's rows into columns
 (``maps.support_blocks``), behavioral descriptors through their explicit
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .maps import RoundMixtures, SupportMix, segment_means, support_blocks, zero_one
+from .maps import RoundMixtures, SupportMix, checked, segment_means, support_blocks, zero_one
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 ROW_BLOCK = 1024  # CSV rows parsed or written at a time; bounds the transient arrays
@@ -45,7 +46,7 @@ BLANK = 32  # the code unit export pads its fixed-width rows with
 
 class CorrelatedProfile:
     """``columns`` is the per-player ``(weights, matrix, sizes,
-    comp_rounds)`` of a profile built by ``from_columns``, else None."""
+    comp_rounds)`` of a profile built by ``from_columns``, read-only, else None."""
 
     def __init__(self, n_players, dims=None):
         self.n_players = int(n_players)
@@ -120,15 +121,19 @@ class CorrelatedProfile:
         return self._lists[player]
 
     def round_mean(self, t, player):
-        """The uniform mean of round t's components, as ``uniform_means``."""
+        """The uniform mean of round t's components, as ``uniform_means``
+        (of a column profile, at an array t, the rows of those means)."""
         if self.columns is None:
             comps = self._lists[player][t]
             return uniform_means(np.array([c.mean() for c in comps]), [len(comps)])[0]
         return self._means(player)[1][t]
 
     def stacked_means(self, player):
-        """T x dim matrix of the player's per-round mean strategies."""
-        return np.array([self.round_mean(t, player) for t in range(self.rounds)])
+        """T x dim matrix of the player's per-round mean strategies (of a
+        column profile, one ``round_mean`` call)."""
+        if self.columns is None:
+            return np.array([self.round_mean(t, player) for t in range(self.rounds)])
+        return self.round_mean(np.arange(self.rounds), player)
 
     def mixtures(self, player):
         """The player's rounds as one ``RoundMixtures``; a column profile's
@@ -232,8 +237,8 @@ class CorrelatedProfile:
         and 0/1 atom rows (N, dims[p]) of all the player's components in
         (round, component) order, each component's atom count (positive
         integers summing to N) and each component's 0-based round (integers,
-        nondecreasing, every round present). The columns are kept as they are; only those
-        shapes and counts, and the 0/1 entries, are checked."""
+        nondecreasing, every round present). The columns are kept as they are, made
+        read-only; only those shapes and counts, and the 0/1 entries, are checked."""
         columns = [tuple(map(np.asarray, cols)) for cols in columns]
         if len(columns) != len(dims):
             raise ValueError(f"need {len(dims)} column sets, got {len(columns)}")
@@ -250,6 +255,10 @@ class CorrelatedProfile:
                     f"player {p + 1}: the columns are not {rounds} rounds of "
                     f"0/1 components of strategy length {d}"
                 )
+        for weights, matrix, sizes, comp_rounds in columns:
+            for col in (weights, sizes, comp_rounds):
+                col.setflags(write=False)
+            checked(matrix)
         profile = cls(len(dims), dims=dims)
         profile.columns = columns
         profile._lists = [None] * len(dims)

@@ -95,10 +95,19 @@ def test_criterion_01_fixed_point_error_bound():
 
 
 def test_criterion_02_composite_regret_bound():
-    """phi-regret <= external regret + 2/L + 1e-6 at every checkpoint."""
+    """phi-regret <= external regret + 2/L + 1e-6 at every checkpoint, and,
+    beside that bound, phi-regret - external regret equals the run's measured
+    displacement within 1e-12 wherever the run is at hand."""
     rng = np.random.default_rng(55)
     checkpoints_seen = 0
     worst_slack = -np.inf
+    worst_identity = 0.0
+
+    def check_identity(run):
+        nonlocal worst_identity
+        gap = abs(run.phi_regret() - run.external_regret() - run.fp_displacement())
+        worst_identity = max(worst_identity, gap)
+        assert gap <= 1e-12, (gap, run.rounds)
 
     def check(rec, L):
         nonlocal checkpoints_seen, worst_slack
@@ -125,6 +134,7 @@ def test_criterion_02_composite_regret_bound():
             minimizer.observe_utility(rng.uniform(-1, 1, problem.n_terminals))
             if t % 30 == 0:
                 check(minimizer.run.checkpoint(), L)
+                check_identity(minimizer.run)
 
     # self-play: zero-sum and general-sum, mixed deviation sets
     res = efg_self_play(
@@ -134,6 +144,8 @@ def test_criterion_02_composite_regret_bound():
     for marks in res.checkpoints.values():
         for rec in marks:
             check(rec, 25)
+    for i in (0, 1):
+        check_identity(res.run_for(i))
     u1 = rng.uniform(-1, 1, (two_stage.n_terminals, cube.n_terminals))
     u2 = rng.uniform(-1, 1, (two_stage.n_terminals, cube.n_terminals))
     game = EFGame([two_stage, cube], [u1, u2], name="mixed", normalize=True)
@@ -144,6 +156,8 @@ def test_criterion_02_composite_regret_bound():
     for marks in res.checkpoints.values():
         for rec in marks:
             check(rec, 20)
+    for i in (0, 1):
+        check_identity(res.run_for(i))
 
     # normal form: swap gap vs external regret of the per-action learners
     tensors = [rng.uniform(-1, 1, (4, 4)) for _ in range(2)]
@@ -159,7 +173,8 @@ def test_criterion_02_composite_regret_bound():
         2,
         True,
         f"{checkpoints_seen} checkpoints across 8 runs, "
-        f"worst phi - (ext + 2/L) = {worst_slack:.2e}",
+        f"worst phi - (ext + 2/L) = {worst_slack:.2e}, "
+        f"worst |phi - ext - displacement| = {worst_identity:.1e}",
     )
 
 
