@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .tfsdp import CODE, DECISION, content_lines, hypercube_structure, problem_f
 
 PAYOFF_TOL = 1e-9
 PASS_CELLS = 1 << 16  # states x pure strategies in one best-response pass of _pure_bound
+_HELD = {}  # (problem, spec, cap) -> a weak reference to the DAG built for them
 
 
 class EFGame:
@@ -117,22 +119,29 @@ def deviation_dag(problem, spec, cap=STATE_CAP):
 
     'external' (constant deviations), 'med:K' (K-mediator deviations), or
     'dt:K' (depth-K decision-tree deviations; the problem must be a
-    hypercube of bit decisions).
+    hypercube of bit decisions). While a caller still holds the DAG built for
+    the same problem object, spec (stripped, lowercased) and cap, that DAG is
+    returned again, so DAGs are read-only; the memo holds DAGs weakly.
     """
     spec = spec.strip().lower()
-    if spec == "external":
-        return interleave(problem, 0, cap=cap)
-    if spec.startswith("med:"):
-        return interleave(problem, _spec_depth(spec), cap=cap)
-    if spec.startswith("dt:"):
+    key = problem, spec, cap
+    dag = _HELD[key]() if key in _HELD else None
+    if dag is not None:
+        return dag
+    if spec == "external" or spec.startswith("med:"):
+        dag = interleave(problem, 0 if spec == "external" else _spec_depth(spec), cap=cap)
+    elif spec.startswith("dt:"):
         k = _spec_depth(spec)
         pairs = hypercube_structure(problem)
         if pairs is None:
             raise ValueError(
                 "dt:K deviations need a hypercube problem (one decision per bit)"
             )
-        return build_dt_problem(len(pairs), k, cap=cap)
-    raise ValueError(f"unknown deviation spec {spec!r}")
+        dag = build_dt_problem(len(pairs), k, cap=cap)
+    else:
+        raise ValueError(f"unknown deviation spec {spec!r}")
+    _HELD[key] = weakref.ref(dag, lambda ref: _HELD.get(key) is ref and _HELD.pop(key))
+    return dag
 
 
 def _spec_depth(spec):
@@ -192,8 +201,8 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
             strategy = np.asarray(seat, dtype=float)
             p.require_membership(strategy, context="pinned seat strategy")
             pinned[i] = [BehavioralDescriptor(p, strategy)]
-        elif seat.base.n_terminals != p.n_terminals:
-            raise ValueError("deviation DAG does not match the player's problem")
+        else:
+            _require_base(seat, p)
     dags = [seat for seat, pin in zip(seats, pinned) if pin is None]
     learners = iter(SharedCfr(dags).seats if dags else ())
     minimizers = [None if pin else PhiRegretMinimizer(seat, cfg, next(learners))
@@ -222,6 +231,15 @@ def efg_self_play(game, devs, rounds, delta="beta", L=None, checkpoints=(),
     )
 
 
+def _require_base(dag, problem):
+    """Raise unless the DAG's base is the problem or has its graph arrays (as
+    a ``dt:K`` base, a fresh hypercube, does)."""
+    a, b = dag.base, problem
+    if a is not b and not all(np.array_equal(getattr(a.graph, f), getattr(b.graph, f))
+                              for f in ("code", "ptr", "dst")):
+        raise ValueError("deviation DAG does not match the player's problem")
+
+
 def phi_equilibrium_gap(profile, game, player, dag):
     """Exact best-deviation gain for one player against a profile.
 
@@ -237,6 +255,7 @@ def phi_equilibrium_gap(profile, game, player, dag):
     in round order. A running total from 0.0 adds them the same way, except
     that it never ends at -0.0; adding 0.0 at the end matches that too.
     """
+    _require_base(dag, game.problems[player])
     if profile.rounds == 0:
         return 0.0
     profile.require_shape([p.n_terminals for p in game.problems])
@@ -255,7 +274,8 @@ def parse_efg(text):
     tree node lines (id kind parent label), then `payoffs` with lines
     `z1 z2 u1 [u2]` naming terminal node ids; u2 defaults to -u1. Missing
     terminal pairs pay zero. Comments and blank lines are skipped as in a
-    problem file (``content_lines``).
+    problem file (``content_lines``). Player sections of the same content
+    lines give both players one problem, player 1's (``<name>-p1``).
     """
     rows = content_lines(text)
     if not rows:
@@ -277,11 +297,15 @@ def parse_efg(text):
         if current is None:
             raise ParseError(f"line {no}: content before any section header")
         current.append((no, ln))
+    one = sections["player 1"]
     problems = []
     for key, body in sections.items():
         if not body:
             raise ParseError(f"missing section '{key}'")
-        if key != "payoffs":
+        if key == "player 2" and len(body) == len(one) and all(
+                a == b for (_, a), (_, b) in zip(body, one)):
+            problems.append(problems[0])  # the same tree: one problem, player 1's
+        elif key != "payoffs":
             problems.append(problem_from_lines(f"{name}-p{key[-1]}", body))
     shape = (problems[0].n_terminals, problems[1].n_terminals)
     mats = [np.zeros(shape), np.zeros(shape)]
