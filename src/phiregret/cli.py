@@ -100,7 +100,7 @@ def _run_audit(args):
     head = text.lstrip().split(None, 1)[0] if text.strip() else ""
     if head == "nfg":
         game = parse_nfg(text)
-        if args.dev not in (None, "swap"):
+        if args.dev is not None and args.dev.strip().lower() != "swap":
             raise SystemExit("normal-form profiles audit swap deviations; use --dev swap")
         gaps = swap_gap(profile, game)
         for i, g in enumerate(gaps, start=1):

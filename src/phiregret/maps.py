@@ -12,13 +12,13 @@ Monomials are compiled once into a ``MonomialTable``; every mixture's
 mixture reads its rows of degree 1 off its mean. A ``RoundMixtures`` holds
 uniform mixtures, a row per round: the fixed point's pi is one round, and
 the audit evaluates a profile's rounds together. A profile's atom columns
-are read as stacks of one atom count, with their means, and its
-components expanded into columns a block at a time (``support_blocks``).
+are read as stacks of one atom count, with their means, each stack's rows
+checked as every ``SupportMix``'s are, and its components expanded into
+columns a block at a time (``support_blocks``).
 """
 
 from __future__ import annotations
 
-import weakref
 from itertools import groupby
 
 import numpy as np
@@ -28,7 +28,6 @@ from .tfsdp import flow_down, pure_share
 SUPPORT_CAP = 10**6
 PEEL_TOL = 1e-12
 STACK_ATOMS = 1024  # atoms a stack of mixtures holds at most, a block of expanded supports at least
-_CHECKED = weakref.WeakValueDictionary()  # id -> read-only atom rows zero_one has passed
 
 
 def padded(rows):
@@ -165,7 +164,7 @@ class SupportMix:
     ``weights`` (n,) holds the atom probabilities and ``matrix`` (n, d) the
     atoms' 0/1 vectors as uint8, one row per atom; a uint8 matrix is kept as
     it is, any other is cast, and an entry of it other than 0 or 1 raises
-    ValueError, unless they are uint8 views of rows marked ``checked``. A mean
+    ValueError (``zero_one``), views of checked rows included. A mean
     or a table of monomial expectations is one float reduction over the rows
     in row order, so it rounds exactly as a left-to-right sum of weighted
     atoms would; a monomial of one coordinate reads the mean's, the same sum.
@@ -192,9 +191,7 @@ class SupportMix:
                 f"need (..., n) weights and (..., n, d) atoms, got {weights.shape} and "
                 f"{matrix.shape}"
             )
-        base = matrix.base  # read-only rows ``checked`` keeps, of which matrix is a view
-        seen = base is not None and not base.flags.writeable and _CHECKED.get(id(base)) is base
-        if not (seen and matrix.dtype == np.uint8 or zero_one(matrix)):
+        if not zero_one(matrix):
             raise ValueError("atom rows must hold only 0s and 1s")
         self.weights = weights
         self.matrix = matrix.astype(np.uint8, copy=False)
@@ -235,14 +232,6 @@ def zero_one(matrix):
     if matrix.dtype == np.uint8:
         return matrix.max(initial=0) <= 1
     return ((matrix == 0) | (matrix == 1)).all()
-
-
-def checked(matrix):
-    """Make the atom rows ``matrix``, which zero_one has passed, read-only;
-    if they own their memory, ``SupportMix`` takes uint8 views of them unchecked."""
-    matrix.setflags(write=False)
-    if matrix.base is None:
-        _CHECKED[id(matrix)] = matrix
 
 
 def _weighted_sum(weights, values):

@@ -15,8 +15,8 @@ objects for each round, since a behavioral descriptor has no columns short
 of expanding its support. Means are computed when first read: a column
 profile's round means in one pass per player, and each of its ``SupportMix``
 views, cut from the columns once per player when ``components`` is first
-read, from its own atoms; the columns are read-only, and the views' rows
-are not checked again.
+read, from its own atoms; the columns are read-only, and each view checks
+its own rows, as every ``SupportMix`` does.
 
 Export gathers every component's rows into columns
 (``maps.support_blocks``), behavioral descriptors through their explicit
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .maps import RoundMixtures, SupportMix, checked, segment_means, support_blocks, zero_one
+from .maps import RoundMixtures, SupportMix, segment_means, support_blocks, zero_one
 
 HEADER = "t,player,ell,j,alpha,pure-strategy-bits"
 ROW_BLOCK = 1024  # CSV rows parsed or written at a time; bounds the transient arrays
@@ -76,13 +76,13 @@ class CorrelatedProfile:
             if not comps:
                 raise ValueError("a player needs at least one component")
             row.append(list(comps))
-        dims = self.dims if self.dims is not None else [_length(c[0]) for c in row]
+        dims = self.dims if self.dims is not None else [len(c[0].mean()) for c in row]
         for i, comps in enumerate(row):
             for comp in comps:
-                if _length(comp) != dims[i]:
+                if len(comp.mean()) != dims[i]:
                     raise ValueError(
                         f"player {i + 1}: a component of strategy length "
-                        f"{_length(comp)}, expected {dims[i]}"
+                        f"{len(comp.mean())}, expected {dims[i]}"
                     )
         if self.columns is not None:  # later rounds are objects: cut the columns first
             self._lists = [self._cut(i) for i in range(self.n_players)]
@@ -238,7 +238,8 @@ class CorrelatedProfile:
         (round, component) order, each component's atom count (positive
         integers summing to N) and each component's 0-based round (integers,
         nondecreasing, every round present). The columns are kept as they are, made
-        read-only; only those shapes and counts, and the 0/1 entries, are checked."""
+        read-only; only those shapes and counts, the 0/1 entries and that every
+        weight is finite and nonnegative, as ``from_csv`` reads them, are checked."""
         columns = [tuple(map(np.asarray, cols)) for cols in columns]
         if len(columns) != len(dims):
             raise ValueError(f"need {len(dims)} column sets, got {len(columns)}")
@@ -250,15 +251,14 @@ class CorrelatedProfile:
                     and (sizes >= 1).all() and sizes.sum() == len(weights)
                     and (np.diff(comp_rounds) >= 0).all() and first[0] == 0
                     and (np.diff(first) >= 1).all() and first[-1] == len(comp_rounds)
-                    and zero_one(matrix)):
+                    and ((weights >= 0) & (weights < math.inf)).all() and zero_one(matrix)):
                 raise ValueError(
-                    f"player {p + 1}: the columns are not {rounds} rounds of "
-                    f"0/1 components of strategy length {d}"
+                    f"player {p + 1}: the columns are not {rounds} rounds of 0/1 "
+                    f"components of strategy length {d} with finite nonnegative weights"
                 )
-        for weights, matrix, sizes, comp_rounds in columns:
-            for col in (weights, sizes, comp_rounds):
+        for cols in columns:
+            for col in cols:
                 col.setflags(write=False)
-            checked(matrix)
         profile = cls(len(dims), dims=dims)
         profile.columns = columns
         profile._lists = [None] * len(dims)
@@ -285,14 +285,6 @@ def uniform_means(means, counts):
         more = counts > j  # the rounds of more than j components
         total[more] += means[first[more] + j]
     return total / counts[:, None]
-
-
-def _length(component):
-    """A component's strategy length, read without computing a mean where
-    the component has an atom matrix."""
-    if isinstance(component, SupportMix):
-        return component.matrix.shape[1]
-    return len(component.mean())
 
 
 def _write_block(keys, alpha, bits):

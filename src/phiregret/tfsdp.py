@@ -134,9 +134,9 @@ def back_up(graph, leaf, rule):
     """Back values up from the terminals, which read ``leaf`` in index order.
 
     Observation states sum their children. Decision states take the largest
-    child (rule "max"), the smallest ("min"), or weight the children by a
-    per-edge share array. Returns (state values, share), where for "max" and
-    "min" the share is the pure policy taking the first best edge.
+    child (rule "max") or weight the children by a per-edge share array.
+    Returns (state values, share), where for "max" the share is the pure
+    policy taking the first best edge.
     """
     value = np.zeros(graph.n)
     value[graph.terminals] = leaf
@@ -145,22 +145,21 @@ def back_up(graph, leaf, rule):
     for code, states, edges, children in graph.blocks:
         below = value[children]
         if pick and code == CODE[DECISION]:
-            value[states] = below.max(1) if rule == "max" else below.min(1)
+            value[states] = below.max(1)
         else:
             value[states] = row_dots(share[edges], below)
     if pick:
-        share = pure_share(graph, value[graph.dst], maximize=rule == "max")
+        share = pure_share(graph, value[graph.dst])
     return value, share
 
 
-def pure_share(graph, edge_value, maximize=True):
-    """Pure policy taking each decision state's first edge of largest (or
-    smallest) ``edge_value``; observation edges carry share 1."""
+def pure_share(graph, edge_value):
+    """Pure policy taking each decision state's first edge of largest
+    ``edge_value``; observation edges carry share 1."""
     share = np.where(graph.decision_edge, 0.0, 1.0)
     for code, _, edges, _ in graph.blocks:
         if code == CODE[DECISION]:
-            v = edge_value[edges]
-            best = v.argmax(1) if maximize else v.argmin(1)
+            best = edge_value[edges].argmax(1)
             share[edges[np.arange(len(edges)), best]] = 1.0
     return share
 

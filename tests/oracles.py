@@ -1165,11 +1165,11 @@ def bits_to_point(pairs, bits):
 def graph_pure_response(problem, u, maximize=True):
     """The library's former ``DecisionProblem.best_pure_response`` (and, with
     maximize=False, ``worst_pure_response``): (value, strategy) by
-    ``back_up`` and ``flow_down``; ties break to the lowest child."""
-    value, share = back_up(
-        problem.graph, np.asarray(u, dtype=float), "max" if maximize else "min"
-    )
-    return float(value[problem.root]), flow_down(problem.graph, share)[0][problem.terminals]
+    ``back_up`` and ``flow_down``; ties break to the lowest child. The worst
+    response is the best response to -u, its value negated."""
+    sign = 1.0 if maximize else -1.0
+    value, share = back_up(problem.graph, sign * np.asarray(u, dtype=float), "max")
+    return sign * float(value[problem.root]), flow_down(problem.graph, share)[0][problem.terminals]
 
 
 def eval_point(phi, x):

@@ -75,6 +75,19 @@ def test_nfg_audit_rejects_tree_deviations(pennies_file, tmp_path):
         main(["audit", "--profile", str(out), "--game", pennies_file, "--dev", "med:1"])
 
 
+def test_nfg_audit_reads_dev_as_specs_are_read(pennies_file, tmp_path, capsys):
+    """``--dev`` is stripped and lowercased, as ``deviation_dag`` reads a spec."""
+    out = tmp_path / "profile.csv"
+    main(["nfg-ce", "--game", pennies_file, "--eps", "0.4", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["audit", "--profile", str(out), "--game", pennies_file]) == 0
+    plain = capsys.readouterr().out
+    for spelling in ("SWAP", " swap"):
+        assert main(["audit", "--profile", str(out), "--game", pennies_file,
+                     "--dev", spelling]) == 0
+        assert capsys.readouterr().out == plain
+
+
 def test_polymatrix_flag_on_dense_file(pennies_file):
     with pytest.raises(SystemExit, match="polymatrix"):
         main(["nfg-ce", "--game", pennies_file, "--eps", "0.3", "--polymatrix"])

@@ -183,7 +183,7 @@ def test_from_columns_makes_the_columns_read_only():
                 col[0] = 0
 
 
-def test_component_views_skip_the_check_from_columns_made(monkeypatch):
+def test_component_views_check_their_own_rows(monkeypatch):
     args = profile_columns(np.random.default_rng(66))
     scans = []
     zero_one = maps.zero_one
@@ -195,11 +195,12 @@ def test_component_views_skip_the_check_from_columns_made(monkeypatch):
     for p, cols in enumerate(profile.columns):
         parts = [c for t in range(profile.rounds) for c in profile.components(t, p)]
         assert len(parts) == 9 and all(np.shares_memory(c.matrix, cols[1]) for c in parts)
-    assert scans == []
+        assert scans == [c.matrix.shape for c in parts]  # once a view
+        scans.clear()
 
 
-def test_only_views_of_rows_from_columns_checked_skip_the_check():
-    bad = np.frombuffer(bytes([0, 1, 2, 1]), np.uint8).reshape(2, 2)  # read-only, not checked
+def test_rows_past_1_are_refused_in_views_and_audits():
+    bad = np.frombuffer(bytes([0, 1, 2, 1]), np.uint8).reshape(2, 2)  # read-only
     with pytest.raises(ValueError, match="only 0s and 1s"):
         SupportMix.from_arrays([0.5, 0.5], bad[:2])
     weights, rows = np.full(4, 0.5), np.zeros((4, 2), np.uint8)
@@ -209,6 +210,8 @@ def test_only_views_of_rows_from_columns_checked_skip_the_check():
     rows[0, 0] = 2
     with pytest.raises(ValueError, match="only 0s and 1s"):
         profile.components(0, 0)
+    with pytest.raises(ValueError, match="only 0s and 1s"):
+        profile.mixtures(0).monomial_expectation(MonomialTable([(0,), (0, 1)]))
     copy = rows.copy()
     copy.setflags(write=False)
     with pytest.raises(ValueError, match="only 0s and 1s"):

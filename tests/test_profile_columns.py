@@ -275,6 +275,10 @@ BAD_COLUMNS = {
     "unsorted": lambda w, m, s, r: (w, m, s, r[::-1]),
     "float sizes": lambda w, m, s, r: (w, m, s.astype(float), r),
     "float rounds": lambda w, m, s, r: (w, m, s, r.astype(float)),
+    # weights that import refuses, so export's text would not read back
+    "nan weight": lambda w, m, s, r: (np.r_[np.nan, w[1:]], m, s, r),
+    "negative weight": lambda w, m, s, r: (np.r_[-0.5, w[1:]], m, s, r),
+    "inf weight": lambda w, m, s, r: (np.r_[np.inf, w[1:]], m, s, r),
 }
 
 
